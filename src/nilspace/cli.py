@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -50,21 +49,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("NILSPACE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--format", choices=("json", "text", "csv"), default="json")
     sub.add_argument("--output", type=Path, default=None, help="write to a file instead of stdout")
-    sub.add_argument(
-        "--threads", type=_positive_int, default=_default_threads(),
-        help="worker cap (defaults to NILSPACE_THREADS; engines currently run serially)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

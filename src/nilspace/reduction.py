@@ -12,7 +12,6 @@ for the search engine.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -26,7 +25,13 @@ from .errors import (
     PreconditionUnmetError,
 )
 from .fields import FieldSpec, PrimeField, RawScalar
-from .matrices import ExactMatrix, is_nilpotent
+from .matrices import (
+    ExactMatrix,
+    _matmul_frac,
+    _matmul_mod_p,
+    identity_matrix,
+    is_nilpotent,
+)
 from .spaces import (
     DEFAULT_BUDGET,
     DEFAULT_SAMPLES,
@@ -34,7 +39,12 @@ from .spaces import (
     REFUTED,
     SAMPLED_PASS,
     VerificationOutcome,
+    _NUMPY_CHUNK,
+    _NUMPY_MIN_POINTS,
+    _combine_rows,
     _iter_members,
+    _numpy_usable,
+    _sample_points,
 )
 
 
@@ -238,7 +248,10 @@ def trace_condition_verify(
         power = rows
         for m in range(1, m_max + 1):
             if m > 1:
-                power = _matmul(power, rows, field)
+                if isinstance(field, PrimeField):
+                    power = _matmul_mod_p(power, rows, field.p)
+                else:
+                    power = _matmul_frac(power, rows)
             for b_idx, entries in enumerate(nz):
                 val = _trace_product(power, entries, field)
                 if val != field.zero:
@@ -250,14 +263,9 @@ def trace_condition_verify(
     if total > budget:
         if sample_count <= 0:
             raise BudgetExceededError(f"{total} grid points exceed budget {budget}")
-        rng = random.Random(seed)
         checked = 0
-        for _ in range(sample_count):
-            if isinstance(field, PrimeField):
-                t = tuple(rng.randrange(field.p) for _ in range(d))
-            else:
-                t = tuple(Fraction(rng.randint(-10**6, 10**6)) for _ in range(d))
-            rows = _combine(zero_rows, basis_rows, t, field)
+        for t in _sample_points(field, d, sample_count, seed):
+            rows = _combine_rows(zero_rows, basis_rows, t, field)
             checked += 1
             witness = check_point(t, rows)
             if witness is not None:
@@ -272,12 +280,7 @@ def trace_condition_verify(
             notes=(f"grid of {total} points exceeded budget {budget}",),
         )
 
-    use_numpy = (
-        isinstance(field, PrimeField)
-        and total >= 4096
-        and n * (field.p - 1) ** 2 < 2**62
-    )
-    if use_numpy:
+    if total >= _NUMPY_MIN_POINTS and _numpy_usable(field, n):
         witness, checked = _trace_scan_numpy(
             span_basis, basis_rows, values, m_max, field.p, n
         )
@@ -295,22 +298,6 @@ def trace_condition_verify(
     return VerificationOutcome(status=PROVED, method="grid", checks_performed=checked)
 
 
-def _matmul(a, b, field):
-    if isinstance(field, PrimeField):
-        from .matrices import _matmul_mod_p
-
-        return _matmul_mod_p(a, b, field.p)
-    from .matrices import _matmul_frac
-
-    return _matmul_frac(a, b)
-
-
-def _combine(base_rows, dir_rows_list, coeffs, field):
-    from .spaces import _combine_rows
-
-    return _combine_rows(base_rows, dir_rows_list, list(coeffs), field)
-
-
 def _trace_scan_numpy(span_basis, basis_rows, values, m_max, p, n):
     """Vectorized grid scan; picks the violation that the pure scan order
     (point-major, then power, then basis element) would find first."""
@@ -319,11 +306,10 @@ def _trace_scan_numpy(span_basis, basis_rows, values, m_max, p, n):
         [[x for row in rows for x in row] for rows in basis_rows], dtype=np.int64
     )
     basis_arr = [np.array(rows, dtype=np.int64) for rows in basis_rows]
-    chunk_size = 1 << 17
     point_iter = itertools.product(values, repeat=d)
     checked = 0
     while True:
-        chunk = list(itertools.islice(point_iter, chunk_size))
+        chunk = list(itertools.islice(point_iter, _NUMPY_CHUNK))
         if not chunk:
             return None, checked
         combos = np.array(chunk, dtype=np.int64)
@@ -371,8 +357,6 @@ def linear_trace_constraints(p_mat: ExactMatrix, m_max: int) -> tuple[ExactMatri
         )
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    from .matrices import identity_matrix
-
     constraints: list[ExactMatrix] = []
     seen = set()
     power = identity_matrix(p_mat.n_rows, field)

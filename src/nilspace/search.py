@@ -7,8 +7,12 @@ base stay nilpotent of the target rank, and extends direction subspaces
 depth-first in a fixed candidate order.  Every subspace is reachable through
 an increasing sequence of pool candidates, so an uncut run is exhaustive.
 
-Costs are counted in member evaluations against a budget; running out of
-budget downgrades the result to a lower bound, it never aborts.
+B + W is valid exactly when every nonzero point of W lies on a pool line, so
+the search over a built pool decides each extension by set lookups of
+canonical lines and never evaluates a member.  Only the pool build evaluates
+members; it charges them against the budget, and running out of budget
+leaves a partial pool and downgrades the result to a lower bound, it never
+aborts.
 """
 
 from __future__ import annotations
@@ -105,10 +109,10 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def charge(self, k: int = 1) -> bool:
-        if self.used + k > self.limit:
+    def charge(self) -> bool:
+        if self.used >= self.limit:
             return False
-        self.used += k
+        self.used += 1
         return True
 
 
@@ -306,25 +310,6 @@ def _build_pool(base, r, field, pruning, budget: _Budget) -> CandidatePool:
 
 
 # ---------------------------------------------------------------------------
-# span bookkeeping over F_p
-
-def _reduce_against(echelon: list[tuple[int, tuple[int, ...]]], vec: tuple[int, ...], p: int):
-    """Reduce ``vec`` by the echelon rows; return (pivot, normalized vector)
-    or None when the vector lies in the span."""
-    v = list(vec)
-    for piv, row in echelon:
-        c = v[piv]
-        if c:
-            for j in range(len(v)):
-                v[j] = (v[j] - c * row[j]) % p
-    for piv, x in enumerate(v):
-        if x:
-            inv = pow(x, -1, p)
-            return piv, tuple(y * inv % p for y in v)
-    return None
-
-
-# ---------------------------------------------------------------------------
 # the search proper
 
 def _resolve_pruning(pruning: str, p: int, n: int) -> str:
@@ -337,26 +322,31 @@ def _resolve_pruning(pruning: str, p: int, n: int) -> str:
     return pruning
 
 
-def _extension_members(base_flat, zs, cand, p):
-    """New member coordinates produced by adjoining ``cand``: z + t*cand."""
-    scaled = [tuple(t * a % p for a in cand) for t in range(1, p)]
-    return scaled, [
-        tuple((z_i + s_i) % p for z_i, s_i in zip(z, s)) for z in zs for s in scaled
-    ]
+def _extension_lines(zs, lines, cand, pool, p):
+    """The canonical lines that adjoining ``cand`` adds to a direction space
+    W, given all points ``zs`` of W and the set ``lines`` of its lines.
 
-
-def _extension_valid(base_flat, zs, cand, p, n, r, budget: _Budget):
-    cand_rows = _flat_to_rows(cand, n)
+    Every new point is a nonzero multiple of z + cand for one z in W, so
+    these are the lines of z + cand.  Returns None when ``cand`` lies in W or
+    one of the new lines is not in ``pool``: then some new member of the
+    affine space fails.
+    """
+    if cand in lines:
+        return None
+    new_lines = []
     for z in zs:
-        bz_rows = _flat_to_rows(
-            tuple((b + z_i) % p for b, z_i in zip(base_flat, z)), n
-        )
-        for t in range(1, p):
-            if not budget.charge():
-                return False, False
-            if _member_fails(bz_rows, cand_rows, t, p, n, r):
-                return False, True
-    return True, True
+        line = _canonical_line(tuple((a + b) % p for a, b in zip(z, cand)), p)
+        if line not in pool:
+            return None
+        new_lines.append(line)
+    return new_lines
+
+
+def _extend_points(zs, cand, p):
+    """All points of W + span(cand), given all points ``zs`` of W."""
+    return zs + [
+        tuple((a + t * b) % p for a, b in zip(z, cand)) for z in zs for t in range(1, p)
+    ]
 
 
 def max_affine_dimension(
@@ -373,11 +363,16 @@ def max_affine_dimension(
     constant rank r over F_p, with a re-verified witness.
 
     ``mode="exhaustive"`` explores ordered extensions of every candidate
-    pool; the result is EXHAUSTIVE when no budget cut occurred anywhere.
+    pool; the result is EXHAUSTIVE when every pool build completed.
     ``mode="greedy"`` runs seeded randomized restarts that repeatedly add
     the candidate keeping the most candidates extendable, for cheap lower
     bounds.  ``pruning="auto"`` enables trace pruning exactly when it is
     sound (|K| >= n+1).
+
+    ``budget`` caps the member evaluations of the pool builds, which share
+    it in base order; ``evaluations`` reports what they used.  Both modes
+    decide extensions by set lookups in a built pool, which the budget does
+    not charge, so a partial pool still yields a sound lower bound.
     """
     if not isinstance(field, PrimeField):
         raise ValueError("the search enumerates members; the field must be finite")
@@ -400,37 +395,27 @@ def max_affine_dimension(
     pruned_by_rank = 0
     fully_exhausted = mode == "exhaustive"
     rng = random.Random(seed)
+    zero = (0,) * (n * n)
 
     for base in bases:
-        base_partitions.append(jordan_partition(base))
         pool = _build_pool(base, r, field, resolved_pruning, shared)
+        if pool.lines_tested or pool.complete:
+            base_partitions.append(jordan_partition(base))
         pruned_by_trace += pool.pruned_by_trace
         pruned_by_rank += pool.pruned_by_rank
         if not pool.complete:
             fully_exhausted = False
         cands = [tuple(x for row in c.rows for x in row) for c in pool.candidates]
-        base_flat = tuple(x for row in base.rows for x in row)
-
+        pool_lines = set(cands)
         if mode == "exhaustive":
-            result = _dfs_search(
-                base_flat, cands, p, n, r, shared, best_dim
-            )
-            nodes += result["nodes"]
-            if result["cut"]:
-                fully_exhausted = False
-            if result["best_dim"] > best_dim:
-                best_dim = result["best_dim"]
-                best_base = base
-                best_dirs = result["best_dirs"]
+            got = _dfs_search(cands, pool_lines, zero, p, best_dim)
         else:
-            got = _greedy_search(
-                base_flat, cands, p, n, r, shared, rng, restarts
-            )
-            nodes += got["nodes"]
-            if got["best_dim"] > best_dim:
-                best_dim = got["best_dim"]
-                best_base = base
-                best_dirs = got["best_dirs"]
+            got = _greedy_search(cands, pool_lines, zero, p, rng, restarts)
+        nodes += got["nodes"]
+        if got["best_dim"] > best_dim:
+            best_dim = got["best_dim"]
+            best_base = base
+            best_dirs = got["best_dirs"]
 
     status = EXHAUSTIVE if (mode == "exhaustive" and fully_exhausted) else LOWER_BOUND_ONLY
     witness = AffineMatrixSpace(
@@ -448,20 +433,13 @@ def max_affine_dimension(
     )
 
 
-def _dfs_search(base_flat, cands, p, n, r, budget: _Budget, initial_best: int):
+def _dfs_search(cands, pool, zero, p, initial_best: int):
     """Ordered-extension DFS; ``best_dim`` improves only strictly, so the
     caller keeps the first (lexicographically smallest) witness at a tie."""
-    state = {
-        "best_dim": initial_best,
-        "best_dirs": (),
-        "nodes": 0,
-        "cut": False,
-    }
-    zero = (0,) * (n * n)
-    echelon: list[tuple[int, tuple[int, ...]]] = []
+    state = {"best_dim": initial_best, "best_dirs": (), "nodes": 0}
     chosen: list[tuple[int, ...]] = []
 
-    def rec(start_idx: int, zs: list[tuple[int, ...]]):
+    def rec(start_idx: int, zs: list[tuple[int, ...]], lines: set):
         state["nodes"] += 1
         depth = len(chosen)
         if depth > state["best_dim"]:
@@ -471,87 +449,50 @@ def _dfs_search(base_flat, cands, p, n, r, budget: _Budget, initial_best: int):
             if depth + (len(cands) - idx) <= state["best_dim"]:
                 break  # not enough candidates left to improve
             cand = cands[idx]
-            red = _reduce_against(echelon, cand, p)
-            if red is None:
+            new_lines = _extension_lines(zs, lines, cand, pool, p)
+            if new_lines is None:
                 continue
-            ok, in_budget = _extension_valid(base_flat, zs, cand, p, n, r, budget)
-            if not in_budget:
-                state["cut"] = True
-                return
-            if not ok:
-                continue
-            _, new_members = _extension_members(base_flat, zs, cand, p)
-            echelon.append(red)
             chosen.append(cand)
-            rec(idx + 1, zs + new_members)
+            rec(idx + 1, _extend_points(zs, cand, p), lines.union(new_lines))
             chosen.pop()
-            echelon.pop()
-            if state["cut"]:
-                return
 
-    rec(0, [zero])
+    rec(0, [zero], set())
     return state
 
 
-def _greedy_search(base_flat, cands, p, n, r, budget: _Budget, rng, restarts: int):
+def _greedy_search(cands, pool, zero, p, rng, restarts: int):
     state = {"best_dim": 0, "best_dirs": (), "nodes": 0}
     for _ in range(max(1, restarts)):
         order = list(range(len(cands)))
         rng.shuffle(order)
-        echelon: list[tuple[int, tuple[int, ...]]] = []
         chosen: list[tuple[int, ...]] = []
-        zs = [(0,) * (n * n)]
+        zs = [zero]
+        lines: set = set()
         while True:
             state["nodes"] += 1
             extendable = []
             for idx in order:
-                cand = cands[idx]
-                if _reduce_against(echelon, cand, p) is None:
-                    continue
-                ok, in_budget = _extension_valid(base_flat, zs, cand, p, n, r, budget)
-                if not in_budget:
-                    extendable = []
-                    break
-                if ok:
-                    extendable.append(idx)
+                new_lines = _extension_lines(zs, lines, cands[idx], pool, p)
+                if new_lines is not None:
+                    extendable.append((idx, new_lines))
             if not extendable:
                 break
             # pick the extension that keeps the most candidates extendable
-            best_idx = None
-            best_score = -1
             picks = []
-            for idx in extendable:
-                cand = cands[idx]
-                _, new_members = _extension_members(base_flat, zs, cand, p)
-                trial_zs = zs + new_members
-                red = _reduce_against(echelon, cand, p)
-                echelon.append(red)
-                score = 0
-                for jdx in extendable:
-                    if jdx == idx:
-                        continue
-                    if _reduce_against(echelon, cands[jdx], p) is None:
-                        continue
-                    ok, in_budget = _extension_valid(
-                        base_flat, trial_zs, cands[jdx], p, n, r, budget
-                    )
-                    if not in_budget:
-                        break
-                    if ok:
-                        score += 1
-                echelon.pop()
-                picks.append((score, idx))
-                if score > best_score:
-                    best_score = score
-                    best_idx = idx
-            ties = [idx for score, idx in picks if score == best_score]
-            best_idx = ties[0] if len(ties) == 1 else rng.choice(ties)
-            cand = cands[best_idx]
-            red = _reduce_against(echelon, cand, p)
-            echelon.append(red)
-            chosen.append(cand)
-            _, new_members = _extension_members(base_flat, zs, cand, p)
-            zs = zs + new_members
+            for idx, new_lines in extendable:
+                trial_zs = _extend_points(zs, cands[idx], p)
+                trial_lines = lines.union(new_lines)
+                score = sum(
+                    _extension_lines(trial_zs, trial_lines, cands[jdx], pool, p) is not None
+                    for jdx, _ in extendable
+                )
+                picks.append((score, (idx, new_lines)))
+            best_score = max(score for score, _ in picks)
+            ties = [pick for score, pick in picks if score == best_score]
+            idx, new_lines = ties[0] if len(ties) == 1 else rng.choice(ties)
+            chosen.append(cands[idx])
+            zs = _extend_points(zs, cands[idx], p)
+            lines.update(new_lines)
         if len(chosen) > state["best_dim"]:
             state["best_dim"] = len(chosen)
             state["best_dirs"] = tuple(chosen)

@@ -269,10 +269,9 @@ def _refuted(space: AffineMatrixSpace, t, rows, checks, method, fails,
     )
 
 
-def _sample_points(space: AffineMatrixSpace, sample_count: int, seed: int):
+def _sample_points(field: FieldSpec, d: int, sample_count: int, seed: int):
+    """``sample_count`` seeded random coefficient vectors of length ``d``."""
     rng = random.Random(seed)
-    field = space.field
-    d = space.d
     if isinstance(field, PrimeField):
         p = field.p
         for _ in range(sample_count):
@@ -289,7 +288,7 @@ def _run_sampling(space, fails, sample_count, seed, notes) -> VerificationOutcom
         )
     dir_rows = [m.rows for m in space.directions]
     checked = 0
-    for t in _sample_points(space, sample_count, seed):
+    for t in _sample_points(space.field, space.d, sample_count, seed):
         rows = _combine_rows(space.base.rows, dir_rows, list(t), space.field)
         checked += 1
         if fails(rows):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from nilspace import (
+    AffineMatrixSpace,
     ExactMatrix,
     FieldTooSmallError,
     PrimeField,
@@ -21,6 +22,7 @@ from nilspace import (
     verify_constant_rank,
 )
 from nilspace.matrices import _is_nilpotent_mod_p, _rank_mod_p
+from nilspace.search import _extend_points, _extension_lines
 from nilspace.search import test_conjecture as run_conjecture_test
 
 F2 = PrimeField(2)
@@ -158,11 +160,44 @@ def test_candidates_lie_in_the_trace_constraint_kernel():
     assert checked > 0
 
 
+@pytest.mark.parametrize("p, pruning, counts", [
+    (3, "none", (37, 666, 54)),  # maximal dimension 2: some pairs extend
+    (5, "trace", (26, 325, 0)),  # maximal dimension 1: none do
+])
+def test_pool_lookups_decide_extensions_like_the_verifiers(p, pruning, counts):
+    # B + span(c1, c2) is valid exactly when every line of the span is a
+    # pool line; the verifiers decide the same spaces member by member
+    field = PrimeField(p)
+    base = shift_matrix(3, field)
+    pool = build_candidate_pool(base, 2, field, pruning=pruning)
+    assert pool.complete
+    cands = [tuple(x for row in c.rows for x in row) for c in pool.candidates]
+    lines = set(cands)
+    zero = (0,) * 9
+    pairs = valid = 0
+    for i, c1 in enumerate(cands):
+        w_points = _extend_points([zero], c1, p)
+        for j in range(i + 1, len(cands)):
+            lookup = _extension_lines(w_points, {c1}, cands[j], lines, p) is not None
+            space = AffineMatrixSpace(field, 3, base, (pool.candidates[i], pool.candidates[j]))
+            verified = (
+                verify_all_nilpotent(space, sample_count=0).status == "PROVED"
+                and verify_constant_rank(space, 2, sample_count=0).status == "PROVED"
+            )
+            assert lookup == verified, (c1, cands[j])
+            pairs += 1
+            valid += verified
+    assert (len(cands), pairs, valid) == counts
+
+
 def test_max_dimension_small_instances():
     rep = max_affine_dimension(3, 2, F5)
     assert rep.max_dim_found == 1 == bound_rank_full(3)
     assert rep.status == "EXHAUSTIVE"
     assert rep.base_points_tried == (jordan_partition(shift_matrix(3, F5)),)
+    # only the pool build evaluates members; the search over it does lookups
+    pool = build_candidate_pool(shift_matrix(3, F5), 2, F5, pruning="trace")
+    assert rep.evaluations == pool.evaluations == 4138
 
     rep = max_affine_dimension(3, 1, F5)
     assert rep.max_dim_found == 1 == bound_rank_one(3)
@@ -252,4 +287,11 @@ def test_conjecture_unresolved_under_budget():
     assert res.status == "UNRESOLVED"
     assert res.lower_bound_dimension == conjecture_bound(4, 2) == 3
     assert res.lower_bound_witness is not None
-    assert res.search_report.status == "LOWER_BOUND_ONLY"
+    rep = res.search_report
+    assert rep.status == "LOWER_BOUND_ONLY"
+    # the budget ran out in the first base's pool; the second base got none
+    assert [part.parts for part in rep.base_points_tried] == [(3, 1, 0, 0)]
+    # the partial pool still yields a sound lower bound
+    assert rep.max_dim_found >= 1
+    assert verify_all_nilpotent(rep.witness, sample_count=0).status == "PROVED"
+    assert verify_constant_rank(rep.witness, 2, sample_count=0).status == "PROVED"
