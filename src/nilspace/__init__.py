@@ -64,7 +64,7 @@ from .search import (
     build_candidate_pool,
     canonical_bases,
     max_affine_dimension,
-    test_conjecture,
+    check_conjecture,
 )
 from .spaces import (
     DEFAULT_BUDGET,

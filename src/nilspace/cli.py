@@ -340,7 +340,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     _search_warnings(args.n, args.r, args.field)
-    result = search.test_conjecture(
+    result = search.check_conjecture(
         args.n, args.r, args.field, budget=args.budget,
         pruning=args.pruning, seed=args.seed,
     )

@@ -61,30 +61,31 @@ def _rank_mod_p(rows: Sequence[Sequence[int]], p: int, cap: int | None = None) -
     With ``cap`` set, returns ``cap + 1`` as soon as the rank exceeds it
     (early exit for exact-rank tests).
     """
-    m = [list(r) for r in rows]
+    m = list(map(list, rows))
     n_rows = len(m)
     n_cols = len(m[0])
     inv_of = _inverse_table(p) if p < 65536 else None
     rank = 0
     for col in range(n_cols):
-        piv = None
-        for i in range(rank, n_rows):
-            if m[i][col]:
-                piv = i
+        for piv in range(rank, n_rows):
+            if m[piv][col]:
                 break
-        if piv is None:
+        else:
             continue
         if cap is not None and rank >= cap:
             return cap + 1
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
+        prow = m[piv]
+        m[piv] = m[rank]
+        m[rank] = prow
         inv = inv_of[prow[col]] if inv_of is not None else pow(prow[col], -1, p)
+        # rows from ``rank`` on are zero left of ``col``: whole-row updates
+        # need no slicing
         for i in range(rank + 1, n_rows):
-            f = m[i][col]
+            ri = m[i]
+            f = ri[col]
             if f:
                 f = f * inv % p
-                ri = m[i]
-                ri[col:] = [(x - f * y) % p for x, y in zip(ri[col:], prow[col:])]
+                m[i] = [(x - f * y) % p for x, y in zip(ri, prow)]
         rank += 1
         if rank == n_rows:
             break

@@ -42,7 +42,7 @@ from nilspace import (
     witness_rank_one,
 )
 from nilspace.matrices import identity_matrix
-from nilspace.search import test_conjecture as run_conjecture_test
+from nilspace.search import check_conjecture as run_conjecture_test
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)

@@ -21,9 +21,16 @@ from nilspace import (
     verify_all_nilpotent,
     verify_constant_rank,
 )
-from nilspace.matrices import _is_nilpotent_mod_p, _rank_mod_p
-from nilspace.search import _extend_points, _extension_lines
-from nilspace.search import test_conjecture as run_conjecture_test
+from nilspace.matrices import _is_nilpotent_mod_p, _nullspace_mod_p, _rank_mod_p
+from nilspace.search import (
+    CandidatePool,
+    _canonical_line,
+    _dfs_search,
+    _extend_points,
+    _extension_lines,
+    _iter_canonical_kernel,
+)
+from nilspace.search import check_conjecture as run_conjecture_test
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -138,14 +145,14 @@ def test_candidates_lie_in_the_trace_constraint_kernel():
     # every direction whose line through the shift base stays nilpotent (no
     # rank requirement even) satisfies the linear trace constraints
     from nilspace import linear_trace_constraints
-    from nilspace.search import _iter_canonical_flats
 
     base = shift_matrix(3, F5)
     base_flat = tuple(x for row in base.rows for x in row)
     cons = linear_trace_constraints(base, 2)
     cons_flat = [tuple(x for row in c.rows for x in row) for c in cons]
     checked = 0
-    for flat in _iter_canonical_flats(9, 5):
+    identity = [tuple(int(i == j) for j in range(9)) for i in range(9)]
+    for flat in _iter_canonical_kernel(identity, 5):
         all_nilpotent = True
         for t in range(1, 5):
             member = tuple((b + t * a) % 5 for b, a in zip(base_flat, flat))
@@ -158,6 +165,122 @@ def test_candidates_lie_in_the_trace_constraint_kernel():
             for c in cons_flat:
                 assert sum(x * y for x, y in zip(c, flat)) % 5 == 0
     assert checked > 0
+
+
+def _reference_pool(base, r, field, pruning, budget):
+    """Oracle for the pool builder: walks the lines in order, canonicalises
+    each one, and charges one evaluation before it builds and tests each
+    member B + t*X, t = 1..p-1, on its own: trace, full rank, nilpotency."""
+    from nilspace import linear_trace_constraints
+
+    p, n = field.p, base.n_rows
+    n_entries = n * n
+    if pruning == "trace":
+        constraints = [
+            tuple(x for row in c.rows for x in row)
+            for c in linear_trace_constraints(base, n - 1)
+        ]
+        kernel = _nullspace_mod_p(constraints, p)
+        pruned_by_trace = (p**n_entries - p ** len(kernel)) // (p - 1)
+    else:
+        kernel = [tuple(int(i == j) for j in range(n_entries)) for i in range(n_entries)]
+        pruned_by_trace = 0
+    base_flat = tuple(x for row in base.rows for x in row)
+    kept, tested, rejected, used = [], 0, 0, 0
+
+    def lines():
+        # lead coefficient 1, later ones in lexicographic order
+        d = len(kernel)
+        for lead in range(d):
+            for tail in itertools.product(range(p), repeat=d - 1 - lead):
+                coeffs = (0,) * lead + (1,) + tail
+                yield tuple(
+                    sum(c * v[j] for c, v in zip(coeffs, kernel)) % p
+                    for j in range(n_entries)
+                )
+
+    for raw in lines():
+        x = _canonical_line(raw, p)
+        passes = True
+        for t in range(1, p):
+            if used == budget:
+                return CandidatePool(
+                    base, tuple(ExactMatrix(field, _rows(flat, n)) for flat in sorted(kept)),
+                    False, pruning, tested, rejected, pruned_by_trace, used,
+                )
+            used += 1
+            member = [(b + t * a) % p for b, a in zip(base_flat, x)]
+            rows = _rows(member, n)
+            if (
+                sum(member[:: n + 1]) % p
+                or _rank_mod_p(rows, p) != r
+                or not _is_nilpotent_mod_p(rows, p)
+            ):
+                passes = False
+                break
+        tested += 1
+        if passes:
+            kept.append(x)
+        else:
+            rejected += 1
+    return CandidatePool(
+        base, tuple(ExactMatrix(field, _rows(flat, n)) for flat in sorted(kept)),
+        True, pruning, tested, rejected, pruned_by_trace, used,
+    )
+
+
+def _rows(flat, n):
+    return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+
+
+@pytest.mark.parametrize("n, r, p, pruning", [
+    (2, 1, 2, "none"), (2, 1, 3, "none"), (2, 1, 5, "none"),
+    (3, 1, 3, "none"), (3, 2, 3, "none"), (3, 1, 5, "trace"), (3, 2, 5, "trace"),
+    (4, 2, 5, "trace"),
+])
+def test_pool_builder_matches_the_member_by_member_reference(n, r, p, pruning):
+    # same pool, counters and budget charges at every budget, including
+    # cuts inside a line and the exact cost of a complete pool
+    field = PrimeField(p)
+    for base in canonical_bases(n, r, field):
+        budgets = {1, 2, 3, p - 1, 50, 997}
+        # the complete pools here cost at most 19604 evaluations
+        full = build_candidate_pool(base, r, field, pruning=pruning, budget=20_000)
+        if full.complete:
+            budgets |= {full.evaluations, full.evaluations - 1}
+        for budget in sorted(b for b in budgets if b >= 1):
+            got = build_candidate_pool(base, r, field, pruning=pruning, budget=budget)
+            want = _reference_pool(base, r, field, pruning, budget)
+            assert got == want, (jordan_partition(base).parts, budget)
+
+
+def test_bases_share_the_budget():
+    # base i of k gets ceil(left / (k - i)) of the evaluations still left
+    first, second = canonical_bases(4, 2, F5)
+    for budget in (7, 2001):
+        rep = max_affine_dimension(4, 2, F5, budget=budget)
+        pool1 = build_candidate_pool(first, 2, F5, pruning="trace", budget=(budget + 1) // 2)
+        pool2 = build_candidate_pool(
+            second, 2, F5, pruning="trace", budget=budget - pool1.evaluations
+        )
+        assert rep.evaluations == pool1.evaluations + pool2.evaluations == budget
+        assert rep.pruned_by_rank == pool1.pruned_by_rank + pool2.pruned_by_rank
+
+
+def test_untried_base_adds_no_counters_and_no_search():
+    # at budget 7 the (3,1) base gets 4 evaluations and tests one line; the
+    # (2,2) base gets the 3 left, fewer than its first line needs
+    first, second = canonical_bases(4, 2, F5)
+    assert build_candidate_pool(second, 2, F5, pruning="trace", budget=3).lines_tested == 0
+    pool = build_candidate_pool(first, 2, F5, pruning="trace", budget=4)
+    assert pool.lines_tested == 1
+    rep = max_affine_dimension(4, 2, F5, budget=7)
+    assert [part.parts for part in rep.base_points_tried] == [(3, 1, 0, 0)]
+    assert rep.pruned_by_trace == pool.pruned_by_trace
+    cands = [tuple(x for row in c.rows for x in row) for c in pool.candidates]
+    dfs = _dfs_search(cands, set(cands), (0,) * 16, 5, 0)
+    assert rep.nodes_explored == dfs["nodes"] == 1
+    assert rep.status == "LOWER_BOUND_ONLY"
 
 
 @pytest.mark.parametrize("p, pruning, counts", [
@@ -289,8 +412,9 @@ def test_conjecture_unresolved_under_budget():
     assert res.lower_bound_witness is not None
     rep = res.search_report
     assert rep.status == "LOWER_BOUND_ONLY"
-    # the budget ran out in the first base's pool; the second base got none
-    assert [part.parts for part in rep.base_points_tried] == [(3, 1, 0, 0)]
+    # the bases share the budget, so the second one gets its half
+    assert [part.parts for part in rep.base_points_tried] == [(3, 1, 0, 0), (2, 2, 0, 0)]
+    assert rep.evaluations <= 50_000
     # the partial pool still yields a sound lower bound
     assert rep.max_dim_found >= 1
     assert verify_all_nilpotent(rep.witness, sample_count=0).status == "PROVED"
