@@ -11,7 +11,6 @@ for the search engine.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -39,12 +38,9 @@ from .spaces import (
     REFUTED,
     SAMPLED_PASS,
     VerificationOutcome,
-    _NUMPY_CHUNK,
-    _NUMPY_MIN_POINTS,
     _combine_rows,
-    _iter_members,
-    _numpy_usable,
     _sample_points,
+    _scan_grid,
 )
 
 
@@ -207,6 +203,28 @@ def _validate_span_basis(span_basis, field):
     return span_basis[0].field, n
 
 
+def _fails_trace_batch(basis_rows, m_max: int, p: int):
+    """Batch predicate for ``_scan_grid``: some tr(A^m B) != 0 mod p."""
+    n = len(basis_rows[0])
+    # tr(P @ B) = flat(P) . flat(B^T), so one matmul per power covers every
+    # basis element
+    basis_t = np.array(
+        [[rows[b][a] for a in range(n) for b in range(n)] for rows in basis_rows],
+        dtype=np.int64,
+    ).T
+
+    def fails(members):
+        bad = np.zeros(len(members), dtype=bool)
+        power = members
+        for m in range(1, m_max + 1):
+            if m > 1:
+                power = power @ members % p
+            bad |= (power.reshape(len(members), n * n) @ basis_t % p).any(axis=1)
+        return bad
+
+    return fails
+
+
 def trace_condition_verify(
     span_basis: Sequence[ExactMatrix],
     m_max: int,
@@ -280,61 +298,20 @@ def trace_condition_verify(
             notes=(f"grid of {total} points exceeded budget {budget}",),
         )
 
-    if total >= _NUMPY_MIN_POINTS and _numpy_usable(field, n):
-        witness, checked = _trace_scan_numpy(
-            span_basis, basis_rows, values, m_max, field.p, n
-        )
-    else:
-        witness, checked = None, 0
-        for t, rows in _iter_members(zero_rows, basis_rows, values, field):
-            checked += 1
-            witness = check_point(t, rows)
-            if witness is not None:
-                break
-    if witness is not None:
+    fails_batch = (
+        _fails_trace_batch(basis_rows, m_max, field.p)
+        if isinstance(field, PrimeField) else None
+    )
+    t, rows, checked = _scan_grid(
+        zero_rows, basis_rows, values, field,
+        lambda member: check_point((), member) is not None, fails_batch, n * n,
+    )
+    if t is not None:
         return VerificationOutcome(
-            status=REFUTED, method="grid", checks_performed=checked, witness=witness,
+            status=REFUTED, method="grid", checks_performed=checked,
+            witness=check_point(t, rows),
         )
     return VerificationOutcome(status=PROVED, method="grid", checks_performed=checked)
-
-
-def _trace_scan_numpy(span_basis, basis_rows, values, m_max, p, n):
-    """Vectorized grid scan; picks the violation that the pure scan order
-    (point-major, then power, then basis element) would find first."""
-    d = len(basis_rows)
-    basis_flat = np.array(
-        [[x for row in rows for x in row] for rows in basis_rows], dtype=np.int64
-    )
-    basis_arr = [np.array(rows, dtype=np.int64) for rows in basis_rows]
-    point_iter = itertools.product(values, repeat=d)
-    checked = 0
-    while True:
-        chunk = list(itertools.islice(point_iter, _NUMPY_CHUNK))
-        if not chunk:
-            return None, checked
-        combos = np.array(chunk, dtype=np.int64)
-        members = ((combos @ basis_flat) % p).reshape(len(chunk), n, n)
-        best = None  # (point_idx, m, basis_idx, value)
-        power = members
-        for m in range(1, m_max + 1):
-            if m > 1:
-                power = np.matmul(power, members) % p
-            for b_idx, barr in enumerate(basis_arr):
-                vals = np.einsum("kij,ji->k", power, barr) % p
-                bad = np.flatnonzero(vals)
-                if bad.size:
-                    cand = (int(bad[0]), m, b_idx, int(vals[bad[0]]))
-                    if best is None or cand[:1] < best[:1] or (
-                        cand[0] == best[0] and (cand[1], cand[2]) < (best[1], best[2])
-                    ):
-                        best = cand
-        if best is not None:
-            idx, m, b_idx, value = best
-            witness = TraceWitness(
-                tuple(int(x) for x in chunk[idx]), b_idx, span_basis[b_idx], m, value
-            )
-            return witness, checked + idx + 1
-        checked += len(chunk)
 
 
 def linear_trace_constraints(p_mat: ExactMatrix, m_max: int) -> tuple[ExactMatrix, ...]:

@@ -13,11 +13,20 @@ direction matrices.  Verification decides "every member is nilpotent" and
   is only ever sampled.
 
 Outcomes record the method used so a PROVED status never rests on sampling.
+
+Over F_p, grid and exhaustive scans of at least ``_NUMPY_MIN_POINTS`` points
+run batched in numpy (``_scan_numpy``): nilpotency by repeated squaring,
+rank by fraction-free elimination, and the trace predicate of
+``reduction.trace_condition_verify``.  They return the same first failing
+point and check count as the pure scan ``_scan``, which every smaller scan
+and every rational scan uses.  The arithmetic is exact in int64 because
+every dot product a batched scan computes, ``terms`` products of residues
+plus one residue, obeys ``terms * (p - 1)**2 + (p - 1) < 2**63``
+(``_fits_int64``); a scan whose bound fails runs pure.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 import warnings
 from dataclasses import dataclass
@@ -50,8 +59,11 @@ SAMPLED_PASS = "SAMPLED_PASS"
 
 _METHOD_STRENGTH = {"random": 0, "grid": 1, "exhaustive": 2}
 
-# numpy batching pays off only for large point sets and word-size moduli
+# numpy batching pays off only for large point sets and word-size moduli;
+# chunks start small and double up to the cap, so an early violation costs
+# one small chunk
 _NUMPY_MIN_POINTS = 4096
+_NUMPY_FIRST_CHUNK = _NUMPY_MIN_POINTS // 4
 _NUMPY_CHUNK = 1 << 17
 
 
@@ -192,42 +204,112 @@ def _scan(base_rows, dir_rows_list, values, field, fails) -> tuple[Optional[tupl
     return None, None, checked
 
 
-def _numpy_usable(field: FieldSpec, n: int) -> bool:
-    return isinstance(field, PrimeField) and n * (field.p - 1) ** 2 < 2**62
+def _fits_int64(p: int, terms: int) -> bool:
+    """Whether a sum of ``terms`` products of residues mod ``p``, plus one
+    residue, stays below 2**63."""
+    return terms * (p - 1) ** 2 + (p - 1) < 2**63
 
 
-def _scan_nilpotency_numpy(base_rows, dir_rows_list, values, p, n):
-    """Vectorized nilpotency scan over the grid; exact int64 arithmetic."""
+def _scan_grid(base_rows, dir_rows_list, values, field, fails, fails_batch, terms):
+    """``_scan`` over the grid, batched by ``_scan_numpy`` when the field is
+    F_p, the grid has at least ``_NUMPY_MIN_POINTS`` points and the int64
+    bound holds.  ``fails_batch`` is the batch form of ``fails`` and
+    ``terms`` the longest dot product it computes."""
     d = len(dir_rows_list)
+    if (
+        isinstance(field, PrimeField)
+        and len(values) ** d >= _NUMPY_MIN_POINTS
+        and _fits_int64(field.p, max(terms, d))
+    ):
+        return _scan_numpy(base_rows, dir_rows_list, values, field.p,
+                           len(base_rows), fails_batch, terms)
+    return _scan(base_rows, dir_rows_list, values, field, fails)
+
+
+def _scan_numpy(base_rows, dir_rows_list, values, p, n, fails_batch, terms):
+    """Batched ``_scan`` over F_p: the same (t, member_rows, checks) triple.
+
+    Points are generated chunk by chunk in product order from their index;
+    ``fails_batch`` maps a (B, n, n) int64 array of members to a boolean
+    array of length B.  Building a member is a dot product of length d, so
+    the int64 bound must hold for ``max(terms, d)``.
+    """
+    d = len(dir_rows_list)
+    if not _fits_int64(p, max(terms, d)):
+        raise AssertionError(f"int64 overflow: {max(terms, d)} terms mod {p}")
+    k = len(values)
+    total = k**d
+    vals = np.array(values, dtype=np.int64)
+    place = k ** np.arange(d - 1, -1, -1, dtype=np.int64)
     base_vec = np.array([x for row in base_rows for x in row], dtype=np.int64)
     dir_mat = np.array(
         [[x for row in rows for x in row] for rows in dir_rows_list], dtype=np.int64
-    )
-    checked = 0
-    point_iter = itertools.product(values, repeat=d)
-    while True:
-        chunk = list(itertools.islice(point_iter, _NUMPY_CHUNK))
-        if not chunk:
-            return None, None, checked
-        combos = np.array(chunk, dtype=np.int64)
-        members = (combos @ dir_mat + base_vec) % p
-        power = members.reshape(len(chunk), n, n)
+    ).reshape(d, n * n)
+    start, size = 0, _NUMPY_FIRST_CHUNK
+    while start < total:
+        idx = np.arange(start, min(start + size, total), dtype=np.int64)
+        combos = vals[idx[:, None] // place % k]
+        members = ((combos @ dir_mat + base_vec) % p).reshape(-1, n, n)
+        bad = np.flatnonzero(fails_batch(members))
+        if bad.size:
+            first = int(bad[0])
+            t = tuple(int(x) for x in combos[first])
+            rows = tuple(tuple(int(x) for x in row) for row in members[first])
+            return t, rows, start + first + 1
+        start += len(idx)
+        size = min(2 * size, _NUMPY_CHUNK)
+    return None, None, total
+
+
+def _rank_mod_p_batch(a, p: int):
+    """Ranks of a (B, m, k) int64 batch of residues mod p.
+
+    Fraction-free elimination: the pivot is the lowest eligible row, swapped
+    into place, and each row below becomes ``row * pivot - factor *
+    pivot_row`` mod p, so no inverse is needed and the products stay within
+    the int64 bound for two terms.  Only the columns right of the pivot
+    column are updated, since later steps read no column left of them.
+    """
+    # batch axis last, so every elementwise step runs over contiguous memory
+    a = np.ascontiguousarray(np.moveaxis(np.asarray(a, dtype=np.int64) % p, 0, -1))
+    m, k, n_batch = a.shape
+    batch = np.arange(n_batch)
+    row_idx = np.arange(m)[:, None]
+    rank = np.zeros(n_batch, dtype=np.int64)
+    for col in range(k):
+        eligible = (a[:, col, :] != 0) & (row_idx >= rank)
+        has = eligible.any(axis=0)
+        if not has.any():
+            continue
+        top = np.minimum(rank, m - 1)
+        piv = np.where(has, eligible.argmax(axis=0), top)
+        prow = a[piv, :, batch]  # (B, k)
+        a[piv, :, batch] = a[top, :, batch]
+        a[top, :, batch] = prow
+        prow = prow.T
+        below = (row_idx > rank) & has
+        factor = np.where(below, a[:, col, :], 0)
+        scale = np.where(below, prow[col], 1)
+        rest = a[:, col + 1:, :]
+        rest *= scale[:, None, :]
+        rest -= factor[:, None, :] * prow[None, col + 1:, :]
+        rest %= p
+        rank += has
+        if (rank == m).all():
+            break
+    return rank
+
+
+def _fails_nilpotency_batch(p: int, n: int) -> Callable:
+    def fails(members):
+        power = members
         span = 1
         while span < n:
-            power = np.matmul(power, power) % p
+            power = power @ power % p
             span *= 2
-        bad = power.reshape(len(chunk), -1).any(axis=1)
-        idx = np.flatnonzero(bad)
-        if idx.size:
-            first = int(idx[0])
-            checked += first + 1
-            t = tuple(int(x) for x in chunk[first])
-            rows = tuple(
-                tuple(int(x) for x in row)
-                for row in members[first].reshape(n, n)
-            )
-            return t, rows, checked
-        checked += len(chunk)
+        return power.reshape(len(power), -1).any(axis=1)
+
+    return fails
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +464,13 @@ def verify_all_nilpotent(
             (f"grid of {total} points exceeded budget {budget}; sampled instead",),
         )
     dir_rows = [m.rows for m in space.directions]
-    if (
-        used in ("exhaustive", "grid")
-        and total >= _NUMPY_MIN_POINTS
-        and _numpy_usable(space.field, n)
-    ):
-        t, rows, checked = _scan_nilpotency_numpy(
-            space.base.rows, dir_rows, values, space.field.p, n
-        )
-    else:
-        t, rows, checked = _scan(space.base.rows, dir_rows, values, space.field, fails)
+    fails_batch = (
+        _fails_nilpotency_batch(space.field.p, n)
+        if isinstance(space.field, PrimeField) else None
+    )
+    t, rows, checked = _scan_grid(
+        space.base.rows, dir_rows, values, space.field, fails, fails_batch, n
+    )
     if t is not None:
         return _refuted(space, t, rows, checked, used, fails)
     return VerificationOutcome(status=PROVED, method=used, checks_performed=checked)
@@ -426,7 +505,10 @@ def verify_constant_rank(
         total = field.p ** space.d
         if total <= budget:
             values = list(range(field.p))
-            t, rows, checked = _scan(space.base.rows, dir_rows, values, field, fails_exact)
+            t, rows, checked = _scan_grid(
+                space.base.rows, dir_rows, values, field, fails_exact,
+                lambda members: _rank_mod_p_batch(members, field.p) != r, 2,
+            )
             if t is not None:
                 return _refuted(space, t, rows, checked, "exhaustive", fails_exact)
             return VerificationOutcome(
@@ -449,7 +531,10 @@ def verify_constant_rank(
         except ValueError:
             values, used = None, None
         if values is not None and len(values) ** space.d <= budget:
-            t, rows, checked = _scan(space.base.rows, dir_rows, values, field, fails_upper)
+            t, rows, checked = _scan_grid(
+                space.base.rows, dir_rows, values, field, fails_upper,
+                lambda members: _rank_mod_p_batch(members, field.p) > r, 2,
+            )
             if t is not None:
                 return _refuted(space, t, rows, checked, used, fails_upper)
             parts.append(VerificationOutcome(

@@ -28,7 +28,6 @@ from nilspace.search import (
     _dfs_search,
     _extend_points,
     _extension_lines,
-    _iter_canonical_kernel,
 )
 from nilspace.search import check_conjecture as run_conjecture_test
 
@@ -143,28 +142,40 @@ def test_trace_pruning_rejected_on_small_fields():
 
 def test_candidates_lie_in_the_trace_constraint_kernel():
     # every direction whose line through the shift base stays nilpotent (no
-    # rank requirement even) satisfies the linear trace constraints
+    # rank requirement even) satisfies the linear trace constraints; the
+    # lines are enumerated in numpy, independently of the library's scans
+    import numpy as np
+
     from nilspace import linear_trace_constraints
 
-    base = shift_matrix(3, F5)
-    base_flat = tuple(x for row in base.rows for x in row)
-    cons = linear_trace_constraints(base, 2)
-    cons_flat = [tuple(x for row in c.rows for x in row) for c in cons]
-    checked = 0
-    identity = [tuple(int(i == j) for j in range(9)) for i in range(9)]
-    for flat in _iter_canonical_kernel(identity, 5):
-        all_nilpotent = True
-        for t in range(1, 5):
-            member = tuple((b + t * a) % 5 for b, a in zip(base_flat, flat))
-            rows = tuple(member[i * 3:(i + 1) * 3] for i in range(3))
-            if not _is_nilpotent_mod_p(rows, 5):
-                all_nilpotent = False
-                break
-        if all_nilpotent:
-            checked += 1
-            for c in cons_flat:
-                assert sum(x * y for x, y in zip(c, flat)) % 5 == 0
-    assert checked > 0
+    p, n = 5, 3
+    base = shift_matrix(n, F5)
+    cons = np.array([[x for row in c.rows for x in row]
+                     for c in linear_trace_constraints(base, n - 1)], dtype=np.int64)
+    # canonical lines X of F_5^9: lead entry 1 at position i, free entries after it
+    lines = []
+    for i in range(n * n):
+        free = n * n - 1 - i
+        idx = np.arange(p**free, dtype=np.int64)
+        block = np.zeros((p**free, n * n), dtype=np.int64)
+        block[:, i] = 1
+        block[:, i + 1:] = idx[:, None] // p ** np.arange(free - 1, -1, -1) % p
+        lines.append(block)
+    lines = np.concatenate(lines)
+    assert len(lines) == (p ** (n * n) - 1) // (p - 1)
+    base_flat = np.array([x for row in base.rows for x in row], dtype=np.int64)
+    nilpotent = np.ones(len(lines), dtype=bool)
+    for t in range(1, p):
+        members = ((base_flat + t * lines) % p).reshape(-1, n, n)
+        cube = members @ members % p @ members % p
+        nilpotent &= ~cube.reshape(len(lines), -1).any(axis=1)
+    kept = lines[nilpotent]
+    assert len(kept) == 56
+    assert not (kept @ cons.T % p).any()
+    for flat in kept.tolist():
+        for t in range(1, p):
+            member = [(b + t * a) % p for b, a in zip(base_flat.tolist(), flat)]
+            assert _is_nilpotent_mod_p([member[k * n:(k + 1) * n] for k in range(n)], p)
 
 
 def _reference_pool(base, r, field, pruning, budget):

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilspace import (
     AffineMatrixSpace,
@@ -28,6 +29,7 @@ from nilspace import (
     witness_rank_full,
     witness_rank_one,
 )
+from nilspace.matrices import _rank_mod_p
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -254,13 +256,14 @@ def test_member_accepts_scalars_and_fractions():
 
 
 def test_batched_and_pure_nilpotency_scans_agree():
-    from nilspace.spaces import _fails_nilpotency, _scan, _scan_nilpotency_numpy
+    from nilspace.spaces import _fails_nilpotency, _fails_nilpotency_batch, _scan, _scan_numpy
 
     w = witness_rank_full(4, F7)
     dir_rows = [m.rows for m in w.directions]
     values = list(range(5))
+    batch = _fails_nilpotency_batch(7, 4)
     pure = _scan(w.base.rows, dir_rows, values, F7, _fails_nilpotency(F7, 4))
-    batched = _scan_nilpotency_numpy(w.base.rows, dir_rows, values, 7, 4)
+    batched = _scan_numpy(w.base.rows, dir_rows, values, 7, 4, batch, 4)
     assert pure == batched  # both PROVED with identical point counts
 
     bad = _space(
@@ -269,9 +272,164 @@ def test_batched_and_pure_nilpotency_scans_agree():
     )
     dir_rows = [m.rows for m in bad.directions]
     pure = _scan(bad.base.rows, dir_rows, values, F7, _fails_nilpotency(F7, 4))
-    batched = _scan_nilpotency_numpy(bad.base.rows, dir_rows, values, 7, 4)
+    batched = _scan_numpy(bad.base.rows, dir_rows, values, 7, 4, batch, 4)
     assert pure == batched  # same first witness, same check count
     assert pure[0] is not None
+
+
+def _largest_prime_within_int64_bound(terms):
+    from math import isqrt
+
+    from nilspace.fields import is_prime
+    from nilspace.spaces import _fits_int64
+
+    p = isqrt(2**63 // terms) + 1
+    while not (_fits_int64(p, terms) and is_prime(p)):
+        p -= 1
+    return p
+
+
+_RANK_SHAPES = [(1, 1), (3, 3), (4, 4), (5, 5), (4, 16), (6, 3), (2, 7)]
+_RANK_PRIMES = [2, 3, 5, 7, 11, 65537, _largest_prime_within_int64_bound(2)]
+
+
+@st.composite
+def _rank_batches(draw):
+    """A batch of m x k matrices L @ R mod p.  The inner dimension runs up to
+    min(m, k) + 1, so every rank occurs; entries favour 0, 1 and p - 1."""
+    m, k = draw(st.sampled_from(_RANK_SHAPES))
+    p = draw(st.sampled_from(_RANK_PRIMES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def entry():
+        return rng.choice([0, 1, p - 1, rng.randrange(p)])
+
+    mats = []
+    for _ in range(draw(st.integers(1, 32))):
+        inner = rng.randint(0, min(m, k) + 1)
+        left = [[entry() for _ in range(inner)] for _ in range(m)]
+        right = [[entry() for _ in range(k)] for _ in range(inner)]
+        mats.append([
+            [sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)]
+            if inner else [0] * k
+            for row in left
+        ])
+    return p, mats
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_rank_batches())
+def test_batched_rank_matches_pure_rank(batch):
+    import numpy as np
+
+    from nilspace.spaces import _rank_mod_p_batch
+
+    p, mats = batch
+    ranks = _rank_mod_p_batch(np.array(mats, dtype=np.int64), p)
+    assert [int(x) for x in ranks] == [_rank_mod_p(m, p) for m in mats]
+
+
+def _pure_trace_fails(basis_rows, m_max, p):
+    from nilspace.matrices import _matmul_mod_p
+
+    def fails(rows):
+        power = rows
+        for m in range(1, m_max + 1):
+            if m > 1:
+                power = _matmul_mod_p(power, rows, p)
+            for b in basis_rows:
+                n = len(b)
+                if sum(power[i][j] * b[j][i] for i in range(n) for j in range(n)) % p:
+                    return True
+        return False
+
+    return fails
+
+
+# F_7, n = 4, grid values 0..4, directions the six strictly upper units.  On
+# the shift base the 15625 points pass every predicate (five chunks); on
+# shift + E30 the first point fails; with E30 as second direction the first
+# failure is point 3126, inside the third chunk (points 3073..7168).
+_UPPER = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+_SCAN_CASES = {  # base, directions, checks, refuted
+    "proved": ("shift", _UPPER, 15625, False),
+    "first point": ("shift+E30", _UPPER, 1, True),
+    "third chunk": ("shift", _UPPER[:1] + [(3, 0)] + _UPPER[1:], 3126, True),
+}
+
+
+@pytest.mark.parametrize("predicate", ["nilpotency", "rank != 3", "rank > 3", "trace"])
+@pytest.mark.parametrize("case", list(_SCAN_CASES))
+def test_batched_and_pure_scans_agree(predicate, case, monkeypatch):
+    from nilspace import spaces
+    from nilspace.reduction import _fails_trace_batch
+    from nilspace.spaces import (
+        _fails_nilpotency,
+        _fails_nilpotency_batch,
+        _rank_mod_p_batch,
+        _scan,
+        _scan_numpy,
+    )
+
+    base_name, dirs, checks, refuted = _SCAN_CASES[case]
+    base = shift_matrix(4, F7)
+    if base_name == "shift+E30":
+        base = base + unit_matrix(3, 0, 4, F7)
+    dir_rows = [unit_matrix(i, j, 4, F7).rows for i, j in dirs]
+    trace_basis = [unit_matrix(i, j, 4, F7).rows for i, j in _UPPER]
+    pure_fails, batch_fails, terms = {
+        "nilpotency": (_fails_nilpotency(F7, 4), _fails_nilpotency_batch(7, 4), 4),
+        "rank != 3": (lambda rows: _rank_mod_p(rows, 7) != 3,
+                      lambda mem: _rank_mod_p_batch(mem, 7) != 3, 2),
+        "rank > 3": (lambda rows: _rank_mod_p(rows, 7) > 3,
+                     lambda mem: _rank_mod_p_batch(mem, 7) > 3, 2),
+        "trace": (_pure_trace_fails(trace_basis, 2, 7),
+                  _fails_trace_batch(trace_basis, 2, 7), 16),
+    }[predicate]
+    values = list(range(5))
+    pure = _scan(base.rows, dir_rows, values, F7, pure_fails)
+    for chunk_cap in (spaces._NUMPY_CHUNK, 1536):  # doubling, then capped
+        monkeypatch.setattr(spaces, "_NUMPY_CHUNK", chunk_cap)
+        batched = _scan_numpy(base.rows, dir_rows, values, 7, 4, batch_fails, terms)
+        assert batched == pure
+    assert pure[2] == checks
+    assert (pure[0] is not None) == refuted
+    if refuted:
+        assert pure_fails(pure[1])
+
+
+def test_verifiers_give_identical_outcomes_batched_and_pure(monkeypatch):
+    from nilspace import spaces, trace_condition_verify
+
+    j = shift_matrix(4, F7)
+    e30 = unit_matrix(3, 0, 4, F7)
+    upper = [unit_matrix(i, k, 4, F7) for i, k in _UPPER]
+    full = witness_rank_full(4, F7)
+    calls = [
+        (verify_all_nilpotent, (full,), {}),
+        (verify_all_nilpotent, (full,), {"method": "exhaustive"}),
+        (verify_all_nilpotent, (_space(F7, 4, j, upper[:1] + [e30] + upper[1:4]),), {}),
+        (direction_nilpotency, (_space(F7, 4, j, [e30] + upper[:3]),), {}),
+        (verify_constant_rank, (full, 3), {}),
+        (verify_constant_rank, (full, 3), {"budget": 300}),
+        (verify_constant_rank, (_space(F7, 4, j, upper[:4]), 3), {}),
+        (verify_constant_rank, (_space(F7, 4, j, upper[:4]), 2), {"budget": 1000}),
+        # the grid proves rank <= 3 though t = 1 gives rank 2; sampling refutes
+        (verify_constant_rank, (_space(F7, 4, j, [upper[0].scale(6)] + upper[1:4]), 3),
+         {"budget": 1000}),
+        (verify_constant_rank, (witness_rank_one(4, F7), 1), {}),
+        (trace_condition_verify, (upper[:5], 3, F7), {}),
+        (trace_condition_verify, (upper[:2] + [e30] + upper[2:4], 3, F7), {}),
+        # on the span of a 4-cycle the first nonzero trace is at power 3
+        (trace_condition_verify, ([unit_matrix(i, (i + 1) % 4, 4, F7) for i in range(4)], 3, F7), {}),
+    ]
+    outcomes = {}
+    for threshold in (1, 10**18):
+        monkeypatch.setattr(spaces, "_NUMPY_MIN_POINTS", threshold)
+        outcomes[threshold] = [fn(*args, **kwargs) for fn, args, kwargs in calls]
+    assert outcomes[1] == outcomes[10**18]
+    statuses = {o.status for o in outcomes[1]}
+    assert statuses == {"PROVED", "REFUTED", "SAMPLED_PASS"}
 
 
 def test_witness_recheck_guarantee():
