@@ -2,8 +2,14 @@
 
 The public surface is :class:`ExactMatrix` plus constructors and the rank /
 power / nilpotency / Jordan-structure operations.  The module-private
-``_*_mod_p`` helpers operate on raw row tuples of canonical integers and are
-shared with the search engine, where object overhead matters.
+kernels operate on raw row tuples of canonical representatives and are
+shared with the verifiers and the search engine, where object overhead
+matters.  Each takes the field as ``p``: the prime for F_p, None for Q.
+One forward elimination, ``_echelon``, gives the rank (``_rank``, with an
+early exit past a cap), the kernel (``_nullspace``, by back-substitution)
+and the inverse (through the kernel of [m | I]); the pivot factor and the
+row reduction are the only steps where F_p and Q differ.  ``_matmul`` and
+``_is_nilpotent`` (repeated squaring) serve both fields the same way.
 
 Indices are 0-based throughout.
 """
@@ -11,6 +17,7 @@ Indices are 0-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -34,19 +41,20 @@ def _inverse_table(p: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _matmul_mod_p(a: Rows, b: Rows, p: int) -> Rows:
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
-        for row in a
-    )
+def _modulus(field: FieldSpec) -> int | None:
+    """The ``p`` argument of the raw-row kernels: p for F_p, None for Q."""
+    return field.p if isinstance(field, PrimeField) else None
 
 
-def _matmul_frac(a: Rows, b: Rows) -> Rows:
+def _matmul(a: Rows, b: Rows, p: int | None) -> Rows:
     cols = tuple(zip(*b))
+    if p:
+        return tuple(
+            tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
+            for row in a
+        )
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
-        for row in a
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
     )
 
 
@@ -54,72 +62,99 @@ def _rows_is_zero(rows: Rows) -> bool:
     return not any(any(row) for row in rows)
 
 
-def _rank_mod_p(rows: Sequence[Sequence[int]], p: int, cap: int | None = None) -> int:
-    """Rank by exact elimination; pivot = lowest row index with a nonzero
-    entry in the current column (deterministic).
+def _echelon(rows: Sequence[Sequence[RawScalar]], p: int | None, cap: int | None = None):
+    """Forward elimination over F_p, or over Q when ``p`` is None.
 
-    With ``cap`` set, returns ``cap + 1`` as soon as the rank exceeds it
-    (early exit for exact-rank tests).
+    Returns ``(m, rank)``: ``m`` is a row-echelon form of ``rows``, whose
+    rows below ``rank`` are zero and whose row k < rank has its pivot at its
+    first nonzero entry, right of the pivot of row k - 1.  The pivot is the
+    lowest row index with a nonzero entry in the current column
+    (deterministic).  With ``cap`` set, elimination stops at pivot
+    ``cap + 1`` and returns ``cap + 1`` as the rank (early exit for
+    exact-rank tests), ``m`` then only partly reduced.  Rational entries
+    must be Fractions.
     """
     m = list(map(list, rows))
     n_rows = len(m)
-    n_cols = len(m[0])
-    inv_of = _inverse_table(p) if p < 65536 else None
+    inv_of = _inverse_table(p) if p and p < 65536 else None
     rank = 0
-    for col in range(n_cols):
+    for col in range(len(m[0])):
         for piv in range(rank, n_rows):
             if m[piv][col]:
                 break
         else:
             continue
         if cap is not None and rank >= cap:
-            return cap + 1
+            return m, cap + 1
         prow = m[piv]
         m[piv] = m[rank]
         m[rank] = prow
-        inv = inv_of[prow[col]] if inv_of is not None else pow(prow[col], -1, p)
+        pivot = prow[col]
         # rows from ``rank`` on are zero left of ``col``: whole-row updates
-        # need no slicing
-        for i in range(rank + 1, n_rows):
-            ri = m[i]
-            f = ri[col]
-            if f:
-                f = f * inv % p
-                m[i] = [(x - f * y) % p for x, y in zip(ri, prow)]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
-def _rank_frac(rows) -> int:
-    m = [list(r) for r in rows]
-    n_rows = len(m)
-    n_cols = len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        piv = None
-        for i in range(rank, n_rows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        for i in range(rank + 1, n_rows):
-            if m[i][col]:
-                f = m[i][col] / prow[col]
+        # need no slicing.  The field decides the pivot factor and the
+        # reduction; over Q zero entries are skipped, since each Fraction
+        # product costs far more than the test.
+        if p:
+            inv = inv_of[pivot] if inv_of is not None else pow(pivot, -1, p)
+            for i in range(rank + 1, n_rows):
                 ri = m[i]
-                for j in range(col, n_cols):
-                    ri[j] = ri[j] - f * prow[j]
+                f = ri[col]
+                if f:
+                    f = f * inv % p
+                    m[i] = [(x - f * y) % p for x, y in zip(ri, prow)]
+        else:
+            for i in range(rank + 1, n_rows):
+                ri = m[i]
+                f = ri[col]
+                if f:
+                    f = f / pivot
+                    m[i] = [x - f * y if y else x for x, y in zip(ri, prow)]
         rank += 1
         if rank == n_rows:
             break
-    return rank
+    return m, rank
 
 
-def _is_nilpotent_mod_p(rows: Rows, p: int) -> bool:
+def _rank(rows: Sequence[Sequence[RawScalar]], p: int | None, cap: int | None = None) -> int:
+    """Rank over F_p (Q when ``p`` is None); ``cap + 1`` once it exceeds ``cap``."""
+    return _echelon(rows, p, cap)[1]
+
+
+def _back_substitute(m, rank: int, n_cols: int, p: int | None) -> list[tuple]:
+    """Kernel basis of the system whose forward echelon form is ``m``.
+
+    One vector per free (non-pivot) column, in increasing column order: 1
+    at its own free column, 0 at every other one, and the pivot coordinates
+    solved from the last pivot row up.  These conditions make the basis
+    unique, so it equals the reduced-row-echelon basis.
+    """
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+    pivots = [next(j for j, x in enumerate(m[k]) if x) for k in range(rank)]
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(n_cols):
+        if fc in pivot_set:
+            continue
+        v = [zero] * n_cols
+        v[fc] = one
+        for k in range(rank - 1, -1, -1):
+            pc = pivots[k]
+            row = m[k]
+            s = sum(row[j] * v[j] for j in range(pc + 1, n_cols))
+            v[pc] = -s * pow(row[pc], -1, p) % p if p else -s / row[pc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _nullspace(rows: Sequence[Sequence[RawScalar]], p: int | None) -> list[tuple]:
+    """Deterministic kernel basis of the row system ``rows . x = 0`` over
+    F_p (Q when ``p`` is None); see ``_back_substitute``."""
+    if not rows:
+        return []
+    return _back_substitute(*_echelon(rows, p), len(rows[0]), p)
+
+
+def _is_nilpotent(rows: Rows, p: int | None) -> bool:
     """Nilpotency via repeated squaring: an n x n matrix is nilpotent iff
     its 2^k-th power vanishes once 2^k >= n."""
     n = len(rows)
@@ -130,47 +165,8 @@ def _is_nilpotent_mod_p(rows: Rows, p: int) -> bool:
             return True
         if span >= n:
             return False
-        power = _matmul_mod_p(power, power, p)
+        power = _matmul(power, power, p)
         span *= 2
-
-
-def _nullspace_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, ...]]:
-    """Deterministic kernel basis of the row system ``rows . x = 0`` over F_p.
-
-    Returns one vector per free column of the reduced row-echelon form, with
-    the free coordinate set to 1.
-    """
-    m = [list(r) for r in rows]
-    n_cols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n_cols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [x * inv % p for x in m[rank]]
-        prow = m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], prow)]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * n_cols
-        v[fc] = 1
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -m[row_idx][fc] % p
-        basis.append(tuple(v))
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +274,9 @@ class ExactMatrix:
             raise ValueError("matrices over different fields")
         if self.n_cols != other.n_rows:
             raise ValueError("inner dimension mismatch")
-        if isinstance(self.field, PrimeField):
-            rows = _matmul_mod_p(self.rows, other.rows, self.field.p)
-        else:
-            rows = _matmul_frac(self.rows, other.rows)
-        return ExactMatrix(self.field, rows)
+        return ExactMatrix(
+            self.field, _matmul(self.rows, other.rows, _modulus(self.field))
+        )
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.field, tuple(zip(*self.rows)))
@@ -343,9 +337,7 @@ def unit_matrix(i: int, j: int, n: int, field: FieldSpec) -> ExactMatrix:
 # rank, powers, nilpotency, Jordan structure
 
 def rank(m: ExactMatrix) -> int:
-    if isinstance(m.field, PrimeField):
-        return _rank_mod_p(m.rows, m.field.p)
-    return _rank_frac(m.rows)
+    return _rank(m.rows, _modulus(m.field))
 
 
 def mat_pow(m: ExactMatrix, e: int) -> ExactMatrix:
@@ -368,18 +360,7 @@ def mat_pow(m: ExactMatrix, e: int) -> ExactMatrix:
 def is_nilpotent(m: ExactMatrix) -> bool:
     if not m.is_square:
         raise ValueError("nilpotency of a non-square matrix")
-    if isinstance(m.field, PrimeField):
-        return _is_nilpotent_mod_p(m.rows, m.field.p)
-    n = m.n_rows
-    power = m
-    span = 1
-    while True:
-        if power.is_zero():
-            return True
-        if span >= n:
-            return False
-        power = power @ power
-        span *= 2
+    return _is_nilpotent(m.rows, _modulus(m.field))
 
 
 def nilindex(m: ExactMatrix) -> int | None:
@@ -435,27 +416,25 @@ def submatrix(m: ExactMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) ->
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by Gauss-Jordan elimination; raises SingularMatrixError."""
+    """Exact inverse; raises SingularMatrixError.
+
+    The kernel of [m | I] is spanned by the columns of [-m^-1; I], one per
+    free column of I, exactly when the pivots of [m | I] are m's columns:
+    [m | I] has rank n, so when row n - 1 has its pivot in column n - 1.
+    """
     if not m.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = m.n_rows
     field = m.field
-    work = [list(row) + [field.one if i == j else field.zero for j in range(n)]
-            for i, row in enumerate(m.rows)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv_p = field.inv(work[col][col])
-        work[col] = [field.mul(inv_p, x) for x in work[col]]
-        prow = work[col]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i], prow)]
-    return ExactMatrix(field, tuple(tuple(row[n:]) for row in work))
+    p = _modulus(field)
+    one, zero = field.one, field.zero
+    work, _ = _echelon(
+        [row + tuple(one if i == j else zero for j in range(n))
+         for i, row in enumerate(m.rows)],
+        p,
+    )
+    if not work[n - 1][n - 1]:
+        raise SingularMatrixError("matrix is singular")
+    kernel = _back_substitute(work, n, 2 * n, p)
+    neg = field.neg
+    return ExactMatrix(field, tuple(tuple(neg(v[i]) for v in kernel) for i in range(n)))

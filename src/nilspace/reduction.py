@@ -24,22 +24,14 @@ from .errors import (
     PreconditionUnmetError,
 )
 from .fields import FieldSpec, PrimeField, RawScalar
-from .matrices import (
-    ExactMatrix,
-    _matmul_frac,
-    _matmul_mod_p,
-    identity_matrix,
-    is_nilpotent,
-)
+from .matrices import ExactMatrix, _matmul, _modulus, identity_matrix, is_nilpotent
 from .spaces import (
     DEFAULT_BUDGET,
     DEFAULT_SAMPLES,
     PROVED,
     REFUTED,
-    SAMPLED_PASS,
     VerificationOutcome,
-    _combine_rows,
-    _sample_points,
+    _run_sampling,
     _scan_grid,
 )
 
@@ -260,16 +252,14 @@ def trace_condition_verify(
     else:
         values = [Fraction(i) for i in range(m_max + 1)]
     total = (m_max + 1) ** d
+    p = _modulus(field)
 
     def check_point(t, rows):
         """Return a TraceWitness for the first failing (m, B) or None."""
         power = rows
         for m in range(1, m_max + 1):
             if m > 1:
-                if isinstance(field, PrimeField):
-                    power = _matmul_mod_p(power, rows, field.p)
-                else:
-                    power = _matmul_frac(power, rows)
+                power = _matmul(power, rows, p)
             for b_idx, entries in enumerate(nz):
                 val = _trace_product(power, entries, field)
                 if val != field.zero:
@@ -278,33 +268,20 @@ def trace_condition_verify(
 
     zero_rows = tuple((field.zero,) * n for _ in range(n))
 
+    def fails(rows):
+        return check_point((), rows) is not None
+
     if total > budget:
         if sample_count <= 0:
             raise BudgetExceededError(f"{total} grid points exceed budget {budget}")
-        checked = 0
-        for t in _sample_points(field, d, sample_count, seed):
-            rows = _combine_rows(zero_rows, basis_rows, t, field)
-            checked += 1
-            witness = check_point(t, rows)
-            if witness is not None:
-                return VerificationOutcome(
-                    status=REFUTED, method="random", checks_performed=checked,
-                    witness=witness, sample_count=sample_count, seed=seed,
-                    notes=(f"grid of {total} points exceeded budget {budget}",),
-                )
-        return VerificationOutcome(
-            status=SAMPLED_PASS, method="random", checks_performed=checked,
-            sample_count=sample_count, seed=seed,
-            notes=(f"grid of {total} points exceeded budget {budget}",),
+        return _run_sampling(
+            field, zero_rows, basis_rows, fails, check_point, sample_count, seed,
+            (f"grid of {total} points exceeded budget {budget}",),
         )
 
-    fails_batch = (
-        _fails_trace_batch(basis_rows, m_max, field.p)
-        if isinstance(field, PrimeField) else None
-    )
+    fails_batch = _fails_trace_batch(basis_rows, m_max, p) if p else None
     t, rows, checked = _scan_grid(
-        zero_rows, basis_rows, values, field,
-        lambda member: check_point((), member) is not None, fails_batch, n * n,
+        zero_rows, basis_rows, values, field, fails, fails_batch, n * n,
     )
     if t is not None:
         return VerificationOutcome(

@@ -24,14 +24,15 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from . import reduction
 from .catalog import conjecture_bound, witness_conjecture
 from .errors import FieldTooSmallError
 from .fields import FieldSpec, PrimeField
 from .matrices import (
     ExactMatrix,
-    _is_nilpotent_mod_p,
-    _nullspace_mod_p,
-    _rank_mod_p,
+    _is_nilpotent,
+    _nullspace,
+    _rank,
     is_nilpotent,
     jordan_partition,
     rank,
@@ -236,13 +237,13 @@ def _build_pool(base, r, field, pruning, limit: int) -> CandidatePool:
             raise FieldTooSmallError(
                 "trace pruning is only sound for |K| >= n+1"
             )
-        from .reduction import linear_trace_constraints
-
+        # looked up on the module at call time, so a tracing wrapper put on
+        # ``reduction.linear_trace_constraints`` sees the pool builder's call
         constraint_rows = [
             tuple(x for row in c.rows for x in row)
-            for c in linear_trace_constraints(base, n - 1)
+            for c in reduction.linear_trace_constraints(base, n - 1)
         ]
-        kernel = _nullspace_mod_p(constraint_rows, p)
+        kernel = _nullspace(constraint_rows, p)
         pruned_by_trace = _line_count(p, n_entries) - _line_count(p, len(kernel))
     else:
         kernel = [
@@ -274,7 +275,7 @@ def _build_pool(base, r, field, pruning, limit: int) -> CandidatePool:
                 scale = t * inv % p
                 member = [(b + scale * x) % p for b, x in zip(base_flat, flat)]
                 rows = [member[sl] for sl in row_slices]
-                if _rank_mod_p(rows, p, r) != r or not _is_nilpotent_mod_p(rows, p):
+                if _rank(rows, p, r) != r or not _is_nilpotent(rows, p):
                     failed_at = t
                     break
         if failed_at:

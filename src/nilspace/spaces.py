@@ -14,6 +14,11 @@ direction matrices.  Verification decides "every member is nilpotent" and
 
 Outcomes record the method used so a PROVED status never rests on sampling.
 
+Members are tested with the exact kernels of :mod:`nilspace.matrices`,
+``_rank`` (capped at r + 1) and ``_is_nilpotent``, which serve F_p and Q
+alike.  ``_run_sampling`` is the one seeded sampling loop, shared with
+``reduction.trace_condition_verify``.
+
 Over F_p, grid and exhaustive scans of at least ``_NUMPY_MIN_POINTS`` points
 run batched in numpy (``_scan_numpy``): nilpotency by repeated squaring,
 rank by fraction-free elimination, and the trace predicate of
@@ -37,16 +42,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DependentDirectionsError, PreconditionUnmetError
 from .fields import FieldSpec, PrimeField, RawScalar
-from .matrices import (
-    ExactMatrix,
-    _is_nilpotent_mod_p,
-    _matmul_frac,
-    _rank_frac,
-    _rank_mod_p,
-    _rows_is_zero,
-    inverse,
-    shift_matrix,
-)
+from .matrices import ExactMatrix, _is_nilpotent, _modulus, _rank, inverse, shift_matrix
 
 #: Default cap on member evaluations per verification call.
 DEFAULT_BUDGET = 10_000_000
@@ -115,11 +111,7 @@ class AffineMatrixSpace:
                 raise ValueError(f"expected {n}x{n} matrices")
         if self.directions:
             flat = [tuple(x for row in m.rows for x in row) for m in self.directions]
-            if isinstance(self.field, PrimeField):
-                r = _rank_mod_p(flat, self.field.p)
-            else:
-                r = _rank_frac(flat)
-            if r != len(self.directions):
+            if _rank(flat, _modulus(self.field)) != len(self.directions):
                 raise DependentDirectionsError(
                     "direction matrices are linearly dependent"
                 )
@@ -167,27 +159,16 @@ def _iter_members(base_rows, dir_rows_list, values, field) -> Iterator[tuple[tup
     if d == 0:
         yield (), base_rows
         return
-    add, mul = field.add, field.mul
-    zero = field.zero
-
-    def scaled_add(rows, drows, c):
-        if c == zero:
-            return rows
-        return tuple(
-            tuple(add(x, mul(c, y)) for x, y in zip(r1, r2))
-            for r1, r2 in zip(rows, drows)
-        )
-
     prefix: list = []
 
     def rec(level, partial):
         if level == d:
             yield tuple(prefix), partial
             return
-        drows = dir_rows_list[level]
+        drows = [dir_rows_list[level]]
         for v in values:
             prefix.append(v)
-            yield from rec(level + 1, scaled_add(partial, drows, v))
+            yield from rec(level + 1, _combine_rows(partial, drows, (v,), field))
             prefix.pop()
 
     yield from rec(0, base_rows)
@@ -315,39 +296,22 @@ def _fails_nilpotency_batch(p: int, n: int) -> Callable:
 # ---------------------------------------------------------------------------
 # outcome plumbing
 
-def _fails_nilpotency(field: FieldSpec, n: int) -> Callable:
-    if isinstance(field, PrimeField):
-        p = field.p
-        return lambda rows: not _is_nilpotent_mod_p(rows, p)
-
-    def fails(rows):
-        power = rows
-        span = 1
-        while True:
-            if _rows_is_zero(power):
-                return False
-            if span >= n:
-                return True
-            power = _matmul_frac(power, power)
-            span *= 2
-
-    return fails
+def _fails_nilpotency(field: FieldSpec) -> Callable:
+    p = _modulus(field)
+    return lambda rows: not _is_nilpotent(rows, p)
 
 
-def _rank_of_rows(rows, field) -> int:
-    if isinstance(field, PrimeField):
-        return _rank_mod_p(rows, field.p)
-    return _rank_frac(rows)
-
-
-def _refuted(space: AffineMatrixSpace, t, rows, checks, method, fails,
-             sample_count=None, seed=None, notes=()) -> VerificationOutcome:
+def _witness(space: AffineMatrixSpace, t, rows, fails) -> Witness:
     witness = Witness(tuple(t), ExactMatrix(space.field, rows))
     if not fails(witness.matrix.rows):  # a witness must re-fail when rechecked
         raise AssertionError("refutation witness does not re-fail the predicate")
+    return witness
+
+
+def _refuted(space: AffineMatrixSpace, t, rows, checks, method, fails) -> VerificationOutcome:
     return VerificationOutcome(
-        status=REFUTED, method=method, checks_performed=checks, witness=witness,
-        sample_count=sample_count, seed=seed, notes=tuple(notes),
+        status=REFUTED, method=method, checks_performed=checks,
+        witness=_witness(space, t, rows, fails),
     )
 
 
@@ -363,22 +327,35 @@ def _sample_points(field: FieldSpec, d: int, sample_count: int, seed: int):
             yield tuple(Fraction(rng.randint(-10**6, 10**6)) for _ in range(d))
 
 
-def _run_sampling(space, fails, sample_count, seed, notes) -> VerificationOutcome:
+def _run_sampling(field, base_rows, dir_rows_list, fails, witness, sample_count,
+                  seed, notes) -> VerificationOutcome:
+    """Seeded random sampling of the members ``base + sum t_i dir_i``:
+    REFUTED at the first member ``fails`` flags, with ``witness(t, rows)``
+    as its witness, else SAMPLED_PASS."""
+    checked = 0
+    for t in _sample_points(field, len(dir_rows_list), sample_count, seed):
+        rows = _combine_rows(base_rows, dir_rows_list, t, field)
+        checked += 1
+        if fails(rows):
+            return VerificationOutcome(
+                status=REFUTED, method="random", checks_performed=checked,
+                witness=witness(t, rows), sample_count=sample_count, seed=seed,
+                notes=tuple(notes),
+            )
+    return VerificationOutcome(
+        status=SAMPLED_PASS, method="random", checks_performed=checked,
+        sample_count=sample_count, seed=seed, notes=tuple(notes),
+    )
+
+
+def _sample_space(space, fails, sample_count, seed, notes) -> VerificationOutcome:
     if sample_count <= 0:
         raise BudgetExceededError(
             "verification budget exceeded and sampling is disabled"
         )
-    dir_rows = [m.rows for m in space.directions]
-    checked = 0
-    for t in _sample_points(space.field, space.d, sample_count, seed):
-        rows = _combine_rows(space.base.rows, dir_rows, list(t), space.field)
-        checked += 1
-        if fails(rows):
-            return _refuted(space, t, rows, checked, "random", fails,
-                            sample_count=sample_count, seed=seed, notes=notes)
-    return VerificationOutcome(
-        status=SAMPLED_PASS, method="random", checks_performed=checked,
-        sample_count=sample_count, seed=seed, notes=tuple(notes),
+    return _run_sampling(
+        space.field, space.base.rows, [m.rows for m in space.directions], fails,
+        lambda t, rows: _witness(space, t, rows, fails), sample_count, seed, notes,
     )
 
 
@@ -449,9 +426,9 @@ def verify_all_nilpotent(
     if method not in ("auto", "exhaustive", "grid", "random"):
         raise ValueError(f"unknown method {method!r}")
     n = space.n
-    fails = _fails_nilpotency(space.field, n)
+    fails = _fails_nilpotency(space.field)
     if method == "random":
-        return _run_sampling(space, fails, sample_count, seed, ())
+        return _sample_space(space, fails, sample_count, seed, ())
     values, used = _choose_points(space, n, method)
     total = len(values) ** space.d
     if total > budget:
@@ -459,7 +436,7 @@ def verify_all_nilpotent(
             raise BudgetExceededError(
                 f"{total} points exceed the budget of {budget}"
             )
-        return _run_sampling(
+        return _sample_space(
             space, fails, sample_count, seed,
             (f"grid of {total} points exceeded budget {budget}; sampled instead",),
         )
@@ -496,10 +473,12 @@ def verify_constant_rank(
     if not 0 <= r <= n:
         raise ValueError(f"rank must lie in [0, {n}]")
     field = space.field
+    p = _modulus(field)
     dir_rows = [m.rows for m in space.directions]
 
+    # the rank capped at r + 1 decides both predicates
     def fails_exact(rows):
-        return _rank_of_rows(rows, field) != r
+        return _rank(rows, p, r) != r
 
     if isinstance(field, PrimeField):
         total = field.p ** space.d
@@ -524,7 +503,7 @@ def verify_constant_rank(
         ))
     else:
         def fails_upper(rows):
-            return _rank_of_rows(rows, field) > r
+            return _rank(rows, p, r) > r
 
         try:
             values, used = _choose_points(space, n, "grid")
@@ -555,7 +534,7 @@ def verify_constant_rank(
         if not isinstance(field, PrimeField)
         else f"member count exceeds budget {budget}; sampled"
     )
-    sampled = _run_sampling(space, fails_exact, sample_count, seed, (note,))
+    sampled = _sample_space(space, fails_exact, sample_count, seed, (note,))
     parts.append(sampled)
     return combine_outcomes(*parts)
 

@@ -221,7 +221,7 @@ def test_criterion_10_direction_nilpotency_rederivation():
                         acc = acc + basis_mat.scale(c)
                     dirs.append(acc)
                 flat = [tuple(x for row in d.rows for x in row) for d in dirs]
-                from nilspace.matrices import _rank_mod_p
+                from nilspace.matrices import _rank as _rank_mod_p
 
                 if _rank_mod_p(flat, 7) == dim:
                     break

@@ -1,4 +1,8 @@
+import contextlib
+import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -229,3 +233,74 @@ def test_cli_emitted_witness_reloads_identically(tmp_path, capsys):
     space = serialize.space_from_obj(doc["space"])
     assert space == counterexample_f2()
     assert verify_all_nilpotent(space).status == "PROVED"
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: a refactor must keep stdout bytes and exit codes identical.
+# A change that alters them on purpose regenerates the files with
+# ``python tests/test_cli.py`` (``src`` on the path) and says so.
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = {
+    # name: (argv, exit code); {rank_full} and {conjecture_q} are witness files
+    "search_n3_r2_f5": (["search", "--n", "3", "--r", "2", "--field", "5"], 0),
+    "search_n3_r2_f3": (["search", "--n", "3", "--r", "2", "--field", "3"], 0),
+    "search_n3_r2_f5_greedy_seed7": (
+        ["search", "--n", "3", "--r", "2", "--field", "5", "--mode", "greedy",
+         "--seed", "7"], 3),
+    "conjecture_n4_r2_f5_b20000_seed1": (
+        ["conjecture", "--n", "4", "--r", "2", "--field", "5", "--budget", "20000",
+         "--seed", "1"], 3),
+    "verify_rank_full_n5_f7": (
+        ["verify", "--input", "{rank_full}", "--nilpotent", "--rank", "4",
+         "--directions", "--trace", "4"], 0),
+    "verify_conjecture_n4_r2_q": (
+        ["verify", "--input", "{conjecture_q}", "--nilpotent", "--rank", "2",
+         "--seed", "3"], 3),
+}
+
+
+def _golden_witnesses(workdir: Path) -> dict:
+    """Write the witness files the verify cases read; their paths by key."""
+    witnesses = {
+        "rank_full": ["--type", "rank-full", "--n", "5", "--field", "7"],
+        "conjecture_q": ["--type", "conjecture", "--n", "4", "--r", "2",
+                         "--field", "rational"],
+    }
+    paths = {}
+    for key, args in witnesses.items():
+        paths[key] = str(workdir / f"{key}.json")
+        main(["witness", *args, "--output", paths[key]])
+    return paths
+
+
+def _golden_run(name, paths: dict):
+    """(exit code, stdout) of one golden case."""
+    argv, _ = GOLDEN_CASES[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([arg.format(**paths) for arg in argv])
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def golden_witnesses(tmp_path_factory):
+    return _golden_witnesses(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_cli_output_matches_golden(name, golden_witnesses):
+    code, out = _golden_run(name, golden_witnesses)
+    assert code == GOLDEN_CASES[name][1]
+    assert out == (GOLDEN / f"{name}.stdout").read_text()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        witness_paths = _golden_witnesses(Path(tmp))
+        for case in sorted(GOLDEN_CASES):
+            code, out = _golden_run(case, witness_paths)
+            (GOLDEN / f"{case}.stdout").write_text(out)
+            print(case, "exit", code, file=sys.stderr)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -59,7 +60,7 @@ def test_rank_examples():
 
 
 def test_rank_is_deterministic_and_capped():
-    from nilspace.matrices import _rank_mod_p
+    from nilspace.matrices import _rank as _rank_mod_p
 
     rng = random.Random(5)
     for _ in range(50):
@@ -182,3 +183,104 @@ def test_rank_sequence_is_doubly_monotone(m):
 def test_nilpotency_equivalent_to_vanishing_nth_power(m):
     assert is_nilpotent(m) == mat_pow(m, m.n_rows).is_zero()
     assert is_nilpotent(m) == (nilindex(m) is not None)
+
+
+# ---------------------------------------------------------------------------
+# the shared elimination against an independent oracle: rank is the size of
+# the largest nonzero minor, determinants by permutation expansion
+
+_ORACLE_FIELDS = (2, 3, 7, 65537, 2**31 - 1, None)  # None is Q
+
+
+def _det(rows, p):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total % p if p else total
+
+
+def _oracle_rank(rows, p):
+    h, w = len(rows), len(rows[0])
+    for k in range(min(h, w), 0, -1):
+        for ri in itertools.combinations(range(h), k):
+            for ci in itertools.combinations(range(w), k):
+                if _det([[rows[i][j] for j in ci] for i in ri], p):
+                    return k
+    return 0
+
+
+@st.composite
+def _raw_matrices(draw, square=False):
+    p = draw(st.sampled_from(_ORACLE_FIELDS))
+    h = draw(st.integers(1, 4))
+    w = h if square else draw(st.integers(1, 5))
+    if p:
+        entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+    else:
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    rows = draw(st.lists(st.lists(entry, min_size=w, max_size=w), min_size=h, max_size=h))
+    if h >= 3 and draw(st.booleans()):
+        # a dependent row, so rank deficiency is common at every modulus
+        c = draw(st.integers(1, p - 1)) if p else Fraction(draw(st.integers(-3, 3)))
+        rows[-1] = [(x + c * y) % p if p else x + c * y for x, y in zip(rows[0], rows[1])]
+    return p, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_raw_matrices())
+def test_rank_and_capped_rank_match_the_minor_oracle(case):
+    from nilspace.matrices import _rank
+
+    p, rows = case
+    expected = _oracle_rank(rows, p)
+    assert _rank(rows, p) == expected
+    for cap in range(0, len(rows) + 1):
+        assert _rank(rows, p, cap) == min(expected, cap + 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_raw_matrices())
+def test_nullspace_basis_is_the_unique_free_column_basis(case):
+    from nilspace.matrices import _nullspace
+
+    p, rows = case
+    w = len(rows[0])
+    # column j is free when it adds nothing to the rank of the columns before it
+    free = [
+        j for j in range(w)
+        if _oracle_rank([row[:j + 1] for row in rows], p)
+        == (_oracle_rank([row[:j] for row in rows], p) if j else 0)
+    ]
+    basis = _nullspace(rows, p)
+    assert len(basis) == len(free) == w - _oracle_rank(rows, p)
+    for v, fc in zip(basis, free):
+        assert len(v) == w
+        for row in rows:
+            dot = sum(x * y for x, y in zip(row, v))
+            assert (dot % p if p else dot) == 0
+        assert [v[j] for j in free] == [int(j == fc) for j in free]
+        if p:
+            assert all(type(x) is int and 0 <= x < p for x in v)
+        else:
+            assert all(type(x) is Fraction for x in v)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_raw_matrices(square=True))
+def test_inverse_is_two_sided_and_raises_exactly_on_zero_determinant(case):
+    p, rows = case
+    field = PrimeField(p) if p else RATIONALS
+    m = ExactMatrix.from_rows(field, rows)
+    n = m.n_rows
+    if _det(rows, p) == 0:
+        with pytest.raises(SingularMatrixError):
+            inverse(m)
+    else:
+        inv = inverse(m)
+        assert m @ inv == identity_matrix(n, field)
+        assert inv @ m == identity_matrix(n, field)

@@ -10,6 +10,7 @@ from nilspace import (
     PrimeField,
     RATIONALS,
     ShiftPolynomial,
+    TraceWitness,
     clear_first_column,
     conjugate_by_shift,
     identity_matrix,
@@ -203,6 +204,19 @@ def test_trace_condition_sampling_fallback():
     out = trace_condition_verify(basis, 4, budget=100, sample_count=25, seed=9)
     assert out.status == "SAMPLED_PASS"
     assert out.sample_count == 25
+    # a seeded refutation: a point with identity coefficient c != 0 has
+    # tr(A I) = 4c != 0, and the first sample at seed 0 has c = 0
+    from nilspace.spaces import _sample_points
+
+    w = witness_rank_full(4, F7)
+    basis = [w.base, *w.directions, identity_matrix(4, F7)]
+    out = trace_condition_verify(basis, 3, budget=100, sample_count=50, seed=0)
+    points = list(_sample_points(F7, 5, 50, 0))
+    assert points[0][4] == 0 and points[1] == (2, 4, 3, 3, 6)
+    assert (out.status, out.method, out.checks_performed) == ("REFUTED", "random", 2)
+    assert out.witness == TraceWitness((2, 4, 3, 3, 6), 4, identity_matrix(4, F7), 1, 4 * 6 % 7)
+    assert (out.sample_count, out.seed) == (50, 0)
+    assert out.notes == ("grid of 1024 points exceeded budget 100",)
 
 
 def test_trace_scan_beyond_the_int64_bound_matches_the_pure_scan(monkeypatch):

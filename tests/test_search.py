@@ -21,7 +21,11 @@ from nilspace import (
     verify_all_nilpotent,
     verify_constant_rank,
 )
-from nilspace.matrices import _is_nilpotent_mod_p, _nullspace_mod_p, _rank_mod_p
+from nilspace.matrices import (
+    _is_nilpotent as _is_nilpotent_mod_p,
+    _nullspace as _nullspace_mod_p,
+    _rank as _rank_mod_p,
+)
 from nilspace.search import (
     CandidatePool,
     _canonical_line,

@@ -29,7 +29,7 @@ from nilspace import (
     witness_rank_full,
     witness_rank_one,
 )
-from nilspace.matrices import _rank_mod_p
+from nilspace.matrices import _rank as _rank_mod_p
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -262,7 +262,7 @@ def test_batched_and_pure_nilpotency_scans_agree():
     dir_rows = [m.rows for m in w.directions]
     values = list(range(5))
     batch = _fails_nilpotency_batch(7, 4)
-    pure = _scan(w.base.rows, dir_rows, values, F7, _fails_nilpotency(F7, 4))
+    pure = _scan(w.base.rows, dir_rows, values, F7, _fails_nilpotency(F7))
     batched = _scan_numpy(w.base.rows, dir_rows, values, 7, 4, batch, 4)
     assert pure == batched  # both PROVED with identical point counts
 
@@ -271,7 +271,7 @@ def test_batched_and_pure_nilpotency_scans_agree():
         [unit_matrix(0, 2, 4, F7), unit_matrix(3, 0, 4, F7)],
     )
     dir_rows = [m.rows for m in bad.directions]
-    pure = _scan(bad.base.rows, dir_rows, values, F7, _fails_nilpotency(F7, 4))
+    pure = _scan(bad.base.rows, dir_rows, values, F7, _fails_nilpotency(F7))
     batched = _scan_numpy(bad.base.rows, dir_rows, values, 7, 4, batch, 4)
     assert pure == batched  # same first witness, same check count
     assert pure[0] is not None
@@ -330,7 +330,7 @@ def test_batched_rank_matches_pure_rank(batch):
 
 
 def _pure_trace_fails(basis_rows, m_max, p):
-    from nilspace.matrices import _matmul_mod_p
+    from nilspace.matrices import _matmul as _matmul_mod_p
 
     def fails(rows):
         power = rows
@@ -378,7 +378,7 @@ def test_batched_and_pure_scans_agree(predicate, case, monkeypatch):
     dir_rows = [unit_matrix(i, j, 4, F7).rows for i, j in dirs]
     trace_basis = [unit_matrix(i, j, 4, F7).rows for i, j in _UPPER]
     pure_fails, batch_fails, terms = {
-        "nilpotency": (_fails_nilpotency(F7, 4), _fails_nilpotency_batch(7, 4), 4),
+        "nilpotency": (_fails_nilpotency(F7), _fails_nilpotency_batch(7, 4), 4),
         "rank != 3": (lambda rows: _rank_mod_p(rows, 7) != 3,
                       lambda mem: _rank_mod_p_batch(mem, 7) != 3, 2),
         "rank > 3": (lambda rows: _rank_mod_p(rows, 7) > 3,
