@@ -1,20 +1,18 @@
 """Search for the maximal dimension of affine nilpotent constant-rank spaces.
 
 The search fixes one nilpotent base point in block-shift form per similarity
-class (conjugation preserves nilpotency, the rank profile and dimension),
+class (conjugation preserves nilpotency, the rank profile and dimension) and
 builds a pool of direction candidates whose one-parameter lines through the
-base stay nilpotent of the target rank, and extends direction subspaces
-depth-first in a fixed candidate order.  Every subspace is reachable through
-an increasing sequence of pool candidates, so an uncut run is exhaustive.
+base stay nilpotent of the target rank.  B + W is valid exactly when every
+nonzero point of W lies on a pool line, so for valid W, W + c is valid iff
+every line of span(l, c), l a line of W, is a pool line: the search runs on
+this compatibility graph of the pool lines and visits each valid W once.
 
-B + W is valid exactly when every nonzero point of W lies on a pool line, so
-the search over a built pool decides each extension by set lookups of
-canonical lines and never evaluates a member.  Only the pool build evaluates
-members; it charges them against the budget, and running out of budget
-leaves a partial pool and downgrades the result to a lower bound, it never
-aborts.  The bases share the budget: each one in turn gets an equal share
-of what is left, so a base's unused share flows on to the later ones and
-the first base cannot starve the rest.
+Only the pool build evaluates members; it charges them against the budget,
+and running out of budget leaves a partial pool and downgrades the result to
+a lower bound, it never aborts.  The bases share the budget: each one in
+turn gets an equal share of what is left, so a base's unused share flows on
+to the later ones and the first base cannot starve the rest.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import reduction
 from .catalog import conjecture_bound, witness_conjecture
@@ -307,41 +305,52 @@ def _build_pool(base, r, field, pruning, limit: int) -> CandidatePool:
 # ---------------------------------------------------------------------------
 # the search proper
 
-def _resolve_pruning(pruning: str, p: int, n: int) -> str:
-    if pruning == "auto":
-        return "trace" if p >= n + 1 else "none"
-    if pruning == "trace" and p < n + 1:
-        raise FieldTooSmallError("trace pruning is only sound for |K| >= n+1")
-    if pruning not in ("none", "trace"):
-        raise ValueError(f"unknown pruning {pruning!r}")
-    return pruning
+class _LineGraph(NamedTuple):
+    """Pool lines i and j are adjacent when all p + 1 lines of span(i, j)
+    are pool lines; the sets are bitsets over line indices."""
+
+    neighbours: list[int]  # N(i)
+    spans: list[dict[int, int]]  # spans[i][j]: the lines of span(i, j), j in N(i)
 
 
-def _extension_lines(zs, lines, cand, pool, p):
-    """The canonical lines that adjoining ``cand`` adds to a direction space
-    W, given all points ``zs`` of W and the set ``lines`` of its lines.
+def _line_graph(cands, p) -> _LineGraph:
+    """The graph of the sorted pool lines ``cands``, the only vector
+    arithmetic of the search: span(x, y) has the lines of y and x + t*y."""
+    index = {line: i for i, line in enumerate(cands)}
+    spans: list[dict[int, int]] = [{} for _ in cands]
+    for i, x in enumerate(cands):
+        for j in range(i + 1, len(cands)):
+            span, point = 1 << i | 1 << j, x
+            for _ in range(p - 1):
+                point = tuple([(a + b) % p for a, b in zip(point, cands[j])])
+                k = index.get(_canonical_line(point, p))
+                if k is None:
+                    break
+                span |= 1 << k
+            else:
+                spans[i][j] = spans[j][i] = span
+    return _LineGraph([sum(1 << j for j in s) for s in spans], spans)
 
-    Every new point is a nonzero multiple of z + cand for one z in W, so
-    these are the lines of z + cand.  Returns None when ``cand`` lies in W or
-    one of the new lines is not in ``pool``: then some new member of the
-    affine space fails.
-    """
-    if cand in lines:
-        return None
-    new_lines = []
-    for z in zs:
-        line = _canonical_line(tuple((a + b) % p for a, b in zip(z, cand)), p)
-        if line not in pool:
-            return None
-        new_lines.append(line)
-    return new_lines
+
+def _bits(x: int) -> Iterator[int]:
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
-def _extend_points(zs, cand, p):
-    """All points of W + span(cand), given all points ``zs`` of W."""
-    return zs + [
-        tuple((a + t * b) % p for a, b in zip(z, cand)) for z in zs for t in range(1, p)
-    ]
+def _adjoin(graph: _LineGraph, w_lines: int, extendable: int, c: int):
+    """The lines that the extendable line c adds to the direction space W
+    with line bitset ``w_lines``, and E(W + c) from ``extendable`` = E(W).
+    The new points are the multiples of z + c, z in W, so the new lines
+    are c and those of span(l, c), l in W, that W lacks."""
+    added = 1 << c
+    for line in _bits(w_lines):
+        added |= graph.spans[c][line]
+    added &= ~w_lines
+    for line in _bits(added):
+        extendable &= graph.neighbours[line]
+    return added, extendable
 
 
 def max_affine_dimension(
@@ -357,20 +366,20 @@ def max_affine_dimension(
     """Maximal dimension of an affine space of nilpotent n x n matrices of
     constant rank r over F_p, with a re-verified witness.
 
-    ``mode="exhaustive"`` explores ordered extensions of every candidate
-    pool; the result is EXHAUSTIVE when every pool build completed.
-    ``mode="greedy"`` runs seeded randomized restarts that repeatedly add
-    the candidate keeping the most candidates extendable, for cheap lower
-    bounds.  ``pruning="auto"`` enables trace pruning exactly when it is
-    sound (|K| >= n+1).
+    ``mode="exhaustive"`` visits every direction subspace of every
+    candidate pool once, through its greedy basis; the result is EXHAUSTIVE
+    when every pool build completed.  ``mode="greedy"`` runs ``restarts``
+    seeded randomized restarts that repeatedly add the candidate keeping the
+    most candidates extendable, for cheap lower bounds.  ``pruning="auto"``
+    enables trace pruning exactly when it is sound (|K| >= n+1).
 
     ``budget`` caps the member evaluations of the pool builds; ``evaluations``
     reports what they used.  The k bases share it in order: base i (from 0)
     may use ceil(left / (k - i)) of the evaluations still left, so a base's
     unused share flows on to the later ones and the first cannot starve the
     rest.  A base whose share ran out before it tested a line is left out
-    of ``base_points_tried`` and of the counters.  Both modes decide
-    extensions by set lookups in a built pool, which the budget does not
+    of ``base_points_tried`` and of the counters.  Both modes search the
+    line-compatibility graph of a built pool, which the budget does not
     charge, so a partial pool still yields a sound lower bound.
     """
     if not isinstance(field, PrimeField):
@@ -381,8 +390,11 @@ def max_affine_dimension(
         raise ValueError(f"unknown mode {mode!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     p = field.p
-    resolved_pruning = _resolve_pruning(pruning, p, n)
+    if pruning == "auto":
+        pruning = "trace" if p >= n + 1 else "none"  # the pool builder checks the rest
     start = time.perf_counter()
     used = 0
     bases = canonical_bases(n, r, field)
@@ -396,12 +408,11 @@ def max_affine_dimension(
     pruned_by_rank = 0
     fully_exhausted = mode == "exhaustive"
     rng = random.Random(seed)
-    zero = (0,) * (n * n)
 
     for i, base in enumerate(bases):
         # an equal share of what is left; what a base leaves flows on
         share = -(-(budget - used) // (len(bases) - i))
-        pool = _build_pool(base, r, field, resolved_pruning, share)
+        pool = _build_pool(base, r, field, pruning, share)
         used += pool.evaluations
         if not pool.complete:
             fully_exhausted = False
@@ -411,16 +422,16 @@ def max_affine_dimension(
         pruned_by_trace += pool.pruned_by_trace
         pruned_by_rank += pool.pruned_by_rank
         cands = [tuple(x for row in c.rows for x in row) for c in pool.candidates]
-        pool_lines = set(cands)
+        graph = _line_graph(cands, p)
         if mode == "exhaustive":
-            got = _dfs_search(cands, pool_lines, zero, p, best_dim)
+            got = _canonical_dfs(graph, p, best_dim)
         else:
-            got = _greedy_search(cands, pool_lines, zero, p, rng, restarts)
+            got = _greedy_search(graph, rng, restarts)
         nodes += got["nodes"]
         if got["best_dim"] > best_dim:
             best_dim = got["best_dim"]
             best_base = base
-            best_dirs = got["best_dirs"]
+            best_dirs = tuple(cands[c] for c in got["best_dirs"])
 
     status = EXHAUSTIVE if (mode == "exhaustive" and fully_exhausted) else LOWER_BOUND_ONLY
     witness = AffineMatrixSpace(
@@ -433,71 +444,65 @@ def max_affine_dimension(
         n=n, r=r, p=p, max_dim_found=best_dim, witness=witness, status=status,
         base_points_tried=tuple(base_partitions), nodes_explored=nodes,
         pruned_by_trace=pruned_by_trace, pruned_by_rank=pruned_by_rank,
-        evaluations=used, budget=budget, pruning=resolved_pruning,
+        evaluations=used, budget=budget, pruning=pruning,
         mode=mode, seed=seed, wall_time=wall,
     )
 
 
-def _dfs_search(cands, pool, zero, p, initial_best: int):
-    """Ordered-extension DFS; ``best_dim`` improves only strictly, so the
-    caller keeps the first (lexicographically smallest) witness at a tie."""
+def _canonical_dfs(graph: _LineGraph, p: int, initial_best: int):
+    """Visits each valid direction subspace once, one node each: lines are
+    adjoined in increasing order, and c only when it is the lowest line it
+    adds (canonical augmentation, McKay 1998), so a subspace is reached only
+    through its greedy basis.  ``best_dim`` improves only strictly, so the
+    first space of each size has the lexicographically first increasing
+    basis; ``best_dirs`` holds line indices."""
     state = {"best_dim": initial_best, "best_dirs": (), "nodes": 0}
-    chosen: list[tuple[int, ...]] = []
+    chosen: list[int] = []
 
-    def rec(start_idx: int, zs: list[tuple[int, ...]], lines: set):
+    def rec(w_lines: int, extendable: int):
         state["nodes"] += 1
         depth = len(chosen)
         if depth > state["best_dim"]:
             state["best_dim"] = depth
             state["best_dirs"] = tuple(chosen)
-        for idx in range(start_idx, len(cands)):
-            if depth + (len(cands) - idx) <= state["best_dim"]:
-                break  # not enough candidates left to improve
-            cand = cands[idx]
-            new_lines = _extension_lines(zs, lines, cand, pool, p)
-            if new_lines is None:
-                continue
-            chosen.append(cand)
-            rec(idx + 1, _extend_points(zs, cand, p), lines.union(new_lines))
-            chosen.pop()
+        # a larger space adds (p^(best+1) - p^depth)/(p - 1) lines or more,
+        # all extendable here and none below the next chosen line
+        while extendable.bit_count() >= (p ** (state["best_dim"] + 1) - p**depth) // (p - 1):
+            low = extendable & -extendable
+            extendable ^= low
+            c = low.bit_length() - 1
+            added, after = _adjoin(graph, w_lines, extendable, c)
+            if not added & (low - 1):  # else W + c is reached through a lower line
+                chosen.append(c)
+                rec(w_lines | added, after)
+                chosen.pop()
 
-    rec(0, [zero], set())
+    rec(0, (1 << len(graph.neighbours)) - 1)
     return state
 
 
-def _greedy_search(cands, pool, zero, p, rng, restarts: int):
+def _greedy_search(graph: _LineGraph, rng, restarts: int):
     state = {"best_dim": 0, "best_dirs": (), "nodes": 0}
-    for _ in range(max(1, restarts)):
-        order = list(range(len(cands)))
+    size = len(graph.neighbours)
+    for _ in range(restarts):
+        order = list(range(size))
         rng.shuffle(order)
-        chosen: list[tuple[int, ...]] = []
-        zs = [zero]
-        lines: set = set()
+        chosen: list[int] = []
+        w_lines, extendable = 0, (1 << size) - 1
         while True:
             state["nodes"] += 1
-            extendable = []
-            for idx in order:
-                new_lines = _extension_lines(zs, lines, cands[idx], pool, p)
-                if new_lines is not None:
-                    extendable.append((idx, new_lines))
             if not extendable:
                 break
-            # pick the extension that keeps the most candidates extendable
-            picks = []
-            for idx, new_lines in extendable:
-                trial_zs = _extend_points(zs, cands[idx], p)
-                trial_lines = lines.union(new_lines)
-                score = sum(
-                    _extension_lines(trial_zs, trial_lines, cands[jdx], pool, p) is not None
-                    for jdx, _ in extendable
-                )
-                picks.append((score, (idx, new_lines)))
-            best_score = max(score for score, _ in picks)
-            ties = [pick for score, pick in picks if score == best_score]
-            idx, new_lines = ties[0] if len(ties) == 1 else rng.choice(ties)
-            chosen.append(cands[idx])
-            zs = _extend_points(zs, cands[idx], p)
-            lines.update(new_lines)
+            # pick the extension that keeps the most lines extendable
+            picks = [
+                (c, *_adjoin(graph, w_lines, extendable, c))
+                for c in order if extendable >> c & 1
+            ]
+            best_score = max(after.bit_count() for _, _, after in picks)
+            ties = [pick for pick in picks if pick[2].bit_count() == best_score]
+            c, added, extendable = ties[0] if len(ties) == 1 else rng.choice(ties)
+            chosen.append(c)
+            w_lines |= added
         if len(chosen) > state["best_dim"]:
             state["best_dim"] = len(chosen)
             state["best_dirs"] = tuple(chosen)

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 
 import pytest
 
@@ -20,6 +22,7 @@ from nilspace import (
     shift_matrix,
     verify_all_nilpotent,
     verify_constant_rank,
+    witness_conjecture,
 )
 from nilspace.matrices import (
     _is_nilpotent as _is_nilpotent_mod_p,
@@ -28,10 +31,10 @@ from nilspace.matrices import (
 )
 from nilspace.search import (
     CandidatePool,
+    _canonical_dfs,
     _canonical_line,
-    _dfs_search,
-    _extend_points,
-    _extension_lines,
+    _greedy_search,
+    _line_graph,
 )
 from nilspace.search import check_conjecture as run_conjecture_test
 
@@ -138,10 +141,14 @@ def test_pool_budget_cut_is_flagged():
 
 
 def test_trace_pruning_rejected_on_small_fields():
-    with pytest.raises(FieldTooSmallError):
+    # the search leaves the check to the pool builder: same error, same message
+    with pytest.raises(FieldTooSmallError) as built:
         build_candidate_pool(shift_matrix(2, F2), 1, F2, pruning="trace")
-    with pytest.raises(FieldTooSmallError):
+    with pytest.raises(FieldTooSmallError) as searched:
         max_affine_dimension(2, 1, F2, pruning="trace")
+    assert str(searched.value) == str(built.value)
+    with pytest.raises(FieldTooSmallError):
+        max_affine_dimension(4, 2, F3, pruning="trace", mode="greedy")
 
 
 def test_candidates_lie_in_the_trace_constraint_kernel():
@@ -248,6 +255,60 @@ def _rows(flat, n):
     return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
 
 
+def _reference_extension_lines(zs, lines, cand, pool, p):
+    """The canonical lines that adjoining ``cand`` adds to a direction space
+    W, given all points ``zs`` of W and the set ``lines`` of its lines.
+
+    Every new point is a nonzero multiple of z + cand for one z in W, so
+    these are the lines of z + cand.  Returns None when ``cand`` lies in W or
+    one of the new lines is not in ``pool``: then some new member of the
+    affine space fails.
+    """
+    if cand in lines:
+        return None
+    new_lines = []
+    for z in zs:
+        line = _canonical_line(tuple((a + b) % p for a, b in zip(z, cand)), p)
+        if line not in pool:
+            return None
+        new_lines.append(line)
+    return new_lines
+
+
+def _reference_extend_points(zs, cand, p):
+    """All points of W + span(cand), given all points ``zs`` of W."""
+    return zs + [
+        tuple((a + t * b) % p for a, b in zip(z, cand)) for z in zs for t in range(1, p)
+    ]
+
+
+def _reference_dfs(cands, pool, zero, p, initial_best: int):
+    """Oracle for the search: the ordered-extension DFS over point lists,
+    which reaches each subspace once per increasing basis of pool lines."""
+    state = {"best_dim": initial_best, "best_dirs": (), "nodes": 0}
+    chosen: list[tuple[int, ...]] = []
+
+    def rec(start_idx: int, zs: list[tuple[int, ...]], lines: set):
+        state["nodes"] += 1
+        depth = len(chosen)
+        if depth > state["best_dim"]:
+            state["best_dim"] = depth
+            state["best_dirs"] = tuple(chosen)
+        for idx in range(start_idx, len(cands)):
+            if depth + (len(cands) - idx) <= state["best_dim"]:
+                break  # not enough candidates left to improve
+            cand = cands[idx]
+            new_lines = _reference_extension_lines(zs, lines, cand, pool, p)
+            if new_lines is None:
+                continue
+            chosen.append(cand)
+            rec(idx + 1, _reference_extend_points(zs, cand, p), lines.union(new_lines))
+            chosen.pop()
+
+    rec(0, [zero], set())
+    return state
+
+
 @pytest.mark.parametrize("n, r, p, pruning", [
     (2, 1, 2, "none"), (2, 1, 3, "none"), (2, 1, 5, "none"),
     (3, 1, 3, "none"), (3, 2, 3, "none"), (3, 1, 5, "trace"), (3, 2, 5, "trace"),
@@ -267,6 +328,66 @@ def test_pool_builder_matches_the_member_by_member_reference(n, r, p, pruning):
             got = build_candidate_pool(base, r, field, pruning=pruning, budget=budget)
             want = _reference_pool(base, r, field, pruning, budget)
             assert got == want, (jordan_partition(base).parts, budget)
+
+
+def _reference_greedy(cands, pool, zero, p, rng, restarts: int):
+    """Oracle for the greedy search: each pick re-tests every extendable
+    candidate on the point lists of each trial space."""
+    state = {"best_dim": 0, "best_dirs": (), "nodes": 0}
+    for _ in range(restarts):
+        order = list(range(len(cands)))
+        rng.shuffle(order)
+        chosen: list[tuple[int, ...]] = []
+        zs = [zero]
+        lines: set = set()
+        while True:
+            state["nodes"] += 1
+            extendable = []
+            for idx in order:
+                new_lines = _reference_extension_lines(zs, lines, cands[idx], pool, p)
+                if new_lines is not None:
+                    extendable.append((idx, new_lines))
+            if not extendable:
+                break
+            # pick the extension that keeps the most candidates extendable
+            picks = []
+            for idx, new_lines in extendable:
+                trial_zs = _reference_extend_points(zs, cands[idx], p)
+                trial_lines = lines.union(new_lines)
+                score = sum(
+                    _reference_extension_lines(trial_zs, trial_lines, cands[jdx], pool, p)
+                    is not None
+                    for jdx, _ in extendable
+                )
+                picks.append((score, (idx, new_lines)))
+            best_score = max(score for score, _ in picks)
+            ties = [pick for score, pick in picks if score == best_score]
+            idx, new_lines = ties[0] if len(ties) == 1 else rng.choice(ties)
+            chosen.append(cands[idx])
+            zs = _reference_extend_points(zs, cands[idx], p)
+            lines.update(new_lines)
+        if len(chosen) > state["best_dim"]:
+            state["best_dim"] = len(chosen)
+            state["best_dirs"] = tuple(chosen)
+    return state
+
+
+def test_greedy_search_matches_the_reference():
+    # same scores, same picks and the same random draws, restart by restart
+    for p, cands in (
+        (3, _differential_pools(3, 2, 3, "none", 10**7)[0]),
+        (3, _line_set(3, 4, 0.75, 0)),
+        (5, _line_set(5, 3, 1.0, 0)),
+    ):
+        graph = _line_graph(cands, p)
+        for seed in range(10):
+            want_rng, got_rng = random.Random(seed), random.Random(seed)
+            want = _reference_greedy(cands, set(cands), (0,) * len(cands[0]), p, want_rng, 3)
+            got = _greedy_search(graph, got_rng, 3)
+            assert got["best_dim"] == want["best_dim"] >= 2
+            assert tuple(cands[c] for c in got["best_dirs"]) == want["best_dirs"]
+            assert got["nodes"] == want["nodes"]
+            assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_bases_share_the_budget():
@@ -292,8 +413,7 @@ def test_untried_base_adds_no_counters_and_no_search():
     rep = max_affine_dimension(4, 2, F5, budget=7)
     assert [part.parts for part in rep.base_points_tried] == [(3, 1, 0, 0)]
     assert rep.pruned_by_trace == pool.pruned_by_trace
-    cands = [tuple(x for row in c.rows for x in row) for c in pool.candidates]
-    dfs = _dfs_search(cands, set(cands), (0,) * 16, 5, 0)
+    dfs = _canonical_dfs(_line_graph(_pool_lines(pool), 5), 5, 0)
     assert rep.nodes_explored == dfs["nodes"] == 1
     assert rep.status == "LOWER_BOUND_ONLY"
 
@@ -303,29 +423,125 @@ def test_untried_base_adds_no_counters_and_no_search():
     (5, "trace", (26, 325, 0)),  # maximal dimension 1: none do
 ])
 def test_pool_lookups_decide_extensions_like_the_verifiers(p, pruning, counts):
-    # B + span(c1, c2) is valid exactly when every line of the span is a
-    # pool line; the verifiers decide the same spaces member by member
+    # lines c1 and c2 are adjacent exactly when B + span(c1, c2) is valid,
+    # which the verifiers decide member by member; the edge holds the p + 1
+    # lines of the span
     field = PrimeField(p)
     base = shift_matrix(3, field)
     pool = build_candidate_pool(base, 2, field, pruning=pruning)
     assert pool.complete
-    cands = [tuple(x for row in c.rows for x in row) for c in pool.candidates]
-    lines = set(cands)
-    zero = (0,) * 9
+    cands = _pool_lines(pool)
+    graph = _line_graph(cands, p)
     pairs = valid = 0
-    for i, c1 in enumerate(cands):
-        w_points = _extend_points([zero], c1, p)
-        for j in range(i + 1, len(cands)):
-            lookup = _extension_lines(w_points, {c1}, cands[j], lines, p) is not None
-            space = AffineMatrixSpace(field, 3, base, (pool.candidates[i], pool.candidates[j]))
-            verified = (
-                verify_all_nilpotent(space, sample_count=0).status == "PROVED"
-                and verify_constant_rank(space, 2, sample_count=0).status == "PROVED"
+    for i, j in itertools.combinations(range(len(cands)), 2):
+        adjacent = graph.neighbours[i] >> j & 1
+        assert adjacent == graph.neighbours[j] >> i & 1
+        space = AffineMatrixSpace(field, 3, base, (pool.candidates[i], pool.candidates[j]))
+        verified = (
+            verify_all_nilpotent(space, sample_count=0).status == "PROVED"
+            and verify_constant_rank(space, 2, sample_count=0).status == "PROVED"
+        )
+        assert adjacent == verified, (cands[i], cands[j])
+        if adjacent:
+            span = {
+                _canonical_line(tuple((s * a + t * b) % p for a, b in zip(cands[i], cands[j])), p)
+                for s in range(p) for t in range(p) if s or t
+            }
+            assert graph.spans[i][j] == graph.spans[j][i] == sum(
+                1 << cands.index(line) for line in span
             )
-            assert lookup == verified, (c1, cands[j])
-            pairs += 1
-            valid += verified
+            assert len(span) == p + 1
+        pairs += 1
+        valid += verified
     assert (len(cands), pairs, valid) == counts
+
+
+def _pool_lines(pool):
+    return [tuple(x for row in c.rows for x in row) for c in pool.candidates]
+
+
+@functools.cache
+def _differential_pools(n, r, p, pruning, budget):
+    field = PrimeField(p)
+    return [
+        _pool_lines(build_candidate_pool(base, r, field, pruning=pruning, budget=budget))
+        for base in canonical_bases(n, r, field)
+    ]
+
+
+@pytest.mark.parametrize("n, r, p, pruning, budget, nodes", [
+    # the six search-n3 instances, with the pruning the search picks, and
+    # the canonical DFS's node count from an empty start
+    (3, 1, 3, "none", None, 4), (3, 2, 3, "none", None, 27),
+    (3, 1, 5, "trace", None, 6), (3, 2, 5, "trace", None, 22),
+    (3, 1, 7, "trace", None, 8), (3, 2, 7, "trace", None, 44),
+    # unpruned n=3 pools
+    (3, 1, 5, "none", None, 6), (3, 2, 5, "none", None, 22),
+    # partial n=4 pools
+    *((4, r, p, "none" if p == 3 else "trace", budget, None)
+      for r in (1, 2, 3) for p in (3, 5) for budget in (3000, 30_000)),
+])
+def test_canonical_dfs_matches_the_ordered_extension_reference(n, r, p, pruning, budget, nodes):
+    # same maximum and witness as the DFS over every increasing basis of
+    # point lists, in no more nodes, whatever best the search starts from
+    for cands in _differential_pools(n, r, p, pruning, budget or 10**7):
+        graph = _line_graph(cands, p)
+        for initial_best in (0, 1):
+            want = _reference_dfs(cands, set(cands), (0,) * (n * n), p, initial_best)
+            got = _canonical_dfs(graph, p, initial_best)
+            assert got["best_dim"] == want["best_dim"]
+            assert tuple(cands[c] for c in got["best_dirs"]) == want["best_dirs"]
+            assert got["nodes"] <= want["nodes"]
+            if nodes is not None and initial_best == 0:
+                assert got["nodes"] == nodes  # each subspace is visited once
+            assert got["nodes"] <= want["nodes"]
+
+
+def _line_set(p, k, keep, seed):
+    """A seeded subset of the lines of F_p^k, each kept with probability
+    ``keep``: a stand-in pool with many overlapping subspaces."""
+    rng = random.Random(seed)
+    lines = {_canonical_line(v, p) for v in itertools.product(range(p), repeat=k) if any(v)}
+    return [line for line in sorted(lines) if rng.random() < keep]
+
+
+@pytest.mark.parametrize("p, k, nodes", [(2, 5, 150), (3, 4, 91), (5, 3, 41)])
+def test_canonical_dfs_matches_the_reference_on_random_line_sets(p, k, nodes):
+    # the pools above stop at dimension 2; these sets reach dimension 4.
+    # The node totals pin one visit per subspace: without the lowest-line
+    # rule the F_2 and F_3 sets take 247 and 106 nodes
+    total = 0
+    for keep in (0.9, 0.75, 0.5):
+        for seed in range(3):
+            cands = _line_set(p, k, keep, seed)
+            want = _reference_dfs(cands, set(cands), (0,) * k, p, 0)
+            got = _canonical_dfs(_line_graph(cands, p), p, 0)
+            assert got["best_dim"] == want["best_dim"]
+            assert tuple(cands[c] for c in got["best_dirs"]) == want["best_dirs"]
+            assert got["nodes"] <= want["nodes"]
+            total += got["nodes"]
+    assert total == nodes
+
+
+def test_canonical_dfs_reaches_the_staircase_at_depth_three():
+    # the pool made of the 31 lines of the staircase's direction space on
+    # its (3,1) base: the search finds the whole space, through the
+    # staircase's directions in sorted order, where the reference takes
+    # 3935 nodes
+    staircase = witness_conjecture(4, 2, F5)
+    assert jordan_partition(staircase.base).parts == (3, 1, 0, 0)
+    dirs = [tuple(x for row in d.rows for x in row) for d in staircase.directions]
+    cands = sorted({
+        _canonical_line(tuple(sum(c * d[k] for c, d in zip(coeffs, dirs)) % 5 for k in range(16)), 5)
+        for coeffs in itertools.product(range(5), repeat=3) if any(coeffs)
+    })
+    assert len(cands) == 31
+    got = _canonical_dfs(_line_graph(cands, 5), 5, 0)
+    assert got["best_dim"] == 3
+    assert tuple(cands[c] for c in got["best_dirs"]) == tuple(sorted(dirs))
+    assert got["nodes"] == 4  # the root and one subspace of each dimension
+    want = _reference_dfs(cands, set(cands), (0,) * 16, 5, 0)
+    assert (want["best_dim"], want["best_dirs"], want["nodes"]) == (3, tuple(sorted(dirs)), 3935)
 
 
 def test_max_dimension_small_instances():
@@ -395,6 +611,15 @@ def test_search_input_validation():
         max_affine_dimension(3, 3, F5)
     with pytest.raises(ValueError):
         max_affine_dimension(3, 2, F5, mode="sideways")
+    with pytest.raises(ValueError, match="budget"):
+        max_affine_dimension(3, 2, F5, budget=0)
+    with pytest.raises(ValueError, match="restarts"):
+        max_affine_dimension(3, 2, F5, mode="greedy", restarts=0)
+    with pytest.raises(ValueError) as built:
+        build_candidate_pool(shift_matrix(3, F5), 2, F5, pruning="sideways")
+    with pytest.raises(ValueError) as searched:
+        max_affine_dimension(3, 2, F5, pruning="sideways")
+    assert str(searched.value) == str(built.value) == "unknown pruning 'sideways'"
     from nilspace import RATIONALS
 
     with pytest.raises(ValueError):
