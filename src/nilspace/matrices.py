@@ -9,7 +9,9 @@ One forward elimination, ``_echelon``, gives the rank (``_rank``, with an
 early exit past a cap), the kernel (``_nullspace``, by back-substitution)
 and the inverse (through the kernel of [m | I]); the pivot factor and the
 row reduction are the only steps where F_p and Q differ.  ``_matmul`` and
-``_is_nilpotent`` (repeated squaring) serve both fields the same way.
+``_is_nilpotent`` (repeated squaring) serve both fields the same way;
+``_is_nilpotent_of_rank`` decides nilpotency over F_p from traces of powers
+when the rank r < p is known.
 
 Indices are 0-based throughout.
 """
@@ -167,6 +169,25 @@ def _is_nilpotent(rows: Rows, p: int | None) -> bool:
             return False
         power = _matmul(power, power, p)
         span *= 2
+
+
+def _is_nilpotent_of_rank(rows: Rows, p: int, r: int) -> bool:
+    """Nilpotency of a matrix of rank r over F_p with p > r, by the traces
+    tr(M^k) = 0, k = 1..r.  Its principal minors above size r vanish, so the
+    characteristic polynomial is x^n iff e_1..e_r vanish, and by Newton's
+    identities k e_k is a combination of the traces up to k, with k < p
+    invertible."""
+    if sum(row[i] for i, row in enumerate(rows)) % p:
+        return False
+    cols = tuple(zip(*rows))
+    power = rows
+    for k in range(2, r + 1):
+        if k > 2:
+            power = _matmul(power, rows, p)
+        # tr(M^k): row i of M^(k-1) against column i of M
+        if sum(x * y for row, col in zip(power, cols) for x, y in zip(row, col)) % p:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 The search fixes one nilpotent base point in block-shift form per similarity
 class (conjugation preserves nilpotency, the rank profile and dimension) and
 builds a pool of direction candidates whose one-parameter lines through the
-base stay nilpotent of the target rank.  B + W is valid exactly when every
+base stay nilpotent of the target rank.  Under trace pruning a pool is
+enumerated only inside the kernel of linear conditions that every line it
+needs meets: trace, rank tangent, and dominance order of the bases, each
+gated in code on its field-size bound.  B + W is valid exactly when every
 nonzero point of W lies on a pool line, so for valid W, W + c is valid iff
 every line of span(l, c), l a line of W, is a pool line: the search runs on
 this compatibility graph of the pool lines and visits each valid W once.
@@ -29,13 +32,15 @@ from .fields import FieldSpec, PrimeField
 from .matrices import (
     ExactMatrix,
     _is_nilpotent,
+    _is_nilpotent_of_rank,
+    _matmul,
     _nullspace,
     _rank,
     is_nilpotent,
     jordan_partition,
     rank,
 )
-from .partitions import Partition, partitions_of
+from .partitions import Partition, dominance_leq, partitions_of
 from .spaces import (
     DEFAULT_BUDGET,
     AffineMatrixSpace,
@@ -189,6 +194,60 @@ def _canonical_line(flat: tuple[int, ...], p: int) -> tuple[int, ...]:
     raise ValueError("zero vector has no line")
 
 
+def _domain_rows(base: ExactMatrix, r: int, p: int) -> list[tuple[int, ...]]:
+    """The linear conditions on the flattened direction X of a trace-pruned
+    pool, one row each, for |K| = p >= n + 1.
+
+    Trace: tr(B^m X) = 0 for m < n, met by every nilpotent line.  Power
+    tangents: u^T D_k(X) v = 0 for u in coker B^k and v in ker B^k, where
+    D_k(X) = sum_{i<k} B^i X B^(k-1-i) is the t-coefficient of (B + tX)^k.
+    If rank((B + tX)^k) <= rank(B^k) at every t, the (rank(B^k) + 1)-minors
+    of (B + tX)^k, of degree at most k (rank(B^k) + 1) in t, vanish at all
+    p points, so identically when p > k (rank(B^k) + 1), and so does their
+    t-coefficient, which is the condition; each k is gated on that bound.
+    k = 1 is the rank tangent of the rank-r matrices at B.  k >= 2 is the
+    dominance restriction, emitted only when the types of the canonical
+    bases form a chain (true for every n <= 8; at n = 9, (5,2,2) and
+    (4,4,1) are incomparable).  Then a space of constant rank r has a
+    member M of the largest type among its members, every member's type is
+    dominated by M's, and dominance is the order of the ranks of all powers
+    (Gerstenhaber-Hesselink), so the space is found in the pool of the base
+    of M's type.
+    """
+    n = base.n_rows
+    # looked up on the module at call time, so a tracing wrapper put on
+    # ``reduction.linear_trace_constraints`` sees the pool builder's call
+    rows = [
+        tuple(x for row in c.rows for x in row)
+        for c in reduction.linear_trace_constraints(base, n - 1)
+    ]
+    types = [jordan_partition(b) for b in canonical_bases(n, r, base.field)]
+    chain = all(
+        dominance_leq(a, b) or dominance_leq(b, a) for a in types for b in types
+    )
+    powers = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
+    for k in range(1, n if chain else 2):
+        powers.append(_matmul(powers[-1], base.rows, p))
+        if p <= k * (_rank(powers[k], p) + 1):
+            continue
+        # u^T B^i for u in coker B^k and B^j v for v in ker B^k, i, j < k
+        lefts = [
+            [_matmul((u,), power, p)[0] for power in powers[:k]]
+            for u in _nullspace(tuple(zip(*powers[k])), p)
+        ]
+        rights = [
+            [[sum(x * y for x, y in zip(row, v)) % p for row in power] for power in powers[:k]]
+            for v in _nullspace(powers[k], p)
+        ]
+        for left in lefts:
+            for right in rights:
+                rows.append(tuple(
+                    sum(left[i][a] * right[k - 1 - i][b] for i in range(k)) % p
+                    for a in range(n) for b in range(n)
+                ))
+    return rows
+
+
 def build_candidate_pool(
     base: ExactMatrix,
     r: int,
@@ -199,10 +258,15 @@ def build_candidate_pool(
     """Enumerate one canonical representative per direction line whose whole
     line through ``base`` is nilpotent of rank exactly r.
 
-    With ``pruning="trace"`` only the common kernel of the linear trace
-    constraints of the base is enumerated (sound for |K| >= n+1).  A budget
-    cut returns the partial pool flagged ``complete=False`` rather than
-    raising, so searches can degrade to lower bounds.
+    With ``pruning="trace"`` only the common kernel of the linear
+    constraints of ``_domain_rows`` is enumerated (sound for |K| >= n+1):
+    the trace and rank-tangent conditions every such line meets, and, when
+    the Jordan types of rank r form a chain in dominance order, the
+    conditions of lines whose members' types the base's type dominates.
+    Every space of the search passes through a member of its largest type,
+    so the pools of all the bases still hold every line of every space.  A
+    budget cut returns the partial pool flagged ``complete=False`` rather
+    than raising, so searches can degrade to lower bounds.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -235,13 +299,7 @@ def _build_pool(base, r, field, pruning, limit: int) -> CandidatePool:
             raise FieldTooSmallError(
                 "trace pruning is only sound for |K| >= n+1"
             )
-        # looked up on the module at call time, so a tracing wrapper put on
-        # ``reduction.linear_trace_constraints`` sees the pool builder's call
-        constraint_rows = [
-            tuple(x for row in c.rows for x in row)
-            for c in reduction.linear_trace_constraints(base, n - 1)
-        ]
-        kernel = _nullspace(constraint_rows, p)
+        kernel = _nullspace(_domain_rows(base, r, p), p)
         pruned_by_trace = _line_count(p, n_entries) - _line_count(p, len(kernel))
     else:
         kernel = [
@@ -254,6 +312,7 @@ def _build_pool(base, r, field, pruning, limit: int) -> CandidatePool:
     # tr(B + t*X0) = t*tr(X0): a nonzero trace fails member 1 of the line.
     base_flat = tuple(x for row in base.rows for x in row)
     row_slices = [slice(i, i + n) for i in range(0, n_entries, n)]
+    transposed = [j * n + i for i in range(n) for j in range(n)]
     kept: list[tuple[int, ...]] = []
     lines_tested = 0
     rejected = 0
@@ -272,10 +331,17 @@ def _build_pool(base, r, field, pruning, limit: int) -> CandidatePool:
             for t in range(1, min(p, room + 1)):
                 scale = t * inv % p
                 member = [(b + scale * x) % p for b, x in zip(base_flat, flat)]
-                rows = [member[sl] for sl in row_slices]
-                if _rank(rows, p, r) != r or not _is_nilpotent(rows, p):
-                    failed_at = t
-                    break
+                # tr(M^2) != 0 rules out nilpotency before the rank is
+                # eliminated; under the trace rows tr((B + sX)^2) = s^2 tr(X^2).
+                # A member of rank r < p is nilpotent iff its traces vanish
+                if not sum(x * member[k] for x, k in zip(member, transposed)) % p:
+                    rows = [member[sl] for sl in row_slices]
+                    if _rank(rows, p, r) == r and (
+                        _is_nilpotent_of_rank(rows, p, r) if p > r else _is_nilpotent(rows, p)
+                    ):
+                        continue
+                failed_at = t
+                break
         if failed_at:
             used += failed_at
             rejected += 1
@@ -315,15 +381,36 @@ class _LineGraph(NamedTuple):
 
 def _line_graph(cands, p) -> _LineGraph:
     """The graph of the sorted pool lines ``cands``, the only vector
-    arithmetic of the search: span(x, y) has the lines of y and x + t*y."""
-    index = {line: i for i, line in enumerate(cands)}
+    arithmetic of the search: span(x, y) has the lines of y and x + t*y.
+
+    Vectors are packed into one int, w + 1 bits an entry, where the w bits
+    hold a sum of two residues, at most 2p - 2.  Adding K = 2^w - p to each
+    entry of such a sum sets the entry's top bit exactly when it is >= p,
+    so one shift, mask and multiply reduce every entry mod p at once, and
+    one dict from every multiple of every line to the line's index replaces
+    canonicalisation."""
+    w = (2 * p - 2).bit_length()
+    width = w + 1
+    ones = sum(1 << (j * width) for j in range(len(cands[0]))) if cands else 0
+    k_const = ones * ((1 << w) - p)
+    packed = [sum(x << (j * width) for j, x in enumerate(line)) for line in cands]
+    index = {}
+    for i, x in enumerate(packed):
+        point = x
+        for _ in range(p - 1):
+            index[point] = i
+            s = point + x
+            point = s - (((s + k_const) >> w) & ones) * p
+    lookup = index.get
     spans: list[dict[int, int]] = [{} for _ in cands]
-    for i, x in enumerate(cands):
-        for j in range(i + 1, len(cands)):
+    for i, x in enumerate(packed):
+        for j in range(i + 1, len(packed)):
+            y = packed[j]
             span, point = 1 << i | 1 << j, x
             for _ in range(p - 1):
-                point = tuple([(a + b) % p for a, b in zip(point, cands[j])])
-                k = index.get(_canonical_line(point, p))
+                s = point + y
+                point = s - (((s + k_const) >> w) & ones) * p
+                k = lookup(point)
                 if k is None:
                     break
                 span |= 1 << k

@@ -125,11 +125,11 @@ def test_criterion_6_conjecture_lower_bound_and_attempt():
         assert nilp.status == "PROVED" and nilp.checks_performed == 125
         assert ranks.status == "PROVED" and ranks.checks_performed == 125
         result = run_conjecture_test(4, 2, F5, pruning="trace")
-        assert result.status in ("CONSISTENT", "UNRESOLVED")
+        assert result.status == "CONSISTENT"
         assert result.lower_bound_dimension == 3
-        if result.status == "UNRESOLVED":
-            assert result.search_report.status == "LOWER_BOUND_ONLY"
-            assert any("within budget" in note for note in result.notes)
+        rep = result.search_report
+        assert rep.status == "EXHAUSTIVE" and rep.max_dim_found == 3
+        assert [part.parts for part in rep.base_points_tried] == [(3, 1, 0, 0), (2, 2, 0, 0)]
         print(f"  conjecture attempt outcome: {result.status} "
               f"(search {result.search_report.max_dim_found}, "
               f"{result.search_report.evaluations} evaluations)")

@@ -284,3 +284,58 @@ def test_inverse_is_two_sided_and_raises_exactly_on_zero_determinant(case):
         inv = inverse(m)
         assert m @ inv == identity_matrix(n, field)
         assert inv @ m == identity_matrix(n, field)
+
+
+# ---------------------------------------------------------------------------
+# the trace-power nilpotency test of a matrix of known rank r < p
+
+
+@st.composite
+def _conjugated_triangular(draw):
+    """(p, S T S^-1) over F_p for upper-triangular T: nilpotent exactly when
+    T's diagonal is zero.  A nonzero diagonal is drawn with sum zero half of
+    the time, so tr(M) = 0 without nilpotency is common."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    n = draw(st.integers(2, 5))
+    field = PrimeField(p)
+    entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+    t = [[draw(entry) if j > i else 0 for j in range(n)] for i in range(n)]
+    kind = draw(st.sampled_from(("nilpotent", "traceless", "any")))
+    if kind != "nilpotent":
+        diag = [draw(entry) for _ in range(n)]
+        if kind == "traceless":
+            diag[-1] = -sum(diag[:-1]) % p
+        for i, x in enumerate(diag):
+            t[i][i] = x
+    # S = L U with unit-triangular factors is invertible
+    lower = [[1 if i == j else draw(entry) if i > j else 0 for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else draw(entry) if i < j else 0 for j in range(n)] for i in range(n)]
+    s = ExactMatrix.from_rows(field, lower) @ ExactMatrix.from_rows(field, upper)
+    return p, (s @ ExactMatrix.from_rows(field, t) @ inverse(s)).rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_conjugated_triangular())
+def test_trace_powers_decide_nilpotency_below_the_characteristic(case):
+    from hypothesis import assume
+
+    from nilspace.matrices import _is_nilpotent, _is_nilpotent_of_rank, _rank
+
+    p, rows = case
+    r = _rank(rows, p)
+    assume(p > r)
+    assert _is_nilpotent_of_rank(rows, p, r) == _is_nilpotent(rows, p)
+
+
+def test_trace_powers_need_every_power_up_to_the_rank_and_p_above_it():
+    from nilspace.matrices import _is_nilpotent, _is_nilpotent_of_rank
+
+    # diag(1, 2, 4) over F_7: tr(M) = tr(M^2) = 0, tr(M^3) = 73 = 3
+    m = ((1, 0, 0), (0, 2, 0), (0, 0, 4))
+    assert not _is_nilpotent(m, 7)
+    assert not _is_nilpotent_of_rank(m, 7, 3)
+    assert _is_nilpotent_of_rank(m, 7, 2)  # rank passed too low: misses tr(M^3)
+    # the identity over F_2 has rank 2 = p and all its traces vanish
+    assert not _is_nilpotent(((1, 0), (0, 1)), 2)
+    assert _is_nilpotent_of_rank(((1, 0), (0, 1)), 2, 2)
+    assert _is_nilpotent_of_rank(((0, 1, 0), (0, 0, 1), (0, 0, 0)), 5, 2)

@@ -33,7 +33,9 @@ from nilspace.search import (
     CandidatePool,
     _canonical_dfs,
     _canonical_line,
+    _domain_rows,
     _greedy_search,
+    _LineGraph,
     _line_graph,
 )
 from nilspace.search import check_conjecture as run_conjecture_test
@@ -189,20 +191,50 @@ def test_candidates_lie_in_the_trace_constraint_kernel():
             assert _is_nilpotent_mod_p([member[k * n:(k + 1) * n] for k in range(n)], p)
 
 
-def _reference_pool(base, r, field, pruning, budget):
-    """Oracle for the pool builder: walks the lines in order, canonicalises
-    each one, and charges one evaluation before it builds and tests each
-    member B + t*X, t = 1..p-1, on its own: trace, full rank, nilpotency."""
-    from nilspace import linear_trace_constraints
+def _reference_domain_rows(base, r, p):
+    """Oracle for the trace-pruned pool domain: the trace rows, then for
+    k = 1..n-1 the rows u^T D_k(X) v = 0, u in coker B^k, v in ker B^k, got
+    by applying D_k(X) = sum_{i<k} B^i X B^(k-1-i) to each unit matrix X.
+    Rows with k >= 2 need the types of rank r to form a chain; each k needs
+    p > k (rank(B^k) + 1)."""
+    from nilspace import dominance_leq, linear_trace_constraints, mat_pow, unit_matrix
 
+    field, n = base.field, base.n_rows
+    rows = [tuple(x for row in c.rows for x in row) for c in linear_trace_constraints(base, n - 1)]
+    types = [jordan_partition(b) for b in canonical_bases(n, r, field)]
+    chain = all(
+        dominance_leq(a, b) or dominance_leq(b, a) for a, b in itertools.combinations(types, 2)
+    )
+    powers = [mat_pow(base, i) for i in range(n)]
+    for k in range(1, n if chain else 2):
+        power = powers[k]
+        if p <= k * (rank(power) + 1):
+            continue
+        images = []
+        for a, b in itertools.product(range(n), repeat=2):
+            x = unit_matrix(a, b, n, field)
+            image = x @ powers[k - 1]
+            for i in range(1, k):
+                image = image + powers[i] @ x @ powers[k - 1 - i]
+            images.append(image)
+        for u in _nullspace_mod_p(power.transpose().rows, p):
+            for v in _nullspace_mod_p(power.rows, p):
+                terms = [(i, j, x * y) for i, x in enumerate(u) if x for j, y in enumerate(v) if y]
+                rows.append(tuple(
+                    sum(image[i, j] * c for i, j, c in terms) % p for image in images
+                ))
+    return rows
+
+
+def _reference_pool(base, r, field, pruning, budget):
+    """Oracle for the pool builder: walks the lines of the reference domain
+    in order, canonicalises each one, and charges one evaluation before it
+    builds and tests each member B + t*X, t = 1..p-1, on its own: trace,
+    full rank, nilpotency."""
     p, n = field.p, base.n_rows
     n_entries = n * n
     if pruning == "trace":
-        constraints = [
-            tuple(x for row in c.rows for x in row)
-            for c in linear_trace_constraints(base, n - 1)
-        ]
-        kernel = _nullspace_mod_p(constraints, p)
+        kernel = _nullspace_mod_p(_reference_domain_rows(base, r, p), p)
         pruned_by_trace = (p**n_entries - p ** len(kernel)) // (p - 1)
     else:
         kernel = [tuple(int(i == j) for j in range(n_entries)) for i in range(n_entries)]
@@ -313,6 +345,8 @@ def _reference_dfs(cands, pool, zero, p, initial_best: int):
     (2, 1, 2, "none"), (2, 1, 3, "none"), (2, 1, 5, "none"),
     (3, 1, 3, "none"), (3, 2, 3, "none"), (3, 1, 5, "trace"), (3, 2, 5, "trace"),
     (4, 2, 5, "trace"),
+    # p = r: traces of powers do not decide nilpotency, e.g. diag(1, 1, 0)
+    (3, 2, 2, "none"),
 ])
 def test_pool_builder_matches_the_member_by_member_reference(n, r, p, pruning):
     # same pool, counters and budget charges at every budget, including
@@ -328,6 +362,136 @@ def test_pool_builder_matches_the_member_by_member_reference(n, r, p, pruning):
             got = build_candidate_pool(base, r, field, pruning=pruning, budget=budget)
             want = _reference_pool(base, r, field, pruning, budget)
             assert got == want, (jordan_partition(base).parts, budget)
+
+
+def _numpy_pool(base, r, p):
+    """Oracle for a complete unpruned pool, n <= 3: every canonical line of
+    F_p^(n*n) whose members B + tX, t = 1..p-1, are nilpotent (M^n = 0) of
+    rank r, in numpy chunks.  A nilpotent matrix of size n <= 3 has rank
+    [M != 0] + [some 2 x 2 minor != 0], as its determinant vanishes."""
+    import numpy as np
+
+    n = base.n_rows
+    size = n * n
+    base_flat = np.array([x for row in base.rows for x in row], dtype=np.int64)
+    pairs = list(itertools.combinations(range(n), 2))
+    kept = []
+    for lead in range(size):
+        free = size - 1 - lead
+        weights = p ** np.arange(free - 1, -1, -1, dtype=np.int64)
+        for start in range(0, p**free, 1 << 17):
+            idx = np.arange(start, min(p**free, start + (1 << 17)), dtype=np.int64)
+            lines = np.zeros((len(idx), size), dtype=np.int64)
+            lines[:, lead] = 1
+            lines[:, lead + 1:] = idx[:, None] // weights % p
+            # a nilpotent member has trace 0, and tr(B + tX) = t tr(X)
+            lines = lines[lines[:, ::n + 1].sum(axis=1) % p == 0]
+            for t in range(1, p):
+                m = ((base_flat + t * lines) % p).reshape(-1, n, n)
+                power = m
+                for _ in range(n - 1):
+                    power = power @ m % p
+                nilpotent = ~power.reshape(len(m), size).any(axis=1)
+                lines, m = lines[nilpotent], m[nilpotent]
+                minor = np.zeros(len(m), dtype=bool)
+                for (i, j), (a, b) in itertools.product(pairs, pairs):
+                    minor |= (m[:, i, a] * m[:, j, b] - m[:, i, b] * m[:, j, a]) % p != 0
+                lines = lines[m.reshape(len(m), size).any(axis=1).astype(np.int64) + minor == r]
+            kept.extend(map(tuple, lines.tolist()))
+    return sorted(kept)
+
+
+@pytest.mark.parametrize("n, r, p", [
+    (2, 1, 5), (2, 1, 7), (3, 1, 5), (3, 2, 5), (3, 1, 7), (3, 2, 7),
+])
+def test_trace_pools_equal_the_complete_unpruned_pools(n, r, p):
+    # the rank-tangent and dominance rows drop no line: each n <= 3 instance
+    # has one base, whose trace pool is every valid line of F_p^(n*n)
+    field = PrimeField(p)
+    (base,) = canonical_bases(n, r, field)
+    pool = build_candidate_pool(base, r, field, pruning="trace")
+    assert pool.complete
+    assert _pool_lines(pool) == _numpy_pool(base, r, p)
+    # every line outside the constraint kernel counts as pruned by trace
+    assert pool.pruned_by_trace + pool.lines_tested == (p ** (n * n) - 1) // (p - 1)
+
+
+def test_dominance_restricted_pool_keeps_the_square_zero_lines():
+    # at n=4 r=2 p=5 the (2,2) base B = U0 V0^T is the lower type, so its pool
+    # drops every line with a member of type (3,1).  The lines X = U0 W^T
+    # with W^T U0 = 0 and X = W V0^T with V0^T W = 0 keep B + tX square-zero,
+    # of type (2,2) wherever it has rank 2: all of them must stay.  Here
+    # V0^T U0 = 0 and both families are the lines U0 C V0^T
+    field, p = F5, 5
+    base = canonical_bases(4, 2, field)[1]
+    assert jordan_partition(base).parts == (2, 2, 0, 0)
+    u0 = ExactMatrix(field, ((1, 0), (0, 0), (0, 1), (0, 0)))
+    v0 = ExactMatrix(field, ((0, 0), (1, 0), (0, 0), (0, 1)))
+    assert u0 @ v0.transpose() == base
+    families = []
+    for orthogonal, product in (
+        (u0, lambda w: u0 @ w.transpose()),
+        (v0, lambda w: w @ v0.transpose()),
+    ):
+        # the columns of W lie in the kernel of orthogonal^T
+        k1, k2 = _nullspace_mod_p(orthogonal.transpose().rows, p)
+        lines = set()
+        for c in itertools.product(range(p), repeat=4):
+            if not any(c):
+                continue
+            w = ExactMatrix(field, tuple(
+                tuple((c[2 * a] * k1[i] + c[2 * a + 1] * k2[i]) % p for a in range(2))
+                for i in range(4)
+            ))
+            line = _canonical_line(tuple(x for row in product(w).rows for x in row), p)
+            members = [base + ExactMatrix(field, _rows(line, 4)).scale(t) for t in range(1, p)]
+            assert all((m @ m).is_zero() for m in members)
+            if all(rank(m) == 2 for m in members):
+                lines.add(line)
+        families.append(lines)
+    assert families[0] == families[1] and len(families[0]) == 56
+    pool = build_candidate_pool(base, 2, field, pruning="trace", budget=200_000)
+    assert pool.complete
+    assert (pool.lines_tested, len(pool.candidates)) == (97_656, 806)
+    assert families[0] <= set(_pool_lines(pool))
+
+
+def test_dominance_rows_need_a_chain_of_types():
+    # the types with three parts form a chain for n = 8, not for n = 9:
+    # (5,2,2) and (4,4,1) are incomparable.  There only the trace rows and
+    # the (n - r)^2 rank-tangent rows u^T X v = 0 are emitted
+    p = 101  # p > k (rank(B^k) + 1) for every k here
+    field = PrimeField(p)
+    for n, chain in ((8, True), (9, False)):
+        r = n - 3
+        for base in canonical_bases(n, r, field):
+            from nilspace import linear_trace_constraints
+
+            trace = [tuple(x for row in c.rows for x in row)
+                     for c in linear_trace_constraints(base, n - 1)]
+            rows = _domain_rows(base, r, p)
+            assert rows[:len(trace)] == trace
+            tangent = [
+                tuple(u[a] * v[b] % p for a in range(n) for b in range(n))
+                for u in _nullspace_mod_p(base.transpose().rows, p)
+                for v in _nullspace_mod_p(base.rows, p)
+            ]
+            assert rows[len(trace):len(trace) + 9] == tangent
+            assert (len(rows) > len(trace) + 9) == chain
+    # at p = 11 the field-size gate drops some k >= 2 at n = 8, e.g. k = 3 on
+    # the (6,1,1) base, 3 (rank(B^3) + 1) = 12.  The rows it drops are
+    # implied by the others on every base tried (n <= 8), so the rows, not
+    # their kernel, show the gate
+    for base in canonical_bases(8, 5, PrimeField(11)):
+        assert _domain_rows(base, 5, 11) == _reference_domain_rows(base, 5, 11)
+
+
+def test_rank_one_maximum_one_size_past_n3():
+    # the paper's rank-one value n - 2, decided exhaustively at n = 4
+    for p in (5, 7):
+        rep = max_affine_dimension(4, 1, PrimeField(p))
+        assert rep.status == "EXHAUSTIVE"
+        assert rep.max_dim_found == bound_rank_one(4) == 2
 
 
 def _reference_greedy(cands, pool, zero, p, rng, restarts: int):
@@ -467,6 +631,54 @@ def _differential_pools(n, r, p, pruning, budget):
         _pool_lines(build_candidate_pool(base, r, field, pruning=pruning, budget=budget))
         for base in canonical_bases(n, r, field)
     ]
+
+
+def _reference_line_graph(cands, p):
+    """Oracle for the packed graph: adds y to x + t*y entry by entry and
+    looks each sum up by its canonical line."""
+    index = {line: i for i, line in enumerate(cands)}
+    spans = [{} for _ in cands]
+    for i, x in enumerate(cands):
+        for j in range(i + 1, len(cands)):
+            span, point = 1 << i | 1 << j, x
+            for _ in range(p - 1):
+                point = tuple([(a + b) % p for a, b in zip(point, cands[j])])
+                k = index.get(_canonical_line(point, p))
+                if k is None:
+                    break
+                span |= 1 << k
+            else:
+                spans[i][j] = spans[j][i] = span
+    return _LineGraph([sum(1 << j for j in s) for s in spans], spans)
+
+
+@pytest.mark.parametrize("n, r, p, pruning, budget", [
+    (2, 1, 2, "none", None), (2, 1, 3, "none", None), (2, 1, 5, "none", None),
+    (3, 1, 3, "none", None), (3, 2, 3, "none", None),
+    (3, 1, 5, "none", None), (3, 2, 5, "none", None),
+    (3, 1, 5, "trace", None), (3, 2, 5, "trace", None),
+    (3, 1, 7, "trace", None), (3, 2, 7, "trace", None),
+    *((4, r, p, "none" if p == 3 else "trace", budget)
+      for r in (1, 2, 3) for p in (3, 5) for budget in (3000, 30_000)),
+])
+def test_packed_line_graph_matches_the_tuple_reference_on_pools(n, r, p, pruning, budget):
+    for cands in _differential_pools(n, r, p, pruning, budget or 10**7):
+        assert _line_graph(cands, p) == _reference_line_graph(cands, p)
+
+
+@pytest.mark.parametrize("p, k, keep", [
+    (2, 5, 0.9), (3, 4, 0.8), (5, 3, 0.9), (7, 3, 0.95), (11, 2, 1.0), (257, 2, 0.9),
+])
+def test_packed_line_graph_matches_the_tuple_reference_on_random_line_sets(p, k, keep):
+    # p = 257 packs entries of 10 bits and an 11th for the carry; at
+    # keep = 0.9 a pair runs through about ten sums before a missing line
+    edges = 0
+    for seed in range(2):
+        cands = _line_set(p, k, keep, seed)
+        graph = _line_graph(cands, p)
+        assert graph == _reference_line_graph(cands, p)
+        edges += sum(len(s) for s in graph.spans)
+    assert edges or p == 257
 
 
 @pytest.mark.parametrize("n, r, p, pruning, budget, nodes", [
