@@ -13,13 +13,18 @@ this compatibility graph of the pool lines and visits each valid W once.
 
 Only the pool build evaluates members; it charges them against the budget,
 and running out of budget leaves a partial pool and downgrades the result to
-a lower bound, it never aborts.  The bases share the budget: each one in
+a lower bound, it never aborts.  The pool build carries tr(X), tr(BX) and
+tr(X^2) through its enumeration of the lines X; since B is nilpotent they
+decide tr(B + sX) and tr((B + sX)^2), so most lines are rejected at member
+1 on these values alone, charged the 1 evaluation that member 1 costs,
+without building a member.  The bases share the budget: each one in
 turn gets an equal share of what is left, so a base's unused share flows on
 to the later ones and the first base cannot starve the rest.
 """
 
 from __future__ import annotations
 
+import logging
 import random
 import time
 from dataclasses import dataclass
@@ -55,11 +60,26 @@ CONSISTENT = "CONSISTENT"
 WITNESS_EXCEEDS = "WITNESS_EXCEEDS"
 UNRESOLVED = "UNRESOLVED"
 
+# one DEBUG record per base of a search; silent unless a handler is set up
+_log = logging.getLogger("nilspace.search")
+_BASE_RECORD = (
+    "base %(partition)s: kernel dimension %(kernel_dim)d, %(lines_tested)d lines "
+    "tested, %(at_invariants)d rejected on trace invariants at member 1, "
+    "%(at_member_test)d by the member test, %(kept)d kept; %(evaluations)d "
+    "evaluations; pool %(pool_s).3f s, graph %(graph_s).3f s, %(mode)s search "
+    "%(search_s).3f s"
+)
+
 
 @dataclass(frozen=True, slots=True)
 class CandidatePool:
     """Direction candidates whose whole line through the base passes the
-    nilpotent constant-rank test, one canonical representative per line."""
+    nilpotent constant-rank test, one canonical representative per line.
+
+    ``pruned_by_rank`` counts every tested line that failed its member test,
+    whichever check failed: the trace at member 1, tr(M^2), the rank or
+    nilpotency.  ``pruned_by_trace`` counts the lines outside the enumerated
+    kernel."""
 
     base: ExactMatrix
     candidates: tuple[ExactMatrix, ...]
@@ -141,38 +161,65 @@ def _line_count(p: int, dim: int) -> int:
     return (p**dim - 1) // (p - 1)
 
 
-def _iter_canonical_kernel(kernel: Sequence[tuple[int, ...]], p: int) -> Iterator[tuple[int, ...]]:
-    """One member per line of the span of ``kernel``: lead coefficient 1,
-    later coefficients free, the last one fastest.  An odometer over the
-    outer free coefficients keeps a stack of partial sums, the last
-    coefficient runs in a loop of its own, and each step adds one basis
-    vector through its nonzero entries only."""
-    for lead in range(len(kernel)):
-        rest = [[(j, y) for j, y in enumerate(v) if y] for v in kernel[lead + 1:]]
-        if not rest:
-            yield kernel[lead]
+def _kernel_lines(
+    kernel: Sequence[tuple[int, ...]], base_flat: tuple[int, ...], n: int, p: int
+) -> Iterator[tuple]:
+    """One member x of each line of the span of ``kernel`` (flattened n x n
+    matrices), with tr(x), tr(Bx) and tr(x^2) for the flattened ``base_flat``
+    B, yielded as (tr(x), tr(Bx), tr(x^2), vec, step, a): x is ``vec`` when
+    a = 0 and vec + a*step otherwise, built only by a caller that needs it.
+
+    Lead coefficient 1, later coefficients free, the last one fastest.  An
+    odometer over the outer free coefficients keeps a stack of partial sums
+    x with beta(x) = (tr(x u_j))_j, u_j the basis; adding u_j adds
+    2 beta_j + G_jj to tr(x^2) and row j of the Gram matrix G_ij = tr(u_i u_j)
+    to beta, and the last coefficient's p lines take O(1) each:
+    tr((x + (a + 1)v)^2) = tr((x + av)^2) + 2 beta_v(x) + (2a + 1) G_vv."""
+    transposed = [j * n + i for i in range(n) for j in range(n)]
+
+    def trace_form(u, v):  # tr(uv)
+        return sum(x * v[k] for x, k in zip(u, transposed)) % p
+
+    gram = [[trace_form(u, v) for v in kernel] for u in kernel]
+    traces = [sum(u[::n + 1]) % p for u in kernel]
+    base_traces = [trace_form(base_flat, u) for u in kernel]
+    nonzeros = [[(k, y) for k, y in enumerate(u) if y] for u in kernel]
+
+    def bump(state, j):  # x -> x + u_j
+        vec, tr_x, tr_bx, q, beta = state
+        vec = list(vec)
+        for k, y in nonzeros[j]:
+            vec[k] = (vec[k] + y) % p
+        return (
+            tuple(vec), (tr_x + traces[j]) % p, (tr_bx + base_traces[j]) % p,
+            (q + 2 * beta[j] + gram[j][j]) % p,
+            [(b + g) % p for b, g in zip(beta, gram[j])],
+        )
+
+    last = len(kernel) - 1
+    for lead in range(last + 1):
+        state = (kernel[lead], traces[lead], base_traces[lead], gram[lead][lead], gram[lead])
+        if lead == last:
+            yield state[1], state[2], state[3], kernel[lead], (), 0
             continue
-        *outer, last = rest
-        m = len(outer)
+        step, d_tr, d_trb, g = kernel[last], traces[last], base_traces[last], gram[last][last]
+        m = last - lead - 1  # odometer levels: coefficients lead + 1 .. last - 1
         counters = [0] * m
-        stack = [kernel[lead]] * (m + 1)
+        stack = [state] * (m + 1)
         while True:
-            vec = stack[m]
-            yield vec
-            for _ in range(p - 1):
-                vec = list(vec)
-                for j, y in last:
-                    vec[j] = (vec[j] + y) % p
-                vec = tuple(vec)
-                yield vec
+            vec, tr_x, tr_bx, q, beta = stack[m]
+            dq = 2 * beta[last] + g
+            for a in range(p):
+                yield tr_x, tr_bx, q, vec, step, a
+                tr_x = (tr_x + d_tr) % p
+                tr_bx = (tr_bx + d_trb) % p
+                q = (q + dq) % p
+                dq += 2 * g
             lvl = m - 1
             while lvl >= 0:
                 counters[lvl] += 1
                 if counters[lvl] < p:
-                    bumped = list(stack[lvl + 1])
-                    for j, y in outer[lvl]:
-                        bumped[j] = (bumped[j] + y) % p
-                    bumped = tuple(bumped)
+                    bumped = bump(stack[lvl + 1], lead + 1 + lvl)
                     for j in range(lvl + 1, m + 1):
                         stack[j] = bumped
                     for j in range(lvl + 1, m):
@@ -270,16 +317,23 @@ def build_candidate_pool(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    return _build_pool(base, r, field, pruning, budget)
+    return _build_pool(base, r, field, pruning, budget)[0]
 
 
-def _build_pool(base, r, field, pruning, limit: int) -> CandidatePool:
-    """The pool of ``base`` within ``limit`` member evaluations.
+def _build_pool(base, r, field, pruning, limit: int) -> tuple[CandidatePool, int, int]:
+    """The pool of ``base`` within ``limit`` member evaluations, the
+    dimension of the kernel it enumerates, and how many of its lines the
+    trace invariants rejected.
 
     Member t of a line is B + t*X for its canonical representative X, and
     a line costs one evaluation per member tested: the first failing t, or
     p - 1 when it passes.  A line the remaining budget cannot finish is cut
-    and not counted; the cut spends the budget to ``limit``.
+    and not counted; the cut spends the budget to ``limit``.  A line whose
+    tr(X), tr(BX) and tr(X^2), carried through the enumeration, show that
+    member 1 fails is rejected without building X or a member, and is
+    charged the 1 evaluation that testing member 1 would have cost; only
+    the other lines get their X built and take the rank and nilpotency
+    test member by member.
     """
     if not isinstance(field, PrimeField):
         raise ValueError("candidate pools are only enumerable over finite fields")
@@ -309,39 +363,45 @@ def _build_pool(base, r, field, pruning, limit: int) -> CandidatePool:
     # The enumerated vector X is a multiple a*X0 of the canonical X0 (lead
     # entry a), so member t, B + t*X0, is B + (t/a)*X: lines are tested as
     # enumerated and only kept ones are canonicalised.  B is nilpotent, so
-    # tr(B + t*X0) = t*tr(X0): a nonzero trace fails member 1 of the line.
+    # tr(B + sX) = s tr(X) and tr((B + sX)^2) = 2s tr(BX) + s^2 tr(X^2): a
+    # line with tr(X) != 0, or with tr(BX) = 0 != tr(X^2), fails member 1,
+    # which is all it is charged, and no member of it is built.
     base_flat = tuple(x for row in base.rows for x in row)
     row_slices = [slice(i, i + n) for i in range(0, n_entries, n)]
-    transposed = [j * n + i for i in range(n) for j in range(n)]
     kept: list[tuple[int, ...]] = []
     lines_tested = 0
     rejected = 0
+    at_invariants = 0
     used = 0
     complete = True
-    for flat in _iter_canonical_kernel(kernel, p):
+    for tr_x, tr_bx, q, vec, step, a in _kernel_lines(kernel, base_flat, n, p):
         room = limit - used
         if room == 0:
             complete = False
             break
-        if sum(flat[::n + 1]) % p:
-            failed_at = 1
-        else:
-            inv = pow(next(x for x in flat if x), -1, p)
-            failed_at = 0
-            for t in range(1, min(p, room + 1)):
-                scale = t * inv % p
+        if tr_x or (q and not tr_bx):
+            used += 1
+            rejected += 1
+            at_invariants += 1
+            lines_tested += 1
+            continue
+        flat = tuple((x + a * y) % p for x, y in zip(vec, step)) if a else vec
+        inv = pow(next(x for x in flat if x), -1, p)
+        failed_at = 0
+        for t in range(1, min(p, room + 1)):
+            scale = t * inv % p
+            # tr(M^2) != 0 rules out nilpotency before the rank is
+            # eliminated; a member of rank r < p is nilpotent iff its
+            # traces vanish
+            if not scale * (2 * tr_bx + scale * q) % p:
                 member = [(b + scale * x) % p for b, x in zip(base_flat, flat)]
-                # tr(M^2) != 0 rules out nilpotency before the rank is
-                # eliminated; under the trace rows tr((B + sX)^2) = s^2 tr(X^2).
-                # A member of rank r < p is nilpotent iff its traces vanish
-                if not sum(x * member[k] for x, k in zip(member, transposed)) % p:
-                    rows = [member[sl] for sl in row_slices]
-                    if _rank(rows, p, r) == r and (
-                        _is_nilpotent_of_rank(rows, p, r) if p > r else _is_nilpotent(rows, p)
-                    ):
-                        continue
-                failed_at = t
-                break
+                rows = [member[sl] for sl in row_slices]
+                if _rank(rows, p, r) == r and (
+                    _is_nilpotent_of_rank(rows, p, r) if p > r else _is_nilpotent(rows, p)
+                ):
+                    continue
+            failed_at = t
+            break
         if failed_at:
             used += failed_at
             rejected += 1
@@ -354,7 +414,7 @@ def _build_pool(base, r, field, pruning, limit: int) -> CandidatePool:
             kept.append(_canonical_line(flat, p))
         lines_tested += 1
     kept.sort()
-    return CandidatePool(
+    pool = CandidatePool(
         base=base,
         candidates=tuple(
             ExactMatrix(field, _flat_to_rows(flat, n)) for flat in kept
@@ -366,6 +426,7 @@ def _build_pool(base, r, field, pruning, limit: int) -> CandidatePool:
         pruned_by_trace=pruned_by_trace,
         evaluations=used,
     )
+    return pool, len(kernel), at_invariants
 
 
 # ---------------------------------------------------------------------------
@@ -499,26 +560,40 @@ def max_affine_dimension(
     for i, base in enumerate(bases):
         # an equal share of what is left; what a base leaves flows on
         share = -(-(budget - used) // (len(bases) - i))
-        pool = _build_pool(base, r, field, pruning, share)
+        clock = time.perf_counter()
+        pool, kernel_dim, at_invariants = _build_pool(base, r, field, pruning, share)
         used += pool.evaluations
+        partition = jordan_partition(base)
+        record = {
+            "partition": partition.nonzero_parts(), "kernel_dim": kernel_dim,
+            "lines_tested": pool.lines_tested, "at_invariants": at_invariants,
+            "at_member_test": pool.pruned_by_rank - at_invariants,
+            "kept": len(pool.candidates), "evaluations": pool.evaluations,
+            "pool_s": time.perf_counter() - clock, "graph_s": 0.0,
+            "mode": mode, "search_s": 0.0,
+        }
         if not pool.complete:
             fully_exhausted = False
-            if not pool.lines_tested:
-                continue  # never tried: it adds no counts and no search
-        base_partitions.append(jordan_partition(base))
-        pruned_by_trace += pool.pruned_by_trace
-        pruned_by_rank += pool.pruned_by_rank
-        cands = [tuple(x for row in c.rows for x in row) for c in pool.candidates]
-        graph = _line_graph(cands, p)
-        if mode == "exhaustive":
-            got = _canonical_dfs(graph, p, best_dim)
-        else:
-            got = _greedy_search(graph, rng, restarts)
-        nodes += got["nodes"]
-        if got["best_dim"] > best_dim:
-            best_dim = got["best_dim"]
-            best_base = base
-            best_dirs = tuple(cands[c] for c in got["best_dirs"])
+        # a base that never tested a line adds no counts and no search
+        if pool.complete or pool.lines_tested:
+            base_partitions.append(partition)
+            pruned_by_trace += pool.pruned_by_trace
+            pruned_by_rank += pool.pruned_by_rank
+            cands = [tuple(x for row in c.rows for x in row) for c in pool.candidates]
+            clock = time.perf_counter()
+            graph = _line_graph(cands, p)
+            record["graph_s"] = time.perf_counter() - clock
+            if mode == "exhaustive":
+                got = _canonical_dfs(graph, p, best_dim)
+            else:
+                got = _greedy_search(graph, rng, restarts)
+            record["search_s"] = time.perf_counter() - clock - record["graph_s"]
+            nodes += got["nodes"]
+            if got["best_dim"] > best_dim:
+                best_dim = got["best_dim"]
+                best_base = base
+                best_dirs = tuple(cands[c] for c in got["best_dirs"])
+        _log.debug(_BASE_RECORD, record)
 
     status = EXHAUSTIVE if (mode == "exhaustive" and fully_exhausted) else LOWER_BOUND_ONLY
     witness = AffineMatrixSpace(

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import logging
 import random
 
 import pytest
@@ -31,10 +32,12 @@ from nilspace.matrices import (
 )
 from nilspace.search import (
     CandidatePool,
+    _build_pool,
     _canonical_dfs,
     _canonical_line,
     _domain_rows,
     _greedy_search,
+    _kernel_lines,
     _LineGraph,
     _line_graph,
 )
@@ -226,11 +229,12 @@ def _reference_domain_rows(base, r, p):
     return rows
 
 
-def _reference_pool(base, r, field, pruning, budget):
+def _reference_pool(base, r, field, pruning, budget, lead_starts=None):
     """Oracle for the pool builder: walks the lines of the reference domain
     in order, canonicalises each one, and charges one evaluation before it
     builds and tests each member B + t*X, t = 1..p-1, on its own: trace,
-    full rank, nilpotency."""
+    full rank, nilpotency.  ``lead_starts``, if given, gets the evaluations
+    spent before the first line of each lead coefficient."""
     p, n = field.p, base.n_rows
     n_entries = n * n
     if pruning == "trace":
@@ -248,6 +252,8 @@ def _reference_pool(base, r, field, pruning, budget):
         for lead in range(d):
             for tail in itertools.product(range(p), repeat=d - 1 - lead):
                 coeffs = (0,) * lead + (1,) + tail
+                if lead_starts is not None and not any(tail):
+                    lead_starts.append(used)
                 yield tuple(
                     sum(c * v[j] for c, v in zip(coeffs, kernel)) % p
                     for j in range(n_entries)
@@ -342,26 +348,143 @@ def _reference_dfs(cands, pool, zero, p, initial_best: int):
 
 
 @pytest.mark.parametrize("n, r, p, pruning", [
+    # (2, 1, 5): lines with tr(X) = 0 != tr(BX) take the member test
     (2, 1, 2, "none"), (2, 1, 3, "none"), (2, 1, 5, "none"),
     (3, 1, 3, "none"), (3, 2, 3, "none"), (3, 1, 5, "trace"), (3, 2, 5, "trace"),
-    (4, 2, 5, "trace"),
+    (3, 1, 7, "trace"), (4, 1, 5, "trace"), (4, 2, 5, "trace"),
     # p = r: traces of powers do not decide nilpotency, e.g. diag(1, 1, 0)
     (3, 2, 2, "none"),
 ])
 def test_pool_builder_matches_the_member_by_member_reference(n, r, p, pruning):
     # same pool, counters and budget charges at every budget, including
-    # cuts inside a line and the exact cost of a complete pool
+    # cuts inside a line, inside and at both edges of the first runs of
+    # the last coefficient, around the first line of each lead
+    # coefficient, and the exact cost of a complete pool
     field = PrimeField(p)
     for base in canonical_bases(n, r, field):
-        budgets = {1, 2, 3, p - 1, 50, 997}
+        budgets = {50, 997, *range(1, 3 * p + 2)}
         # the complete pools here cost at most 19604 evaluations
         full = build_candidate_pool(base, r, field, pruning=pruning, budget=20_000)
         if full.complete:
             budgets |= {full.evaluations, full.evaluations - 1}
+        lead_starts = []
+        _reference_pool(base, r, field, pruning, 20_000, lead_starts)
+        budgets |= {b + k for b in lead_starts[1:] for k in (0, 1)}
         for budget in sorted(b for b in budgets if b >= 1):
             got = build_candidate_pool(base, r, field, pruning=pruning, budget=budget)
             want = _reference_pool(base, r, field, pruning, budget)
             assert got == want, (jordan_partition(base).parts, budget)
+
+
+def _iter_canonical_kernel(kernel, p):
+    """Oracle for the order of the pool lines: one member per line of the
+    span of ``kernel``, lead coefficient 1, later coefficients free, the
+    last one fastest.  An odometer over the outer free coefficients keeps a
+    stack of partial sums, the last coefficient runs in a loop of its own,
+    and each step adds one basis vector through its nonzero entries only."""
+    for lead in range(len(kernel)):
+        rest = [[(j, y) for j, y in enumerate(v) if y] for v in kernel[lead + 1:]]
+        if not rest:
+            yield kernel[lead]
+            continue
+        *outer, last = rest
+        m = len(outer)
+        counters = [0] * m
+        stack = [kernel[lead]] * (m + 1)
+        while True:
+            vec = stack[m]
+            yield vec
+            for _ in range(p - 1):
+                vec = list(vec)
+                for j, y in last:
+                    vec[j] = (vec[j] + y) % p
+                vec = tuple(vec)
+                yield vec
+            lvl = m - 1
+            while lvl >= 0:
+                counters[lvl] += 1
+                if counters[lvl] < p:
+                    bumped = list(stack[lvl + 1])
+                    for j, y in outer[lvl]:
+                        bumped[j] = (bumped[j] + y) % p
+                    bumped = tuple(bumped)
+                    for j in range(lvl + 1, m + 1):
+                        stack[j] = bumped
+                    for j in range(lvl + 1, m):
+                        counters[j] = 0
+                    break
+                counters[lvl] = 0
+                lvl -= 1
+            if lvl < 0:
+                break
+
+
+def _traces(b, m, p):
+    """tr(M), tr(BM) and tr(M^2) from the rows of B and M."""
+    n = len(m)
+    return (
+        sum(m[i][i] for i in range(n)) % p,
+        sum(b[i][k] * m[k][i] for i in range(n) for k in range(n)) % p,
+        sum(m[i][k] * m[k][i] for i in range(n) for k in range(n)) % p,
+    )
+
+
+def _enumeration_cases():
+    # the pool kernels of n <= 3 under both prunings (unpruned n = 3 only
+    # for p <= 3: it has (p^9 - 1)/(p - 1) lines), then seeded random
+    # spanning sets with a random (not necessarily nilpotent) B
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+        for n in (2, 3):
+            for r in range(1, n):
+                for base in canonical_bases(n, r, field):
+                    base_flat = tuple(x for row in base.rows for x in row)
+                    if n == 2 or p <= 3:
+                        yield p, n, base_flat, [
+                            tuple(int(i == j) for j in range(n * n)) for i in range(n * n)
+                        ]
+                    if p >= n + 1:
+                        yield p, n, base_flat, _nullspace_mod_p(_domain_rows(base, r, p), p)
+    rng = random.Random(8)
+    for p in (2, 3, 5, 7, 11):
+        for _ in range(6):
+            n = rng.choice((2, 3))
+            d = rng.randint(1, 4 if p < 7 else 3)
+            kernel = [tuple(rng.randrange(p) for _ in range(n * n)) for _ in range(d)]
+            yield p, n, tuple(rng.randrange(p) for _ in range(n * n)), kernel
+
+
+def test_kernel_lines_match_the_odometer_reference_and_carry_the_traces():
+    # same lines in the same order, since the order decides where a budget
+    # cuts, and the carried tr(X), tr(BX), tr(X^2) are the direct values
+    for p, n, base_flat, kernel in _enumeration_cases():
+        want = list(_iter_canonical_kernel(kernel, p))
+        got = list(_kernel_lines(kernel, base_flat, n, p))
+        assert len(got) == len(want) == (p ** len(kernel) - 1) // (p - 1)
+        for (tr_x, tr_bx, q, vec, step, a), x in zip(got, want):
+            flat = tuple((v + a * y) % p for v, y in zip(vec, step)) if a else vec
+            assert flat == x
+            assert (tr_x, tr_bx, q) == _traces(_rows(base_flat, n), _rows(x, n), p)
+
+
+@pytest.mark.parametrize("n, r, p, pruning", [
+    (2, 1, 5, "none"), (3, 2, 3, "none"), (3, 1, 5, "trace"), (3, 2, 7, "trace"),
+])
+def test_complete_pools_reject_on_the_invariants_exactly_the_failing_lines(n, r, p, pruning):
+    # the lines with tr(X) != 0, or tr(BX) = 0 != tr(X^2), and no others
+    field = PrimeField(p)
+    for base in canonical_bases(n, r, field):
+        if pruning == "trace":
+            kernel = _nullspace_mod_p(_domain_rows(base, r, p), p)
+        else:
+            kernel = [tuple(int(i == j) for j in range(n * n)) for i in range(n * n)]
+        want = 0
+        for x in _iter_canonical_kernel(kernel, p):
+            tr_x, tr_bx, q = _traces(base.rows, _rows(x, n), p)
+            want += bool(tr_x or (q and not tr_bx))
+        pool, kernel_dim, at_invariants = _build_pool(base, r, field, pruning, 10**6)
+        assert pool.complete and kernel_dim == len(kernel)
+        assert at_invariants == want
 
 
 def _numpy_pool(base, r, p):
@@ -580,6 +703,28 @@ def test_untried_base_adds_no_counters_and_no_search():
     dfs = _canonical_dfs(_line_graph(_pool_lines(pool), 5), 5, 0)
     assert rep.nodes_explored == dfs["nodes"] == 1
     assert rep.status == "LOWER_BOUND_ONLY"
+
+
+@pytest.mark.parametrize("n, r, p, mode, budget", [
+    (4, 2, 5, "exhaustive", 7),  # the (2,2) base is never tried
+    (4, 2, 5, "exhaustive", 2001),
+    (3, 2, 5, "exhaustive", 10**6),
+    (3, 2, 3, "greedy", 10**6),
+])
+def test_search_logs_one_record_per_base_that_adds_up_to_the_report(
+    n, r, p, mode, budget, caplog
+):
+    caplog.set_level(logging.DEBUG, logger="nilspace.search")
+    rep = max_affine_dimension(n, r, PrimeField(p), mode=mode, budget=budget)
+    records = [rec.args for rec in caplog.records if rec.name == "nilspace.search"]
+    assert [rec["partition"] for rec in records] == [
+        jordan_partition(b).nonzero_parts() for b in canonical_bases(n, r, PrimeField(p))
+    ]
+    for rec in records:
+        assert rec["lines_tested"] == rec["at_invariants"] + rec["at_member_test"] + rec["kept"]
+        assert rec["mode"] == mode
+    assert sum(rec["evaluations"] for rec in records) == rep.evaluations
+    assert sum(rec["at_invariants"] + rec["at_member_test"] for rec in records) == rep.pruned_by_rank
 
 
 @pytest.mark.parametrize("p, pruning, counts", [
