@@ -7,11 +7,13 @@ shared with the verifiers and the search engine, where object overhead
 matters.  Each takes the field as ``p``: the prime for F_p, None for Q.
 One forward elimination, ``_echelon``, gives the rank (``_rank``, with an
 early exit past a cap), the kernel (``_nullspace``, by back-substitution)
-and the inverse (through the kernel of [m | I]); the pivot factor and the
-row reduction are the only steps where F_p and Q differ.  ``_matmul`` and
-``_is_nilpotent`` (repeated squaring) serve both fields the same way;
-``_is_nilpotent_of_rank`` decides nilpotency over F_p from traces of powers
-when the rank r < p is known.
+and the inverse (through the kernel of [m | I]); the row reduction is the
+only step where F_p and Q differ.  Over Q it is fraction-free (Bareiss):
+it takes int or Fraction rows, clears each row's denominators and
+eliminates on ints, so only the back-substitution divides, into
+Fractions.  ``_matmul`` and ``_is_nilpotent`` (repeated squaring) serve
+both fields the same way; ``_is_nilpotent_of_rank`` decides nilpotency
+over F_p from traces of powers when the rank r < p is known.
 
 Indices are 0-based throughout.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .errors import NotNilpotentError, SingularMatrixError
@@ -31,7 +34,8 @@ Rows = tuple[tuple[RawScalar, ...], ...]
 
 
 # ---------------------------------------------------------------------------
-# raw-row kernels (prime fields: plain ints mod p; rationals: Fractions)
+# raw-row kernels (prime fields: plain ints mod p; rationals: ints or
+# Fractions, eliminated fraction-free)
 
 @lru_cache(maxsize=8)
 def _inverse_table(p: int) -> tuple[int, ...]:
@@ -73,12 +77,24 @@ def _echelon(rows: Sequence[Sequence[RawScalar]], p: int | None, cap: int | None
     lowest row index with a nonzero entry in the current column
     (deterministic).  With ``cap`` set, elimination stops at pivot
     ``cap + 1`` and returns ``cap + 1`` as the rank (early exit for
-    exact-rank tests), ``m`` then only partly reduced.  Rational entries
-    must be Fractions.
+    exact-rank tests), ``m`` then only partly reduced.
+
+    Over Q, rows may hold ints, Fractions or both.  Each row is first scaled
+    by the lcm of its entries' denominators, and the elimination is
+    fraction-free (Bareiss): every row below the pivot becomes
+    ``(x * pivot - f * y) // prev``, ``prev`` the previous pivot, an exact
+    division, so ``m`` holds ints only.
     """
-    m = list(map(list, rows))
+    if p:
+        m = list(map(list, rows))
+        inv_of = _inverse_table(p) if p < 65536 else None
+    else:
+        m = []
+        for row in rows:
+            scale = lcm(*[x.denominator for x in row])
+            m.append([x.numerator * (scale // x.denominator) for x in row])
+        prev = 1
     n_rows = len(m)
-    inv_of = _inverse_table(p) if p and p < 65536 else None
     rank = 0
     for col in range(len(m[0])):
         for piv in range(rank, n_rows):
@@ -93,9 +109,9 @@ def _echelon(rows: Sequence[Sequence[RawScalar]], p: int | None, cap: int | None
         m[rank] = prow
         pivot = prow[col]
         # rows from ``rank`` on are zero left of ``col``: whole-row updates
-        # need no slicing.  The field decides the pivot factor and the
-        # reduction; over Q zero entries are skipped, since each Fraction
-        # product costs far more than the test.
+        # need no slicing.  Over F_p a row whose entry is 0 stays as it is;
+        # over Q every row below is rescaled, as Bareiss's exact division
+        # by the next pivot needs.
         if p:
             inv = inv_of[pivot] if inv_of is not None else pow(pivot, -1, p)
             for i in range(rank + 1, n_rows):
@@ -108,9 +124,8 @@ def _echelon(rows: Sequence[Sequence[RawScalar]], p: int | None, cap: int | None
             for i in range(rank + 1, n_rows):
                 ri = m[i]
                 f = ri[col]
-                if f:
-                    f = f / pivot
-                    m[i] = [x - f * y if y else x for x, y in zip(ri, prow)]
+                m[i] = [(x * pivot - f * y) // prev for x, y in zip(ri, prow)]
+            prev = pivot
         rank += 1
         if rank == n_rows:
             break
@@ -143,7 +158,8 @@ def _back_substitute(m, rank: int, n_cols: int, p: int | None) -> list[tuple]:
             pc = pivots[k]
             row = m[k]
             s = sum(row[j] * v[j] for j in range(pc + 1, n_cols))
-            v[pc] = -s * pow(row[pc], -1, p) % p if p else -s / row[pc]
+            # over Q the row holds ints: an empty sum is the int 0
+            v[pc] = -s * pow(row[pc], -1, p) % p if p else Fraction(-s, row[pc])
         basis.append(tuple(v))
     return basis
 

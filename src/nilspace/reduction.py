@@ -12,7 +12,6 @@ for the search engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +30,7 @@ from .spaces import (
     PROVED,
     REFUTED,
     VerificationOutcome,
+    _integer_rows,
     _run_sampling,
     _scan_grid,
 )
@@ -172,13 +172,10 @@ class TraceWitness:
     value: RawScalar
 
 
-def _trace_product(power_rows, nz_entries, field):
+def _trace_product(power_rows, nz_entries, p):
     # tr(P @ B) = sum over nonzero B[b][a] of P[a][b] * B[b][a]
-    acc = field.zero
-    add, mul = field.add, field.mul
-    for b, a, v in nz_entries:
-        acc = add(acc, mul(power_rows[a][b], v))
-    return acc
+    acc = sum(power_rows[a][b] * v for b, a, v in nz_entries)
+    return acc % p if p else acc
 
 
 def _validate_span_basis(span_basis, field):
@@ -243,33 +240,42 @@ def trace_condition_verify(
         )
     d = len(span_basis)
     basis_rows = [m.rows for m in span_basis]
-    nz = [
-        [(b, a, rows[b][a]) for b in range(n) for a in range(n) if rows[b][a]]
-        for rows in basis_rows
-    ]
-    if isinstance(field, PrimeField):
-        values = list(range(m_max + 1))
-    else:
-        values = [Fraction(i) for i in range(m_max + 1)]
-    total = (m_max + 1) ** d
     p = _modulus(field)
 
-    def check_point(t, rows):
-        """Return a TraceWitness for the first failing (m, B) or None."""
+    def nonzero_entries(rows):
+        return [(b, a, rows[b][a]) for b in range(n) for a in range(n) if rows[b][a]]
+
+    nz = [nonzero_entries(rows) for rows in basis_rows]
+    # the scans test integer multiples of the members over Q; scaling each
+    # B to integers too keeps every trace an int and each verdict unchanged
+    nz_scan = nz if p else [nonzero_entries(rows) for rows in _integer_rows(basis_rows)]
+    values = list(range(m_max + 1))
+    total = (m_max + 1) ** d
+
+    def first_nonzero_trace(rows, entries_of):
+        """(m, index of B, tr(rows^m B)) for the first nonzero trace, or None."""
         power = rows
         for m in range(1, m_max + 1):
             if m > 1:
                 power = _matmul(power, rows, p)
-            for b_idx, entries in enumerate(nz):
-                val = _trace_product(power, entries, field)
-                if val != field.zero:
-                    return TraceWitness(tuple(t), b_idx, span_basis[b_idx], m, val)
+            for b_idx, entries in enumerate(entries_of):
+                val = _trace_product(power, entries, p)
+                if val:
+                    return m, b_idx, val
         return None
+
+    def check_point(t, rows):
+        """Return a TraceWitness for the first failing (m, B) or None."""
+        found = first_nonzero_trace(rows, nz)
+        if found is None:
+            return None
+        m, b_idx, val = found
+        return TraceWitness(tuple(t), b_idx, span_basis[b_idx], m, val)
 
     zero_rows = tuple((field.zero,) * n for _ in range(n))
 
     def fails(rows):
-        return check_point((), rows) is not None
+        return first_nonzero_trace(rows, nz_scan) is not None
 
     if total > budget:
         if sample_count <= 0:

@@ -66,8 +66,9 @@ _BASE_RECORD = (
     "base %(partition)s: kernel dimension %(kernel_dim)d, %(lines_tested)d lines "
     "tested, %(at_invariants)d rejected on trace invariants at member 1, "
     "%(at_member_test)d by the member test, %(kept)d kept; %(evaluations)d "
-    "evaluations; pool %(pool_s).3f s, graph %(graph_s).3f s, %(mode)s search "
-    "%(search_s).3f s"
+    "evaluations; pool %(pool_s).3f s, complete %(complete)s; graph %(graph_s).3f s, "
+    "%(edges)d edges; %(mode)s search %(search_s).3f s, %(nodes)d nodes, best "
+    "dimension so far %(best_dim)d"
 )
 
 
@@ -569,8 +570,8 @@ def max_affine_dimension(
             "lines_tested": pool.lines_tested, "at_invariants": at_invariants,
             "at_member_test": pool.pruned_by_rank - at_invariants,
             "kept": len(pool.candidates), "evaluations": pool.evaluations,
-            "pool_s": time.perf_counter() - clock, "graph_s": 0.0,
-            "mode": mode, "search_s": 0.0,
+            "pool_s": time.perf_counter() - clock, "complete": pool.complete,
+            "graph_s": 0.0, "edges": 0, "mode": mode, "search_s": 0.0, "nodes": 0,
         }
         if not pool.complete:
             fully_exhausted = False
@@ -583,16 +584,19 @@ def max_affine_dimension(
             clock = time.perf_counter()
             graph = _line_graph(cands, p)
             record["graph_s"] = time.perf_counter() - clock
+            record["edges"] = sum(x.bit_count() for x in graph.neighbours) // 2
             if mode == "exhaustive":
                 got = _canonical_dfs(graph, p, best_dim)
             else:
                 got = _greedy_search(graph, rng, restarts)
             record["search_s"] = time.perf_counter() - clock - record["graph_s"]
+            record["nodes"] = got["nodes"]
             nodes += got["nodes"]
             if got["best_dim"] > best_dim:
                 best_dim = got["best_dim"]
                 best_base = base
                 best_dirs = tuple(cands[c] for c in got["best_dirs"])
+        record["best_dim"] = best_dim
         _log.debug(_BASE_RECORD, record)
 
     status = EXHAUSTIVE if (mode == "exhaustive" and fully_exhausted) else LOWER_BOUND_ONLY

@@ -19,6 +19,16 @@ Members are tested with the exact kernels of :mod:`nilspace.matrices`,
 alike.  ``_run_sampling`` is the one seeded sampling loop, shared with
 ``reduction.trace_condition_verify``.
 
+Rational scans run on integer members.  The base and direction rows are
+scaled once by the lcm L of all their denominators, grid values and
+samples are integers, and each member M is tested as the integer matrix
+L M; no Fraction arithmetic runs per member.  The contract that makes this
+sound: a predicate handed to ``_scan_grid`` or ``_run_sampling`` gives the
+same verdict at c M as at M for every nonzero rational c.  Nilpotency and
+rank are unchanged by scaling, and tr((c M)^m B) = c^m tr(M^m B).  A
+refutation reports the point as Fractions and the member rebuilt from the
+original rows, the exact rational witness.
+
 Over F_p, grid and exhaustive scans of at least ``_NUMPY_MIN_POINTS`` points
 run batched in numpy (``_scan_numpy``): nilpotency by repeated squaring,
 rank by fraction-free elimination, and the trace predicate of
@@ -36,6 +46,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -139,17 +150,34 @@ class AffineMatrixSpace:
 # point generation
 
 def _combine_rows(base_rows, dir_rows_list, coeffs, field):
+    """The rows of base + sum c_i dir_i; over Q on ints and Fractions alike."""
     rows = base_rows
-    add, mul = field.add, field.mul
-    zero = field.zero
+    p = _modulus(field)
     for c, drows in zip(coeffs, dir_rows_list):
-        if c == zero:
+        if not c:
             continue
-        rows = tuple(
-            tuple(add(x, mul(c, y)) for x, y in zip(r1, r2))
-            for r1, r2 in zip(rows, drows)
-        )
+        # list comprehensions: a member is built per point scanned
+        if p:
+            rows = tuple([
+                tuple([(x + c * y) % p for x, y in zip(r1, r2)])
+                for r1, r2 in zip(rows, drows)
+            ])
+        else:
+            rows = tuple([
+                tuple([x + c * y for x, y in zip(r1, r2)])
+                for r1, r2 in zip(rows, drows)
+            ])
     return rows
+
+
+def _integer_rows(row_sets):
+    """Over Q: each set of rows times L, as int rows, L the lcm of the
+    denominators of all their entries."""
+    unit = lcm(*[x.denominator for rows in row_sets for row in rows for x in row])
+    return [
+        tuple(tuple(x.numerator * (unit // x.denominator) for x in row) for row in rows)
+        for rows in row_sets
+    ]
 
 
 def _iter_members(base_rows, dir_rows_list, values, field) -> Iterator[tuple[tuple, tuple]]:
@@ -195,11 +223,26 @@ def _scan_grid(base_rows, dir_rows_list, values, field, fails, fails_batch, term
     """``_scan`` over the grid, batched by ``_scan_numpy`` when the field is
     F_p, the grid has at least ``_NUMPY_MIN_POINTS`` points and the int64
     bound holds.  ``fails_batch`` is the batch form of ``fails`` and
-    ``terms`` the longest dot product it computes."""
+    ``terms`` the longest dot product it computes.
+
+    Over Q the grid values are integers and the scan runs on integer
+    members: with L the lcm of the denominators of all rows, it tests
+    L M = L base + sum t_i (L dir_i) in place of each member M, and hands
+    back the failing point as Fractions with the member rebuilt from the
+    original rows.  This is sound because ``fails`` must give the same
+    verdict at c M as at M for every nonzero c, as nilpotency, rank and
+    the vanishing of tr(M^m B) (which scales by c^m) do.
+    """
     d = len(dir_rows_list)
+    if not isinstance(field, PrimeField):
+        base, *dirs = _integer_rows([base_rows, *dir_rows_list])
+        t, _, checked = _scan(base, dirs, values, field, fails)
+        if t is None:
+            return None, None, checked
+        t = tuple(map(Fraction, t))
+        return t, _combine_rows(base_rows, dir_rows_list, t, field), checked
     if (
-        isinstance(field, PrimeField)
-        and len(values) ** d >= _NUMPY_MIN_POINTS
+        len(values) ** d >= _NUMPY_MIN_POINTS
         and _fits_int64(field.p, max(terms, d))
     ):
         return _scan_numpy(base_rows, dir_rows_list, values, field.p,
@@ -316,7 +359,8 @@ def _refuted(space: AffineMatrixSpace, t, rows, checks, method, fails) -> Verifi
 
 
 def _sample_points(field: FieldSpec, d: int, sample_count: int, seed: int):
-    """``sample_count`` seeded random coefficient vectors of length ``d``."""
+    """``sample_count`` seeded random coefficient vectors of length ``d``;
+    over Q integers in [-10^6, 10^6]."""
     rng = random.Random(seed)
     if isinstance(field, PrimeField):
         p = field.p
@@ -324,19 +368,34 @@ def _sample_points(field: FieldSpec, d: int, sample_count: int, seed: int):
             yield tuple(rng.randrange(p) for _ in range(d))
     else:
         for _ in range(sample_count):
-            yield tuple(Fraction(rng.randint(-10**6, 10**6)) for _ in range(d))
+            yield tuple(rng.randint(-10**6, 10**6) for _ in range(d))
 
 
 def _run_sampling(field, base_rows, dir_rows_list, fails, witness, sample_count,
                   seed, notes) -> VerificationOutcome:
     """Seeded random sampling of the members ``base + sum t_i dir_i``:
     REFUTED at the first member ``fails`` flags, with ``witness(t, rows)``
-    as its witness, else SAMPLED_PASS."""
+    as its witness, else SAMPLED_PASS.
+
+    Over Q the samples are integers and each member M is tested as L M, L
+    the lcm of the denominators of all rows, under the contract of
+    ``_scan_grid``: ``fails`` gives the same verdict at c M as at M.  The
+    witness gets the point as Fractions and the member rebuilt from the
+    original rows.
+    """
+    rational = not isinstance(field, PrimeField)
+    scan_base, *scan_dirs = (
+        _integer_rows([base_rows, *dir_rows_list]) if rational
+        else [base_rows, *dir_rows_list]
+    )
     checked = 0
     for t in _sample_points(field, len(dir_rows_list), sample_count, seed):
-        rows = _combine_rows(base_rows, dir_rows_list, t, field)
+        rows = _combine_rows(scan_base, scan_dirs, t, field)
         checked += 1
         if fails(rows):
+            if rational:
+                t = tuple(map(Fraction, t))
+                rows = _combine_rows(base_rows, dir_rows_list, t, field)
             return VerificationOutcome(
                 status=REFUTED, method="random", checks_performed=checked,
                 witness=witness(t, rows), sample_count=sample_count, seed=seed,
@@ -399,10 +458,9 @@ def _choose_points(space: AffineMatrixSpace, degree: int, method: str):
             raise ValueError(
                 f"a grid certificate needs {degree + 1} distinct values; |K| = {p}"
             )
-        return list(range(degree + 1)), "grid"
-    if method == "exhaustive":
+    elif method == "exhaustive":
         raise ValueError("cannot enumerate the rationals exhaustively")
-    return [Fraction(i) for i in range(degree + 1)], "grid"
+    return list(range(degree + 1)), "grid"
 
 
 def verify_all_nilpotent(

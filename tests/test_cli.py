@@ -257,6 +257,12 @@ GOLDEN_CASES = {
     "verify_conjecture_n4_r2_q": (
         ["verify", "--input", "{conjecture_q}", "--nilpotent", "--rank", "2",
          "--seed", "3"], 3),
+    # rank 1: a 2-minor is nonzero on the grid; rank 3: a sampled member
+    # has rank 2 < 3
+    "verify_conjecture_n4_q_rank1": (
+        ["verify", "--input", "{conjecture_q}", "--rank", "1"], 1),
+    "verify_conjecture_n4_q_rank3_seed3": (
+        ["verify", "--input", "{conjecture_q}", "--rank", "3", "--seed", "3"], 1),
 }
 
 

@@ -190,6 +190,14 @@ def test_nilpotency_equivalent_to_vanishing_nth_power(m):
 # the largest nonzero minor, determinants by permutation expansion
 
 _ORACLE_FIELDS = (2, 3, 7, 65537, 2**31 - 1, None)  # None is Q
+# Q rows: ints, Fractions with denominators up to 7, or both; numerators up
+# to the sampler's range times 3, so fraction-free elimination grows them
+_Q_NUMERATORS = st.one_of(st.integers(-3, 3), st.integers(-3 * 10**6, 3 * 10**6))
+_Q_ENTRIES = {
+    "int": st.one_of(st.sampled_from([0, 0, 1, -1]), _Q_NUMERATORS),
+    "fraction": st.builds(Fraction, _Q_NUMERATORS, st.integers(1, 7)),
+}
+_Q_ENTRIES["mixed"] = st.one_of(_Q_ENTRIES["int"], _Q_ENTRIES["fraction"])
 
 
 def _det(rows, p):
@@ -216,22 +224,30 @@ def _oracle_rank(rows, p):
 
 @st.composite
 def _raw_matrices(draw, square=False):
-    p = draw(st.sampled_from(_ORACLE_FIELDS))
+    # Q in 3 draws of 8, one per kind of row on average
+    p = draw(st.sampled_from(_ORACLE_FIELDS + (None, None)))
     h = draw(st.integers(1, 4))
     w = h if square else draw(st.integers(1, 5))
     if p:
         entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
     else:
-        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+        kind = draw(st.sampled_from(sorted(_Q_ENTRIES)))
+        small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+        entry = st.one_of(small, _Q_ENTRIES[kind]) if kind != "int" else _Q_ENTRIES[kind]
     rows = draw(st.lists(st.lists(entry, min_size=w, max_size=w), min_size=h, max_size=h))
     if h >= 3 and draw(st.booleans()):
         # a dependent row, so rank deficiency is common at every modulus
-        c = draw(st.integers(1, p - 1)) if p else Fraction(draw(st.integers(-3, 3)))
+        if p:
+            c = draw(st.integers(1, p - 1))
+        elif kind == "int":
+            c = draw(st.integers(-3, 3))
+        else:
+            c = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 7)))
         rows[-1] = [(x + c * y) % p if p else x + c * y for x, y in zip(rows[0], rows[1])]
     return p, rows
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(_raw_matrices())
 def test_rank_and_capped_rank_match_the_minor_oracle(case):
     from nilspace.matrices import _rank
@@ -243,7 +259,7 @@ def test_rank_and_capped_rank_match_the_minor_oracle(case):
         assert _rank(rows, p, cap) == min(expected, cap + 1)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(_raw_matrices())
 def test_nullspace_basis_is_the_unique_free_column_basis(case):
     from nilspace.matrices import _nullspace
@@ -270,7 +286,7 @@ def test_nullspace_basis_is_the_unique_free_column_basis(case):
             assert all(type(x) is Fraction for x in v)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=270, deadline=None, derandomize=True)
 @given(_raw_matrices(square=True))
 def test_inverse_is_two_sided_and_raises_exactly_on_zero_determinant(case):
     p, rows = case
@@ -284,6 +300,33 @@ def test_inverse_is_two_sided_and_raises_exactly_on_zero_determinant(case):
         inv = inverse(m)
         assert m @ inv == identity_matrix(n, field)
         assert inv @ m == identity_matrix(n, field)
+        if not p:
+            assert all(type(x) is Fraction for row in inv.rows for x in row)
+            # Bareiss: the last pivot is the determinant of the rows cleared
+            # of their denominators, up to the sign of the row swaps
+            from math import lcm
+
+            from nilspace.matrices import _echelon
+
+            scaled = [[x * lcm(*[y.denominator for y in row]) for x in row] for row in rows]
+            assert abs(_echelon(rows, None)[0][n - 1][n - 1]) == abs(_det(scaled, None))
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1]], [[0, Fraction(1, 2)]], [[0, 0, 5], [0, 0, 3]], [[1, 2, 0], [0, 0, Fraction(2, 3)]],
+])
+def test_rational_kernel_with_a_pivot_in_the_last_column_is_fractions(rows):
+    from nilspace.matrices import _nullspace
+
+    # the back-substitution sum of the last pivot is empty: over int rows
+    # it must still give the Fraction 0, not 0 / pivot = 0.0
+    w = len(rows[0])
+    basis = _nullspace(rows, None)
+    for v in basis:
+        assert all(type(x) is Fraction for x in v)
+        assert v[-1] == 0
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
+    assert len(basis) == w - _oracle_rank(rows, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -288,3 +289,31 @@ def test_trace_proved_on_nilpotency_proved_spaces():
             [space.base, *space.directions], space.n - 1
         )
         assert out.status == "PROVED"
+
+
+@pytest.mark.parametrize("kwargs, method, checks, t, value, notes", [
+    ({}, "grid", 5, (0, 1, 1), Fraction(1, 6), ()),
+    ({"budget": 20, "seed": 5}, "random", 1, (306319, -464293, 555640),
+     Fraction(-128989881260, 3), ("grid of 27 points exceeded budget 20",)),
+], ids=["grid", "sampling fallback"])
+def test_rational_trace_refutations_report_fraction_points_and_values(
+    kwargs, method, checks, t, value, notes
+):
+    # A = t_0 B_0 + t_1 B_1 + t_2 B_2 has every tr(A B_j) = 0, and
+    # tr(A^2 B_0) = t_1 t_2 / 6; the scans run on integer multiples of A and
+    # of the B_j, and the witness reports the unscaled trace (values taken
+    # from the Fraction-arithmetic scans)
+    half, two_thirds = Fraction(1, 2), Fraction(2, 3)
+    basis = [
+        ExactMatrix.from_rows(RATIONALS, rows) for rows in (
+            [[0, half, 0], [0, 0, 0], [0, 0, 0]],
+            [[0, 0, 0], [0, 0, two_thirds], [0, 0, 0]],
+            [[0, 0, 0], [0, 0, 0], [half, 0, 0]],
+        )
+    ]
+    out = trace_condition_verify(basis, 2, **kwargs)
+    assert (out.status, out.method, out.checks_performed, out.notes) == (
+        "REFUTED", method, checks, notes)
+    w = out.witness
+    assert w == TraceWitness(t, 0, basis[0], 2, value)
+    assert all(type(c) is Fraction for c in w.coefficients) and type(w.value) is Fraction

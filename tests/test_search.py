@@ -715,16 +715,32 @@ def test_search_logs_one_record_per_base_that_adds_up_to_the_report(
     n, r, p, mode, budget, caplog
 ):
     caplog.set_level(logging.DEBUG, logger="nilspace.search")
-    rep = max_affine_dimension(n, r, PrimeField(p), mode=mode, budget=budget)
+    field = PrimeField(p)
+    rep = max_affine_dimension(n, r, field, mode=mode, budget=budget)
     records = [rec.args for rec in caplog.records if rec.name == "nilspace.search"]
+    bases = canonical_bases(n, r, field)
     assert [rec["partition"] for rec in records] == [
-        jordan_partition(b).nonzero_parts() for b in canonical_bases(n, r, PrimeField(p))
+        jordan_partition(b).nonzero_parts() for b in bases
     ]
-    for rec in records:
+    for rec, base in zip(records, bases):
         assert rec["lines_tested"] == rec["at_invariants"] + rec["at_member_test"] + rec["kept"]
         assert rec["mode"] == mode
+        if rec["complete"]:  # the whole pool, so its graph can be rebuilt
+            pool = build_candidate_pool(base, r, field, pruning=rep.pruning)
+            graph = _line_graph(_pool_lines(pool), p)
+            assert rec["edges"] == sum(
+                graph.neighbours[i] >> j & 1
+                for i, j in itertools.combinations(range(len(pool.candidates)), 2)
+            )
+        elif not rec["lines_tested"]:  # no graph, no search
+            assert rec["edges"] == rec["nodes"] == 0
     assert sum(rec["evaluations"] for rec in records) == rep.evaluations
     assert sum(rec["at_invariants"] + rec["at_member_test"] for rec in records) == rep.pruned_by_rank
+    assert sum(rec["nodes"] for rec in records) == rep.nodes_explored
+    best = [rec["best_dim"] for rec in records]
+    assert best == sorted(best) and best[-1] == rep.max_dim_found
+    if mode == "exhaustive":
+        assert all(rec["complete"] for rec in records) == (rep.status == "EXHAUSTIVE")
 
 
 @pytest.mark.parametrize("p, pruning, counts", [

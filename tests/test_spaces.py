@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -438,3 +439,85 @@ def test_witness_recheck_guarantee():
     member = space.member(out.witness.coefficients)
     assert member == out.witness.matrix
     assert nilindex(member) is None
+
+
+# ---------------------------------------------------------------------------
+# rational refutations: the scans run on integer multiples of the members
+# and hand back the point as Fractions and the member rebuilt from the
+# space's rows; the values were taken from the Fraction-arithmetic scans
+
+_HALF, _TWO_THIRDS = Fraction(1, 2), Fraction(2, 3)
+
+
+def _q(rows):
+    return ExactMatrix.from_rows(RATIONALS, rows)
+
+
+def _q_corner_space():
+    # nilpotent exactly where the corner coefficient t_0 is 0
+    return _space(RATIONALS, 3, _q([[0, _HALF, 0], [0, 0, _TWO_THIRDS], [0, 0, 0]]), [
+        _q([[0, 0, 0], [0, 0, 0], [_HALF, 0, 0]]),
+        _q([[0, 0, _TWO_THIRDS], [0, 0, 0], [0, 0, 0]]),
+    ])
+
+
+def _q_rank_space():
+    # rank 1 where t_0 = 0, rank 2 elsewhere
+    return _space(RATIONALS, 3, _q([[0, _HALF, 0], [0, 0, 0], [0, 0, 0]]), [
+        _q([[0, 0, 0], [0, 0, _HALF], [0, 0, 0]]),
+        _q([[0, 0, _TWO_THIRDS], [0, 0, 0], [0, 0, 0]]),
+    ])
+
+
+@pytest.mark.parametrize("verify, space, method, checks, t, member, notes", [
+    (verify_all_nilpotent, _q_corner_space, "grid", 5, (1, 0),
+     [[0, _HALF, 0], [0, 0, _TWO_THIRDS], [_HALF, 0, 0]], ()),
+    (lambda space: verify_constant_rank(space, 1), _q_rank_space, "grid", 5, (1, 0),
+     [[0, _HALF, 0], [0, 0, _HALF], [0, 0, 0]], ()),
+    (lambda space: verify_constant_rank(space, 3, seed=5), _q_rank_space, "random", 1,
+     (306319, -464293),
+     [[0, _HALF, Fraction(-928586, 3)], [0, 0, Fraction(306319, 2)], [0, 0, 0]],
+     ("rank <= 3 holds for every 3x3 matrix",
+      "rank lower bound is not a polynomial identity; sampled only")),
+], ids=["nilpotency grid", "rank upper bound grid", "sampled rank lower bound"])
+def test_rational_refutations_hand_back_fraction_points_and_members(
+    verify, space, method, checks, t, member, notes
+):
+    space = space()
+    out = verify(space)
+    assert (out.status, out.method, out.checks_performed, out.notes) == (
+        "REFUTED", method, checks, notes)
+    w = out.witness
+    assert w.coefficients == t and all(type(c) is Fraction for c in w.coefficients)
+    assert w.matrix == _q(member) == space.member(w.coefficients)
+    assert all(type(x) is Fraction for row in w.matrix.rows for x in row)
+
+
+def test_rational_scans_do_no_fraction_arithmetic_per_member(monkeypatch):
+    from nilspace import trace_condition_verify
+
+    space = _space(RATIONALS, 4, _q([[0, _HALF, 0, 0], [0, 0, _TWO_THIRDS, 0], [0] * 4, [0] * 4]), [
+        _q([[0, 0, Fraction(1, 5), 0], [0] * 4, [0] * 4, [0] * 4]),
+        _q([[0, 0, 0, Fraction(3, 7)], [0] * 4, [0] * 4, [0] * 4]),
+        _q([[0, 0, 0, 0], [0, 0, 0, _HALF], [0] * 4, [0] * 4]),
+    ])
+    basis = [space.base, *space.directions]
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__floordiv__", "__pow__", "__neg__"):
+        def counted(*args, _op=getattr(Fraction, name)):
+            calls.append(_op)
+            return _op(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    outcomes = [
+        verify_all_nilpotent(space),
+        verify_all_nilpotent(space, method="random", sample_count=50),
+        verify_constant_rank(space, 2, sample_count=50),
+        trace_condition_verify(basis, 3),
+        trace_condition_verify(basis, 3, budget=10, sample_count=50),
+    ]
+    monkeypatch.undo()
+    assert [o.status for o in outcomes] == ["PROVED", "SAMPLED_PASS", "SAMPLED_PASS",
+                                            "PROVED", "SAMPLED_PASS"]
+    assert sum(o.checks_performed for o in outcomes) == 125 + 50 + 175 + 256 + 50
+    assert calls == []
