@@ -115,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pruning", choices=("auto", "none", "trace"), default="auto")
     p.add_argument("--restarts", type=_positive_int, default=5)
-    p.add_argument("--emit-constraints", action="store_true",
-                   help="include the trace-constraint coefficient matrices in the report")
     _add_common(p)
     p.set_defaults(func=_cmd_search)
 
@@ -325,11 +323,6 @@ def _cmd_search(args) -> int:
         pruning=args.pruning, seed=args.seed, restarts=args.restarts,
     )
     obj = serialize.search_report_to_obj(report)
-    if args.emit_constraints and report.pruning == "trace":
-        constraints = reduction.linear_trace_constraints(
-            report.witness.base, args.n - 1
-        )
-        obj["trace_constraints"] = serialize.constraints_to_obj(constraints)
     print(f"searched {report.evaluations} member evaluations in "
           f"{report.wall_time:.2f}s", file=sys.stderr)
     text = (f"max dimension {report.max_dim_found} ({report.status}) for "

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 # Moduli are restricted to machine-word size; extension fields are out of scope.
 MAX_PRIME = 2**63
@@ -42,15 +42,9 @@ class FieldSpec:
     raises ``ZeroDivisionError``.
     """
 
-    kind: str
-
     @property
     def cardinality(self):
         raise NotImplementedError
-
-    @property
-    def is_finite(self) -> bool:
-        return self.cardinality != math.inf
 
     def normalize(self, x) -> RawScalar:
         raise NotImplementedError
@@ -84,10 +78,6 @@ class FieldSpec:
     def one(self) -> RawScalar:
         raise NotImplementedError
 
-    def elements(self) -> Iterator[RawScalar]:
-        """Iterate all field elements (finite fields only)."""
-        raise NotImplementedError
-
     def scalar(self, x) -> "Scalar":
         return Scalar(self.normalize(x), self)
 
@@ -95,7 +85,6 @@ class FieldSpec:
 class PrimeField(FieldSpec):
     """The field of integers modulo a prime ``p``."""
 
-    kind = "prime"
     __slots__ = ("p",)
 
     def __init__(self, p: int):
@@ -152,9 +141,6 @@ class PrimeField(FieldSpec):
     def one(self) -> int:
         return 1
 
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.p))
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -168,7 +154,6 @@ class PrimeField(FieldSpec):
 class RationalField(FieldSpec):
     """The field of rational numbers with arbitrary-precision fractions."""
 
-    kind = "rational"
     __slots__ = ()
 
     @property
@@ -211,9 +196,6 @@ class RationalField(FieldSpec):
     @property
     def one(self) -> Fraction:
         return Fraction(1)
-
-    def elements(self):
-        raise ValueError("the rationals cannot be enumerated")
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

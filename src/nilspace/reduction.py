@@ -23,16 +23,14 @@ from .errors import (
     PreconditionUnmetError,
 )
 from .fields import FieldSpec, PrimeField, RawScalar
-from .matrices import ExactMatrix, _matmul, _modulus, identity_matrix, is_nilpotent
+from .matrices import ExactMatrix, _matmul, _modulus, identity_matrix, inverse, is_nilpotent
 from .spaces import (
     DEFAULT_BUDGET,
     DEFAULT_SAMPLES,
-    PROVED,
-    REFUTED,
     VerificationOutcome,
-    _integer_rows,
     _run_sampling,
     _scan_grid,
+    _scan_rows,
 )
 
 
@@ -79,31 +77,14 @@ def shift_poly_matrix(sp: ShiftPolynomial) -> ExactMatrix:
     return ExactMatrix(field, tuple(rows))
 
 
-def _poly_mul_trunc(a, b, n, field):
-    out = [field.zero] * n
-    add, mul = field.add, field.mul
-    for i, x in enumerate(a):
-        if x == field.zero:
-            continue
-        for j, y in enumerate(b):
-            if i + j >= n:
-                break
-            out[i + j] = add(out[i + j], mul(x, y))
-    return out
-
-
 def shift_poly_inverse(sp: ShiftPolynomial) -> ShiftPolynomial:
-    """Inverse in the shift-polynomial group via the alternating power series
-    I - N + N^2 - ... of the nilpotent part N."""
-    field = sp.field
-    n = sp.n
-    neg_n_part = [field.zero] + [field.neg(c) for c in sp.coefficients]
-    acc = [field.one] + [field.zero] * (n - 1)
-    term = acc[:]
-    for _ in range(1, n):
-        term = _poly_mul_trunc(term, neg_n_part, n, field)
-        acc = [field.add(x, y) for x, y in zip(acc, term)]
-    return ShiftPolynomial(field, n, tuple(acc[1:]))
+    """Inverse in the shift-polynomial group.
+
+    The inverse of a unit upper-triangular Toeplitz matrix is again one, so
+    the first row of ``inverse(shift_poly_matrix(sp))`` past its unit
+    diagonal entry holds the inverse's coefficients.
+    """
+    return ShiftPolynomial(sp.field, sp.n, inverse(shift_poly_matrix(sp)).rows[0][1:])
 
 
 def conjugate_by_shift(a: ExactMatrix, sp: ShiftPolynomial, side: str) -> ExactMatrix:
@@ -117,7 +98,7 @@ def conjugate_by_shift(a: ExactMatrix, sp: ShiftPolynomial, side: str) -> ExactM
     if not a.is_square or a.n_rows != sp.n:
         raise ValueError(f"expected a {sp.n}x{sp.n} matrix")
     c = shift_poly_matrix(sp)
-    c_inv = shift_poly_matrix(shift_poly_inverse(sp))
+    c_inv = inverse(c)
     if side == "C_inv_A_C":
         return c_inv @ a @ c
     return c @ a @ c_inv
@@ -246,10 +227,11 @@ def trace_condition_verify(
         return [(b, a, rows[b][a]) for b in range(n) for a in range(n) if rows[b][a]]
 
     nz = [nonzero_entries(rows) for rows in basis_rows]
-    # the scans test integer multiples of the members over Q; scaling each
-    # B to integers too keeps every trace an int and each verdict unchanged
-    nz_scan = nz if p else [nonzero_entries(rows) for rows in _integer_rows(basis_rows)]
-    values = list(range(m_max + 1))
+    zero_rows = tuple((field.zero,) * n for _ in range(n))
+    # over Q the scans test L M in place of each member M; scaling each B
+    # by the same L keeps every trace an int and each verdict unchanged
+    _, scan_basis, _ = _scan_rows(field, zero_rows, basis_rows)
+    nz_scan = [nonzero_entries(rows) for rows in scan_basis]
     total = (m_max + 1) ** d
 
     def first_nonzero_trace(rows, entries_of):
@@ -272,8 +254,6 @@ def trace_condition_verify(
         m, b_idx, val = found
         return TraceWitness(tuple(t), b_idx, span_basis[b_idx], m, val)
 
-    zero_rows = tuple((field.zero,) * n for _ in range(n))
-
     def fails(rows):
         return first_nonzero_trace(rows, nz_scan) is not None
 
@@ -286,15 +266,10 @@ def trace_condition_verify(
         )
 
     fails_batch = _fails_trace_batch(basis_rows, m_max, p) if p else None
-    t, rows, checked = _scan_grid(
-        zero_rows, basis_rows, values, field, fails, fails_batch, n * n,
+    return _scan_grid(
+        field, zero_rows, basis_rows, list(range(m_max + 1)), "grid", fails,
+        check_point, fails_batch, n * n,
     )
-    if t is not None:
-        return VerificationOutcome(
-            status=REFUTED, method="grid", checks_performed=checked,
-            witness=check_point(t, rows),
-        )
-    return VerificationOutcome(status=PROVED, method="grid", checks_performed=checked)
 
 
 def linear_trace_constraints(p_mat: ExactMatrix, m_max: int) -> tuple[ExactMatrix, ...]:

@@ -138,12 +138,6 @@ def shift_poly_to_obj(sp: ShiftPolynomial) -> dict:
     }
 
 
-def constraints_to_obj(constraints) -> list[dict]:
-    """Linear functionals as their coefficient matrices: the functional value
-    is sum over (i, j) of coeff[i][j] * X[i][j]."""
-    return [matrix_to_obj(c) for c in constraints]
-
-
 def search_report_to_obj(r: SearchReport) -> dict:
     # wall_time is intentionally omitted: identical (config, seed) runs must
     # serialize byte-identically

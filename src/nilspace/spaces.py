@@ -16,18 +16,16 @@ Outcomes record the method used so a PROVED status never rests on sampling.
 
 Members are tested with the exact kernels of :mod:`nilspace.matrices`,
 ``_rank`` (capped at r + 1) and ``_is_nilpotent``, which serve F_p and Q
-alike.  ``_run_sampling`` is the one seeded sampling loop, shared with
-``reduction.trace_condition_verify``.
+alike.  There is one path from points to an outcome for each way of
+choosing them, shared with ``reduction.trace_condition_verify``:
+``_scan_grid`` scans a grid or the whole field and returns PROVED or
+REFUTED, and ``_run_sampling`` is the one seeded sampling loop.  Both hand
+a failing point and member to a caller's witness builder.
 
-Rational scans run on integer members.  The base and direction rows are
-scaled once by the lcm L of all their denominators, grid values and
-samples are integers, and each member M is tested as the integer matrix
-L M; no Fraction arithmetic runs per member.  The contract that makes this
-sound: a predicate handed to ``_scan_grid`` or ``_run_sampling`` gives the
-same verdict at c M as at M for every nonzero rational c.  Nilpotency and
-rank are unchanged by scaling, and tr((c M)^m B) = c^m tr(M^m B).  A
-refutation reports the point as Fractions and the member rebuilt from the
-original rows, the exact rational witness.
+Rational scans run on integer members: ``_scan_rows`` scales the rows
+once, by the lcm of all their denominators, and rebuilds a failing point
+and member as Fractions.  Its docstring states the scale-invariance
+contract every predicate obeys.
 
 Over F_p, grid and exhaustive scans of at least ``_NUMPY_MIN_POINTS`` points
 run batched in numpy (``_scan_numpy``): nilpotency by repeated squaring,
@@ -44,7 +42,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
@@ -170,14 +168,34 @@ def _combine_rows(base_rows, dir_rows_list, coeffs, field):
     return rows
 
 
-def _integer_rows(row_sets):
-    """Over Q: each set of rows times L, as int rows, L the lcm of the
-    denominators of all their entries."""
-    unit = lcm(*[x.denominator for rows in row_sets for row in rows for x in row])
-    return [
-        tuple(tuple(x.numerator * (unit // x.denominator) for x in row) for row in rows)
-        for rows in row_sets
-    ]
+def _scan_rows(field, base_rows, dir_rows_list):
+    """The rows a scan or sampling loop tests, and ``rebuild(t, rows)``,
+    which turns a failing scanned point and member into the exact ones.
+
+    Over F_p the rows are the space's own and ``rebuild`` is the identity.
+    Over Q the rows are scaled by the lcm L of the denominators of all of
+    them, the points are integers, and each member M is tested as the
+    integer matrix L M = L base + sum t_i (L dir_i); no Fraction arithmetic
+    runs per member.  ``rebuild`` returns the point as Fractions and the
+    member built from the original rows.  This is the one place rational
+    scans are scaled, and it is sound under one contract: a predicate
+    handed to ``_scan_grid`` or ``_run_sampling`` gives the same verdict at
+    c M as at M for every nonzero rational c.  Nilpotency and rank are
+    unchanged by scaling, and tr((c M)^m B) = c^m tr(M^m B).
+    """
+    if isinstance(field, PrimeField):
+        return base_rows, dir_rows_list, lambda t, rows: (t, rows)
+    unit = lcm(*[x.denominator for rows in (base_rows, *dir_rows_list)
+                 for row in rows for x in row])
+
+    def scaled(rows):
+        return tuple(tuple(x.numerator * (unit // x.denominator) for x in row) for row in rows)
+
+    def rebuild(t, _rows):
+        t = tuple(map(Fraction, t))
+        return t, _combine_rows(base_rows, dir_rows_list, t, field)
+
+    return scaled(base_rows), [scaled(rows) for rows in dir_rows_list], rebuild
 
 
 def _iter_members(base_rows, dir_rows_list, values, field) -> Iterator[tuple[tuple, tuple]]:
@@ -219,35 +237,36 @@ def _fits_int64(p: int, terms: int) -> bool:
     return terms * (p - 1) ** 2 + (p - 1) < 2**63
 
 
-def _scan_grid(base_rows, dir_rows_list, values, field, fails, fails_batch, terms):
-    """``_scan`` over the grid, batched by ``_scan_numpy`` when the field is
-    F_p, the grid has at least ``_NUMPY_MIN_POINTS`` points and the int64
-    bound holds.  ``fails_batch`` is the batch form of ``fails`` and
-    ``terms`` the longest dot product it computes.
+def _scan_grid(field, base_rows, dir_rows_list, values, method, fails, witness,
+               fails_batch, terms) -> VerificationOutcome:
+    """Scan the members ``base + sum t_i dir_i`` over the grid ``values^d``:
+    REFUTED at the first member ``fails`` flags, with ``witness(t, rows)``
+    as its witness, else PROVED; both labelled ``method``.  This is the one
+    path from a grid or exhaustive scan to an outcome.
 
-    Over Q the grid values are integers and the scan runs on integer
-    members: with L the lcm of the denominators of all rows, it tests
-    L M = L base + sum t_i (L dir_i) in place of each member M, and hands
-    back the failing point as Fractions with the member rebuilt from the
-    original rows.  This is sound because ``fails`` must give the same
-    verdict at c M as at M for every nonzero c, as nilpotency, rank and
-    the vanishing of tr(M^m B) (which scales by c^m) do.
+    Over F_p the scan is batched by ``_scan_numpy`` when the grid has at
+    least ``_NUMPY_MIN_POINTS`` points and the int64 bound holds;
+    ``fails_batch`` is the batch form of ``fails`` and ``terms`` the longest
+    dot product it computes.  Over Q it runs on the integer members of
+    ``_scan_rows``.
     """
     d = len(dir_rows_list)
-    if not isinstance(field, PrimeField):
-        base, *dirs = _integer_rows([base_rows, *dir_rows_list])
-        t, _, checked = _scan(base, dirs, values, field, fails)
-        if t is None:
-            return None, None, checked
-        t = tuple(map(Fraction, t))
-        return t, _combine_rows(base_rows, dir_rows_list, t, field), checked
+    scan_base, scan_dirs, rebuild = _scan_rows(field, base_rows, dir_rows_list)
     if (
-        len(values) ** d >= _NUMPY_MIN_POINTS
+        isinstance(field, PrimeField)
+        and len(values) ** d >= _NUMPY_MIN_POINTS
         and _fits_int64(field.p, max(terms, d))
     ):
-        return _scan_numpy(base_rows, dir_rows_list, values, field.p,
-                           len(base_rows), fails_batch, terms)
-    return _scan(base_rows, dir_rows_list, values, field, fails)
+        t, rows, checked = _scan_numpy(scan_base, scan_dirs, values, field.p,
+                                       len(base_rows), fails_batch, terms)
+    else:
+        t, rows, checked = _scan(scan_base, scan_dirs, values, field, fails)
+    if t is None:
+        return VerificationOutcome(status=PROVED, method=method, checks_performed=checked)
+    return VerificationOutcome(
+        status=REFUTED, method=method, checks_performed=checked,
+        witness=witness(*rebuild(t, rows)),
+    )
 
 
 def _scan_numpy(base_rows, dir_rows_list, values, p, n, fails_batch, terms):
@@ -351,13 +370,6 @@ def _witness(space: AffineMatrixSpace, t, rows, fails) -> Witness:
     return witness
 
 
-def _refuted(space: AffineMatrixSpace, t, rows, checks, method, fails) -> VerificationOutcome:
-    return VerificationOutcome(
-        status=REFUTED, method=method, checks_performed=checks,
-        witness=_witness(space, t, rows, fails),
-    )
-
-
 def _sample_points(field: FieldSpec, d: int, sample_count: int, seed: int):
     """``sample_count`` seeded random coefficient vectors of length ``d``;
     over Q integers in [-10^6, 10^6]."""
@@ -375,35 +387,31 @@ def _run_sampling(field, base_rows, dir_rows_list, fails, witness, sample_count,
                   seed, notes) -> VerificationOutcome:
     """Seeded random sampling of the members ``base + sum t_i dir_i``:
     REFUTED at the first member ``fails`` flags, with ``witness(t, rows)``
-    as its witness, else SAMPLED_PASS.
-
-    Over Q the samples are integers and each member M is tested as L M, L
-    the lcm of the denominators of all rows, under the contract of
-    ``_scan_grid``: ``fails`` gives the same verdict at c M as at M.  The
-    witness gets the point as Fractions and the member rebuilt from the
-    original rows.
+    as its witness, else SAMPLED_PASS.  This is the one sampling loop; over
+    Q it tests the integer members of ``_scan_rows`` at integer samples.
     """
-    rational = not isinstance(field, PrimeField)
-    scan_base, *scan_dirs = (
-        _integer_rows([base_rows, *dir_rows_list]) if rational
-        else [base_rows, *dir_rows_list]
-    )
+    scan_base, scan_dirs, rebuild = _scan_rows(field, base_rows, dir_rows_list)
     checked = 0
     for t in _sample_points(field, len(dir_rows_list), sample_count, seed):
         rows = _combine_rows(scan_base, scan_dirs, t, field)
         checked += 1
         if fails(rows):
-            if rational:
-                t = tuple(map(Fraction, t))
-                rows = _combine_rows(base_rows, dir_rows_list, t, field)
             return VerificationOutcome(
                 status=REFUTED, method="random", checks_performed=checked,
-                witness=witness(t, rows), sample_count=sample_count, seed=seed,
-                notes=tuple(notes),
+                witness=witness(*rebuild(t, rows)), sample_count=sample_count,
+                seed=seed, notes=tuple(notes),
             )
     return VerificationOutcome(
         status=SAMPLED_PASS, method="random", checks_performed=checked,
         sample_count=sample_count, seed=seed, notes=tuple(notes),
+    )
+
+
+def _scan_space(space, values, method, fails, fails_batch, terms) -> VerificationOutcome:
+    return _scan_grid(
+        space.field, space.base.rows, [m.rows for m in space.directions], values,
+        method, fails, lambda t, rows: _witness(space, t, rows, fails),
+        fails_batch, terms,
     )
 
 
@@ -427,11 +435,7 @@ def combine_outcomes(*outcomes: VerificationOutcome) -> VerificationOutcome:
     notes = tuple(note for o in outcomes for note in o.notes)
     for o in outcomes:
         if o.refuted:
-            return VerificationOutcome(
-                status=REFUTED, method=o.method, checks_performed=checks,
-                witness=o.witness, sample_count=o.sample_count, seed=o.seed,
-                notes=notes,
-            )
+            return replace(o, checks_performed=checks, notes=notes)
     weakest = min(outcomes, key=lambda o: _METHOD_STRENGTH[o.method])
     status = PROVED if all(o.proved for o in outcomes) else SAMPLED_PASS
     return VerificationOutcome(
@@ -498,17 +502,11 @@ def verify_all_nilpotent(
             space, fails, sample_count, seed,
             (f"grid of {total} points exceeded budget {budget}; sampled instead",),
         )
-    dir_rows = [m.rows for m in space.directions]
     fails_batch = (
         _fails_nilpotency_batch(space.field.p, n)
         if isinstance(space.field, PrimeField) else None
     )
-    t, rows, checked = _scan_grid(
-        space.base.rows, dir_rows, values, space.field, fails, fails_batch, n
-    )
-    if t is not None:
-        return _refuted(space, t, rows, checked, used, fails)
-    return VerificationOutcome(status=PROVED, method=used, checks_performed=checked)
+    return _scan_space(space, values, used, fails, fails_batch, n)
 
 
 def verify_constant_rank(
@@ -532,52 +530,41 @@ def verify_constant_rank(
         raise ValueError(f"rank must lie in [0, {n}]")
     field = space.field
     p = _modulus(field)
-    dir_rows = [m.rows for m in space.directions]
 
     # the rank capped at r + 1 decides both predicates
     def fails_exact(rows):
         return _rank(rows, p, r) != r
 
-    if isinstance(field, PrimeField):
-        total = field.p ** space.d
-        if total <= budget:
-            values = list(range(field.p))
-            t, rows, checked = _scan_grid(
-                space.base.rows, dir_rows, values, field, fails_exact,
-                lambda members: _rank_mod_p_batch(members, field.p) != r, 2,
-            )
-            if t is not None:
-                return _refuted(space, t, rows, checked, "exhaustive", fails_exact)
-            return VerificationOutcome(
-                status=PROVED, method="exhaustive", checks_performed=checked
-            )
+    if isinstance(field, PrimeField) and field.p ** space.d <= budget:
+        return _scan_space(
+            space, list(range(field.p)), "exhaustive", fails_exact,
+            lambda members: _rank_mod_p_batch(members, field.p) != r, 2,
+        )
 
-    # budget rules out exhaustion (always the case over the rationals)
+    # budget rules out exhaustion (always the case over the rationals); the
+    # grid proves the upper bound when the field has n + 1 values for it
     parts = []
     if r >= n:
         parts.append(VerificationOutcome(
             status=PROVED, method="exhaustive", checks_performed=0,
             notes=(f"rank <= {n} holds for every {n}x{n} matrix",),
         ))
-    else:
+    elif (
+        not (isinstance(field, PrimeField) and field.p < n + 1)
+        and (n + 1) ** space.d <= budget
+    ):
         def fails_upper(rows):
             return _rank(rows, p, r) > r
 
-        try:
-            values, used = _choose_points(space, n, "grid")
-        except ValueError:
-            values, used = None, None
-        if values is not None and len(values) ** space.d <= budget:
-            t, rows, checked = _scan_grid(
-                space.base.rows, dir_rows, values, field, fails_upper,
-                lambda members: _rank_mod_p_batch(members, field.p) > r, 2,
-            )
-            if t is not None:
-                return _refuted(space, t, rows, checked, used, fails_upper)
-            parts.append(VerificationOutcome(
-                status=PROVED, method=used, checks_performed=checked,
-                notes=(f"rank <= {r} proved by vanishing of all {r + 1}-minors on a grid",),
-            ))
+        upper = _scan_space(
+            space, list(range(n + 1)), "grid", fails_upper,
+            lambda members: _rank_mod_p_batch(members, field.p) > r, 2,
+        )
+        if upper.refuted:
+            return upper
+        parts.append(replace(upper, notes=(
+            f"rank <= {r} proved by vanishing of all {r + 1}-minors on a grid",
+        )))
 
     if r == 0:
         parts.append(VerificationOutcome(
@@ -624,12 +611,7 @@ def direction_nilpotency(
         space.direction_span_space(), budget,
         method=method, sample_count=sample_count, seed=seed,
     )
-    return VerificationOutcome(
-        status=outcome.status, method=outcome.method,
-        checks_performed=outcome.checks_performed, witness=outcome.witness,
-        sample_count=outcome.sample_count, seed=outcome.seed,
-        notes=notes + outcome.notes,
-    )
+    return replace(outcome, notes=notes + outcome.notes)
 
 
 def corner_entry_check(space: AffineMatrixSpace) -> VerificationOutcome:

@@ -263,6 +263,14 @@ GOLDEN_CASES = {
         ["verify", "--input", "{conjecture_q}", "--rank", "1"], 1),
     "verify_conjecture_n4_q_rank3_seed3": (
         ["verify", "--input", "{conjecture_q}", "--rank", "3", "--seed", "3"], 1),
+    # over budget: every check falls back to sampling; at 50000 the grid
+    # still proves the rank upper bound while the lower bound is sampled
+    "verify_rank_full_n5_f7_budget1000_seed2": (
+        ["verify", "--input", "{rank_full}", "--nilpotent", "--rank", "4",
+         "--trace", "4", "--budget", "1000", "--samples", "40", "--seed", "2"], 3),
+    "verify_rank_full_n5_f7_budget50000_seed2": (
+        ["verify", "--input", "{rank_full}", "--nilpotent", "--rank", "4",
+         "--budget", "50000", "--samples", "40", "--seed", "2"], 3),
 }
 
 

@@ -162,6 +162,28 @@ def test_sampling_never_proves():
     assert out.status == "SAMPLED_PASS"
 
 
+@pytest.mark.parametrize("call, expected", [
+    # r = 0 on the zero space: the grid proves the upper bound and the
+    # lower bound needs no samples
+    (lambda: verify_constant_rank(
+        _space(RATIONALS, 2, ExactMatrix.zeros(2, 2, RATIONALS), ()), 0),
+     ("PROVED", "grid", 1, ("rank <= 0 proved by vanishing of all 1-minors on a grid",
+                            "rank >= 0 is vacuous"))),
+    # an explicitly requested grid over budget raises instead of sampling
+    (lambda: verify_all_nilpotent(witness_rank_full(5, F7), 10, method="grid"),
+     BudgetExceededError("46656 points exceed the budget of 10")),
+], ids=["rank 0 on the zero space", "explicit grid over budget"])
+def test_rarely_taken_verifier_branches(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as info:
+            call()
+        assert str(info.value) == str(expected)
+        return
+    out = call()
+    assert (out.status, out.method, out.checks_performed, out.notes) == expected
+    assert out.witness is None and out.sample_count is None
+
+
 def test_direction_nilpotency_examples():
     out = direction_nilpotency(witness_rank_full(4, F5))
     assert out.status == "PROVED"
