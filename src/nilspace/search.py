@@ -13,11 +13,14 @@ this compatibility graph of the pool lines and visits each valid W once.
 
 Only the pool build evaluates members; it charges them against the budget,
 and running out of budget leaves a partial pool and downgrades the result to
-a lower bound, it never aborts.  The pool build carries tr(X), tr(BX) and
-tr(X^2) through its enumeration of the lines X; since B is nilpotent they
-decide tr(B + sX) and tr((B + sX)^2), so most lines are rejected at member
-1 on these values alone, charged the 1 evaluation that member 1 costs,
-without building a member.  The bases share the budget: each one in
+a lower bound, it never aborts.  The pool build carries quadratic forms of
+the lines X through its enumeration, one item per run of the last
+coefficient: the trace invariants tr(X), tr(BX), tr(X^2), which decide
+member 1, and under trace pruning a quadric screen of forms that vanish on
+every pool line, u^T X B^T X v (u in coker B, v in ker B) and tr(BX^2),
+each gated in code on its field-size bound.  Most lines fail one of them
+and are rejected from the run's values alone, charged 1 evaluation, without
+building X or a member.  The bases share the budget: each one in
 turn gets an equal share of what is left, so a base's unused share flows on
 to the later ones and the first base cannot starve the rest.
 """
@@ -28,7 +31,7 @@ import logging
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import reduction
 from .catalog import conjecture_bound, witness_conjecture
@@ -65,7 +68,8 @@ _log = logging.getLogger("nilspace.search")
 _BASE_RECORD = (
     "base %(partition)s: kernel dimension %(kernel_dim)d, %(lines_tested)d lines "
     "tested, %(at_invariants)d rejected on trace invariants at member 1, "
-    "%(at_member_test)d by the member test, %(kept)d kept; %(evaluations)d "
+    "%(at_screen)d on the quadric screen, %(at_member_test)d by the member test, "
+    "%(kept)d kept; %(evaluations)d "
     "evaluations; pool %(pool_s).3f s, complete %(complete)s; graph %(graph_s).3f s, "
     "%(edges)d edges; %(mode)s search %(search_s).3f s, %(nodes)d nodes, best "
     "dimension so far %(best_dim)d"
@@ -77,10 +81,10 @@ class CandidatePool:
     """Direction candidates whose whole line through the base passes the
     nilpotent constant-rank test, one canonical representative per line.
 
-    ``pruned_by_rank`` counts every tested line that failed its member test,
-    whichever check failed: the trace at member 1, tr(M^2), the rank or
-    nilpotency.  ``pruned_by_trace`` counts the lines outside the enumerated
-    kernel."""
+    ``pruned_by_rank`` counts every tested line that was rejected, whichever
+    check rejected it: the trace invariants at member 1, the quadric screen,
+    or the member test (tr(M^2), the rank or nilpotency).
+    ``pruned_by_trace`` counts the lines outside the enumerated kernel."""
 
     base: ExactMatrix
     candidates: tuple[ExactMatrix, ...]
@@ -163,70 +167,95 @@ def _line_count(p: int, dim: int) -> int:
 
 
 def _kernel_lines(
-    kernel: Sequence[tuple[int, ...]], base_flat: tuple[int, ...], n: int, p: int
+    kernel: Sequence[tuple[int, ...]],
+    forms: Sequence[tuple[list[int], list[list[int]]]],
+    p: int,
+    classify: Callable[[tuple], Any],
 ) -> Iterator[tuple]:
-    """One member x of each line of the span of ``kernel`` (flattened n x n
-    matrices), with tr(x), tr(Bx) and tr(x^2) for the flattened ``base_flat``
-    B, yielded as (tr(x), tr(Bx), tr(x^2), vec, step, a): x is ``vec`` when
-    a = 0 and vec + a*step otherwise, built only by a caller that needs it.
+    """The lines of the span of ``kernel`` (flattened n x n matrices), one
+    item per run of the last coefficient: (classify(polys), size, lead,
+    coefficients).
 
-    Lead coefficient 1, later coefficients free, the last one fastest.  An
-    odometer over the outer free coefficients keeps a stack of partial sums
-    x with beta(x) = (tr(x u_j))_j, u_j the basis; adding u_j adds
-    2 beta_j + G_jj to tr(x^2) and row j of the Gram matrix G_ij = tr(u_i u_j)
-    to beta, and the last coefficient's p lines take O(1) each:
-    tr((x + (a + 1)v)^2) = tr((x + av)^2) + 2 beta_v(x) + (2a + 1) G_vv."""
-    transposed = [j * n + i for i in range(n) for j in range(n)]
+    Lines have lead coefficient 1 and later coefficients free, the last one
+    fastest.  A run is the ``size`` = p lines x0 + a*v, a = 0..p-1, v the
+    last basis vector and x0 = u_lead + sum_l coefficients[l] u_(lead+1+l);
+    the last lead has one line, x0 = v, and size 1.  ``coefficients`` is the
+    odometer's own list: read it before asking for the next item.
 
-    def trace_form(u, v):  # tr(uv)
-        return sum(x * v[k] for x, k in zip(u, transposed)) % p
+    Each form (lam, M) of ``forms`` is phi(c) = sum_j lam_j c_j +
+    sum_ij M_ij c_i c_j on the coordinates c over ``kernel``, and ``polys``
+    holds, per form, (phi(x0), b, M_vv) with phi(x0 + a v) = phi(x0) + a b +
+    a^2 M_vv.  ``classify`` runs once per distinct ``polys``; its result is
+    reused.
 
-    gram = [[trace_form(u, v) for v in kernel] for u in kernel]
-    traces = [sum(u[::n + 1]) % p for u in kernel]
-    base_traces = [trace_form(base_flat, u) for u in kernel]
-    nonzeros = [[(k, y) for k, y in enumerate(u) if y] for u in kernel]
+    An odometer over the middle coefficients keeps a stack of packed
+    states: per form, phi(x) and the differences D_j = phi(x + u_j) - phi(x),
+    one field of w + 1 bits each, packed as in ``_line_graph``.  Adding u_j
+    adds D_j to phi and S_ij = M_ij + M_ji to every D_i: one shift, mask and
+    add, and one packed reduction mod p, however many forms there are.  The
+    low two blocks, phi(x0) and D_v, are the run's key; the partial-sum
+    vector x0 is never built here."""
+    d = len(kernel)
+    last = d - 1
+    w = (2 * p - 2).bit_length()
+    width = w + 1
+    block = len(forms) * width  # block 0: phi; block d - j: D_j
+    low = (1 << w) - 1
+    ones = sum(1 << (k * width) for k in range(len(forms) * (d + 1)))
+    k_const = ones * ((1 << w) - p)
+    values = (1 << block) - 1
+    key_mask = (1 << 2 * block) - 1
+    sym = [[[(g[i][j] + g[j][i]) % p for j in range(d)] for i in range(d)] for _, g in forms]
+    curv = [g[last][last] % p for _, g in forms]
 
-    def bump(state, j):  # x -> x + u_j
-        vec, tr_x, tr_bx, q, beta = state
-        vec = list(vec)
-        for k, y in nonzeros[j]:
-            vec[k] = (vec[k] + y) % p
-        return (
-            tuple(vec), (tr_x + traces[j]) % p, (tr_bx + base_traces[j]) % p,
-            (q + 2 * beta[j] + gram[j][j]) % p,
-            [(b + g) % p for b, g in zip(beta, gram[j])],
+    def pack(phi, diffs):  # per form: phi, and D_i for i = 0..d-1
+        return sum(
+            (x % p) << (b * block + f * width)
+            for b, fields in enumerate([phi, *reversed(diffs)]) for f, x in enumerate(fields)
         )
 
-    last = len(kernel) - 1
+    def start(lead):  # the state at x = u_lead
+        return pack([lam[lead] + g[lead][lead] for lam, g in forms], [
+            [lam[i] + s[lead][i] + g[i][i] for (lam, g), s in zip(forms, sym)]
+            for i in range(d)
+        ])
+
+    incs = [pack([0] * len(forms), [[s[i][j] for s in sym] for i in range(d)]) for j in range(d)]
+    shifts = [(d - j) * block for j in range(d)]
+    memo: dict[int, Any] = {}
+
+    def classified(key):  # phi(x0) in block 0, D_v = b + M_vv in block 1
+        got = memo[key] = classify(tuple(
+            (key >> (f * width) & low, ((key >> (block + f * width) & low) - c) % p, c)
+            for f, c in enumerate(curv)
+        ))
+        return got
+
     for lead in range(last + 1):
-        state = (kernel[lead], traces[lead], base_traces[lead], gram[lead][lead], gram[lead])
         if lead == last:
-            yield state[1], state[2], state[3], kernel[lead], (), 0
+            yield classified(start(lead) & key_mask), 1, lead, []
             continue
-        step, d_tr, d_trb, g = kernel[last], traces[last], base_traces[last], gram[last][last]
         m = last - lead - 1  # odometer levels: coefficients lead + 1 .. last - 1
         counters = [0] * m
-        stack = [state] * (m + 1)
+        stack = [start(lead)] * (m + 1)
         while True:
-            vec, tr_x, tr_bx, q, beta = stack[m]
-            dq = 2 * beta[last] + g
-            for a in range(p):
-                yield tr_x, tr_bx, q, vec, step, a
-                tr_x = (tr_x + d_tr) % p
-                tr_bx = (tr_bx + d_trb) % p
-                q = (q + dq) % p
-                dq += 2 * g
+            key = stack[m] & key_mask
+            got = memo.get(key)
+            if got is None:
+                got = classified(key)
+            yield got, p, lead, counters
             lvl = m - 1
             while lvl >= 0:
                 counters[lvl] += 1
                 if counters[lvl] < p:
-                    bumped = bump(stack[lvl + 1], lead + 1 + lvl)
-                    for j in range(lvl + 1, m + 1):
-                        stack[j] = bumped
-                    for j in range(lvl + 1, m):
-                        counters[j] = 0
+                    j = lead + 1 + lvl
+                    s = stack[lvl + 1]
+                    s += (s >> shifts[j] & values) + incs[j]
+                    s -= ((s + k_const) >> w & ones) * p
+                    for k in range(lvl + 1, m + 1):
+                        stack[k] = s
                     break
-                counters[lvl] = 0
+                counters[lvl] = 0  # carried: the levels below restart at 0
                 lvl -= 1
             if lvl < 0:
                 break
@@ -296,6 +325,110 @@ def _domain_rows(base: ExactMatrix, r: int, p: int) -> list[tuple[int, ...]]:
     return rows
 
 
+# A form on flattened n x n matrices x: sum c x[k] over its linear terms
+# (k, c) plus sum c x[k] x[l] over its quadratic terms (k, l, c).
+_Form = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...]]
+
+
+class _LineForms(NamedTuple):
+    """The forms a line X of a pool must pass, from ``_line_forms``."""
+
+    invariants: list[_Form]  # decide member 1 (the rule in _build_pool)
+    screen: list[_Form]  # must vanish on every pool line
+    exact: list[_Form]  # the Q_uv when screen forms combine them; each must vanish
+
+
+def _form_value(form: _Form, x: Sequence[int], p: int) -> int:
+    linear, quadratic = form
+    return (
+        sum(c * x[k] for k, c in linear) + sum(c * x[k] * x[l] for k, l, c in quadratic)
+    ) % p
+
+
+def _on_kernel(form: _Form, kernel, p: int) -> tuple[list[int], list[list[int]]]:
+    """``form`` on the coordinates over ``kernel``: its linear coefficients
+    and Gram matrix, phi(sum c_j u_j) = sum lam_j c_j + sum M_ij c_i c_j."""
+    linear, quadratic = form
+    lam = [sum(c * u[k] for k, c in linear) % p for u in kernel]
+    gram = [
+        [sum(c * u[k] * v[l] for k, l, c in quadratic) % p for v in kernel]
+        for u in kernel
+    ]
+    return lam, gram
+
+
+def _quadratic(terms: dict[tuple[int, int], int]) -> _Form:
+    return (), tuple((k, l, c) for (k, l), c in terms.items() if c)
+
+
+def _line_forms(base: ExactMatrix, r: int, p: int, pruning: str) -> _LineForms:
+    """The forms the pool builder carries through its enumeration of the
+    lines X through the nilpotent ``base`` B.
+
+    Invariants.  tr(B + sX) = s tr(X) and tr((B + sX)^2) = 2s tr(BX) +
+    s^2 tr(X^2), so member 1 fails when tr(X) != 0 or tr(BX) = 0 != tr(X^2).
+    On the kernel of the trace rows tr(X) = tr(BX) = 0, and under trace
+    pruning tr(X^2) is the only invariant.
+
+    Screen, under trace pruning only, where X meets the domain rows:
+    - Q_uv(X) = u^T X B^T X v, u in coker B, v in ker B, when B B^T B = B
+      and p > r + 1.  With B = CD a rank factorisation, L = [D B^T; u^T]
+      and R = [B^T C, v], det(L (B + sX) R) is a combination of the
+      (r + 1)-minors of B + sX, and as u^T X v = 0 (rank-tangent rows) its
+      s^2 coefficient is -Q_uv(X).  On a pool line those minors, of degree
+      at most r + 1 in s, vanish at all p values of s, so identically.
+      A single Q_uv (r = n - 1) is carried as it is; more are carried as
+      two fixed combinations, and then ``exact`` lists the Q_uv for the
+      lines that pass both.
+    - tr(BX^2), for r >= 3 and p >= 5.  On the kernel tr(B^2 X) = 0, so
+      tr((B + sX)^3) = 3s^2 tr(BX^2) + s^3 tr(X^3), which vanishes at every
+      s != 0 of a pool line.  For r <= 2 it rejected no line the other
+      forms pass on any instance tried (n <= 4 at p = 5, 7; n=5 r=1 p=7),
+      so it is not carried there.
+    """
+    n = base.n_rows
+    b = base.rows
+    support = [(i, j, b[i][j]) for i in range(n) for j in range(n) if b[i][j]]
+    square = ((), tuple((i * n + k, k * n + i, 1) for i in range(n) for k in range(n)))
+    if pruning == "none":
+        trace = (tuple((i * (n + 1), 1) for i in range(n)), ())
+        base_trace = (tuple((j * n + i, c) for i, j, c in support), ())
+        return _LineForms([trace, base_trace, square], [], [])
+    screen: list[_Form] = []
+    exact: list[_Form] = []
+    transposed = tuple(zip(*b))
+    if p > r + 1 and _matmul(_matmul(b, transposed, p), b, p) == b:
+        pairs = []
+        for u in _nullspace(transposed, p):
+            for v in _nullspace(b, p):
+                # Q_uv(X) = sum u_a X[a, y] B[c, y] X[c, e] v_e
+                terms: dict[tuple[int, int], int] = {}
+                for c, y, z in support:
+                    for a in range(n):
+                        for e in range(n):
+                            key = (a * n + y, c * n + e)
+                            terms[key] = (terms.get(key, 0) + u[a] * z * v[e]) % p
+                pairs.append(terms)
+        if len(pairs) == 1:
+            screen.append(_quadratic(pairs[0]))
+        else:
+            # two fixed combinations sum (i + 1)^k Q_i, k = 0, 1: a line
+            # with some Q_i != 0 passes both about once in p^2
+            for k in (0, 1):
+                combined: dict[tuple[int, int], int] = {}
+                for i, terms in enumerate(pairs):
+                    for key, c in terms.items():
+                        combined[key] = (combined.get(key, 0) + (i + 1) ** k * c) % p
+                screen.append(_quadratic(combined))
+            exact = [_quadratic(terms) for terms in pairs]
+    if r >= 3 and p >= 5:
+        # tr(BX^2) = sum B[i, j] X[j, k] X[k, i]
+        screen.append(((), tuple(
+            (j * n + k, k * n + i, c) for i, j, c in support for k in range(n)
+        )))
+    return _LineForms([square], screen, exact)
+
+
 def build_candidate_pool(
     base: ExactMatrix,
     r: int,
@@ -321,20 +454,22 @@ def build_candidate_pool(
     return _build_pool(base, r, field, pruning, budget)[0]
 
 
-def _build_pool(base, r, field, pruning, limit: int) -> tuple[CandidatePool, int, int]:
+def _build_pool(base, r, field, pruning, limit: int) -> tuple[CandidatePool, int, int, int]:
     """The pool of ``base`` within ``limit`` member evaluations, the
     dimension of the kernel it enumerates, and how many of its lines the
-    trace invariants rejected.
+    trace invariants and the quadric screen rejected.
 
-    Member t of a line is B + t*X for its canonical representative X, and
-    a line costs one evaluation per member tested: the first failing t, or
-    p - 1 when it passes.  A line the remaining budget cannot finish is cut
-    and not counted; the cut spends the budget to ``limit``.  A line whose
-    tr(X), tr(BX) and tr(X^2), carried through the enumeration, show that
-    member 1 fails is rejected without building X or a member, and is
-    charged the 1 evaluation that testing member 1 would have cost; only
-    the other lines get their X built and take the rank and nilpotency
-    test member by member.
+    Member t of a line is B + t*X for its canonical representative X.  The
+    forms of ``_line_forms`` are carried through the enumeration, and the
+    lines of each run of the last coefficient that fail one are found from
+    the run's values alone, without building X: a line fails when tr(X)
+    != 0 or tr(BX) = 0 != tr(X^2), or a screen form is nonzero.  Each such
+    line is charged 1 evaluation, as is a line whose X, built, has some
+    Q_uv(X) != 0, so a line's charge depends only on the line.  The other
+    lines take the rank and nilpotency test member by member and cost one
+    evaluation per member tested: the first failing t, or p - 1 when the
+    line passes.  A line the remaining budget cannot finish is cut and not
+    counted; the cut spends the budget to ``limit``.
     """
     if not isinstance(field, PrimeField):
         raise ValueError("candidate pools are only enumerable over finite fields")
@@ -360,61 +495,103 @@ def _build_pool(base, r, field, pruning, limit: int) -> tuple[CandidatePool, int
         kernel = [
             tuple(int(i == j) for j in range(n_entries)) for i in range(n_entries)
         ]
+    forms = _line_forms(base, r, p, pruning)
+    carried = [_on_kernel(f, kernel, p) for f in forms.invariants + forms.screen]
+    full = (1 << p) - 1
+
+    def classify(polys):
+        # bit a: the line x0 + a v of the run passes the form
+        roots = [
+            sum(1 << a for a in range(p) if not (c0 + a * (c1 + a * c2)) % p)
+            for c0, c1, c2 in polys
+        ]
+        if pruning == "none":
+            tr_x, tr_bx, square = roots
+            passed = tr_x & (square | full & ~tr_bx)
+        else:
+            passed = roots[0]
+        keep = passed
+        for mask in roots[len(forms.invariants):]:
+            keep &= mask
+        # the member test of a pruning="none" line reads tr(BX), tr(X^2)
+        return keep, passed, passed.bit_count(), polys if pruning == "none" else None
 
     # The enumerated vector X is a multiple a*X0 of the canonical X0 (lead
     # entry a), so member t, B + t*X0, is B + (t/a)*X: lines are tested as
-    # enumerated and only kept ones are canonicalised.  B is nilpotent, so
-    # tr(B + sX) = s tr(X) and tr((B + sX)^2) = 2s tr(BX) + s^2 tr(X^2): a
-    # line with tr(X) != 0, or with tr(BX) = 0 != tr(X^2), fails member 1,
-    # which is all it is charged, and no member of it is built.
+    # enumerated and only kept ones are canonicalised.
     base_flat = tuple(x for row in base.rows for x in row)
     row_slices = [slice(i, i + n) for i in range(0, n_entries, n)]
+    nonzeros = [[(k, y) for k, y in enumerate(u) if y] for u in kernel]
+    step = kernel[-1]
     kept: list[tuple[int, ...]] = []
-    lines_tested = 0
-    rejected = 0
-    at_invariants = 0
+    at_invariants = at_screen = at_member_test = 0
     used = 0
+    tr_bx = q = 0  # of every member-tested line under trace pruning
     complete = True
-    for tr_x, tr_bx, q, vec, step, a in _kernel_lines(kernel, base_flat, n, p):
-        room = limit - used
-        if room == 0:
-            complete = False
-            break
-        if tr_x or (q and not tr_bx):
-            used += 1
-            rejected += 1
-            at_invariants += 1
-            lines_tested += 1
+    for (keep, passed, n_passed, polys), size, lead, coeffs in _kernel_lines(
+        kernel, carried, p, classify
+    ):
+        if not keep and size == p and limit - used >= p:
+            used += p  # each line fails a carried form: 1 evaluation each
+            at_invariants += p - n_passed
+            at_screen += n_passed
             continue
-        flat = tuple((x + a * y) % p for x, y in zip(vec, step)) if a else vec
-        inv = pow(next(x for x in flat if x), -1, p)
-        failed_at = 0
-        for t in range(1, min(p, room + 1)):
-            scale = t * inv % p
-            # tr(M^2) != 0 rules out nilpotency before the rank is
-            # eliminated; a member of rank r < p is nilpotent iff its
-            # traces vanish
-            if not scale * (2 * tr_bx + scale * q) % p:
-                member = [(b + scale * x) % p for b, x in zip(base_flat, flat)]
-                rows = [member[sl] for sl in row_slices]
-                if _rank(rows, p, r) == r and (
-                    _is_nilpotent_of_rank(rows, p, r) if p > r else _is_nilpotent(rows, p)
-                ):
-                    continue
-            failed_at = t
+        x0 = None
+        for a in range(size):
+            room = limit - used
+            if room == 0:
+                complete = False
+                break
+            if not keep >> a & 1:
+                used += 1
+                if passed >> a & 1:
+                    at_screen += 1
+                else:
+                    at_invariants += 1
+                continue
+            if x0 is None:
+                x0 = list(kernel[lead])
+                for c, entries in zip(coeffs, nonzeros[lead + 1:]):
+                    for k, y in entries:
+                        x0[k] += c * y
+                x0 = [x % p for x in x0]
+            flat = tuple((x + a * y) % p for x, y in zip(x0, step)) if a else tuple(x0)
+            if any(_form_value(f, flat, p) for f in forms.exact):
+                used += 1
+                at_screen += 1
+                continue
+            if pruning == "none":
+                tr_bx, q = ((c0 + a * (c1 + a * c2)) % p for c0, c1, c2 in polys[1:])
+            inv = pow(next(x for x in flat if x), -1, p)
+            failed_at = 0
+            for t in range(1, min(p, room + 1)):
+                scale = t * inv % p
+                # tr(M^2) = s (2 tr(BX) + s tr(X^2)) != 0 rules out
+                # nilpotency before the rank is eliminated; a member of
+                # rank r < p is nilpotent iff its traces vanish
+                if not scale * (2 * tr_bx + scale * q) % p:
+                    member = [(b + scale * x) % p for b, x in zip(base_flat, flat)]
+                    rows = [member[sl] for sl in row_slices]
+                    if _rank(rows, p, r) == r and (
+                        _is_nilpotent_of_rank(rows, p, r) if p > r else _is_nilpotent(rows, p)
+                    ):
+                        continue
+                failed_at = t
+                break
+            if failed_at:
+                used += failed_at
+                at_member_test += 1
+            elif room < p - 1:
+                used = limit
+                complete = False
+                break
+            else:
+                used += p - 1
+                kept.append(_canonical_line(flat, p))
+        if not complete:
             break
-        if failed_at:
-            used += failed_at
-            rejected += 1
-        elif room < p - 1:
-            used = limit
-            complete = False
-            break
-        else:
-            used += p - 1
-            kept.append(_canonical_line(flat, p))
-        lines_tested += 1
     kept.sort()
+    rejected = at_invariants + at_screen + at_member_test
     pool = CandidatePool(
         base=base,
         candidates=tuple(
@@ -422,12 +599,12 @@ def _build_pool(base, r, field, pruning, limit: int) -> tuple[CandidatePool, int
         ),
         complete=complete,
         pruning=pruning,
-        lines_tested=lines_tested,
+        lines_tested=rejected + len(kept),
         pruned_by_rank=rejected,
         pruned_by_trace=pruned_by_trace,
         evaluations=used,
     )
-    return pool, len(kernel), at_invariants
+    return pool, len(kernel), at_invariants, at_screen
 
 
 # ---------------------------------------------------------------------------
@@ -562,13 +739,16 @@ def max_affine_dimension(
         # an equal share of what is left; what a base leaves flows on
         share = -(-(budget - used) // (len(bases) - i))
         clock = time.perf_counter()
-        pool, kernel_dim, at_invariants = _build_pool(base, r, field, pruning, share)
+        pool, kernel_dim, at_invariants, at_screen = _build_pool(
+            base, r, field, pruning, share
+        )
         used += pool.evaluations
         partition = jordan_partition(base)
         record = {
             "partition": partition.nonzero_parts(), "kernel_dim": kernel_dim,
             "lines_tested": pool.lines_tested, "at_invariants": at_invariants,
-            "at_member_test": pool.pruned_by_rank - at_invariants,
+            "at_screen": at_screen,
+            "at_member_test": pool.pruned_by_rank - at_invariants - at_screen,
             "kept": len(pool.candidates), "evaluations": pool.evaluations,
             "pool_s": time.perf_counter() - clock, "complete": pool.complete,
             "graph_s": 0.0, "edges": 0, "mode": mode, "search_s": 0.0, "nodes": 0,

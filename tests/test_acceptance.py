@@ -130,7 +130,7 @@ def test_criterion_6_conjecture_lower_bound_and_attempt():
         rep = result.search_report
         assert rep.status == "EXHAUSTIVE" and rep.max_dim_found == 3
         assert [part.parts for part in rep.base_points_tried] == [(3, 1, 0, 0), (2, 2, 0, 0)]
-        assert rep.evaluations == 2_552_252 and rep.nodes_explored == 4347
+        assert rep.evaluations == 2_549_252 and rep.nodes_explored == 4347
         print(f"  conjecture attempt outcome: {result.status} "
               f"(search {result.search_report.max_dim_found}, "
               f"{result.search_report.evaluations} evaluations)")

@@ -16,6 +16,7 @@ from nilspace import (
     build_candidate_pool,
     canonical_bases,
     conjecture_bound,
+    inverse,
     is_nilpotent,
     jordan_partition,
     max_affine_dimension,
@@ -30,14 +31,18 @@ from nilspace.matrices import (
     _nullspace as _nullspace_mod_p,
     _rank as _rank_mod_p,
 )
+from nilspace import search
 from nilspace.search import (
     CandidatePool,
     _build_pool,
     _canonical_dfs,
     _canonical_line,
     _domain_rows,
+    _form_value,
     _greedy_search,
     _kernel_lines,
+    _line_forms,
+    _on_kernel,
     _LineGraph,
     _line_graph,
 )
@@ -229,13 +234,51 @@ def _reference_domain_rows(base, r, p):
     return rows
 
 
+def _matmul_rows(a, b, p):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) % p for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def _reference_screen(base, r, p, pruning):
+    """Oracle for the quadric screen: X -> whether some screen form is
+    nonzero, from the matrices.  Under trace pruning: u^T X B^T X v for u,
+    v kernel vectors of B^T and B, when p > r + 1 and B B^T B = B; tr(BX^2)
+    when r >= 3 and p >= 5."""
+    b = base.rows
+    bt = tuple(zip(*b))
+    pairs = []
+    if pruning == "trace" and p > r + 1 and _matmul_rows(_matmul_rows(b, bt, p), b, p) == b:
+        pairs = [(u, v) for u in _nullspace_mod_p(bt, p) for v in _nullspace_mod_p(b, p)]
+    power = pruning == "trace" and r >= 3 and p >= 5
+
+    def screened(x):
+        if pairs:
+            xbx = _matmul_rows(_matmul_rows(x, bt, p), x, p)
+            if any(
+                sum(u[i] * xbx[i][j] * v[j] for i in range(len(u)) for j in range(len(v))) % p
+                for u, v in pairs
+            ):
+                return True
+        if power:
+            bxx = _matmul_rows(b, _matmul_rows(x, x, p), p)
+            return sum(bxx[i][i] for i in range(len(b))) % p != 0
+        return False
+
+    return screened
+
+
 def _reference_pool(base, r, field, pruning, budget, lead_starts=None):
     """Oracle for the pool builder: walks the lines of the reference domain
-    in order, canonicalises each one, and charges one evaluation before it
-    builds and tests each member B + t*X, t = 1..p-1, on its own: trace,
-    full rank, nilpotency.  ``lead_starts``, if given, gets the evaluations
-    spent before the first line of each lead coefficient."""
+    in order and canonicalises each one.  A line that fails the quadric
+    screen is charged one evaluation; every other line is charged one
+    evaluation before each member B + t*X, t = 1..p-1, is built and tested
+    on its own: trace, full rank, nilpotency.  ``lead_starts``, if given,
+    gets the evaluations spent before the first line of each lead
+    coefficient."""
     p, n = field.p, base.n_rows
+    screened = _reference_screen(base, r, p, pruning)
     n_entries = n * n
     if pruning == "trace":
         kernel = _nullspace_mod_p(_reference_domain_rows(base, r, p), p)
@@ -259,15 +302,25 @@ def _reference_pool(base, r, field, pruning, budget, lead_starts=None):
                     for j in range(n_entries)
                 )
 
+    def pool(complete):
+        return CandidatePool(
+            base, tuple(ExactMatrix(field, _rows(flat, n)) for flat in sorted(kept)),
+            complete, pruning, tested, rejected, pruned_by_trace, used,
+        )
+
     for raw in lines():
         x = _canonical_line(raw, p)
         passes = True
+        if screened(_rows(x, n)):
+            if used == budget:
+                return pool(False)
+            used += 1
+            tested += 1
+            rejected += 1
+            continue
         for t in range(1, p):
             if used == budget:
-                return CandidatePool(
-                    base, tuple(ExactMatrix(field, _rows(flat, n)) for flat in sorted(kept)),
-                    False, pruning, tested, rejected, pruned_by_trace, used,
-                )
+                return pool(False)
             used += 1
             member = [(b + t * a) % p for b, a in zip(base_flat, x)]
             rows = _rows(member, n)
@@ -283,10 +336,7 @@ def _reference_pool(base, r, field, pruning, budget, lead_starts=None):
             kept.append(x)
         else:
             rejected += 1
-    return CandidatePool(
-        base, tuple(ExactMatrix(field, _rows(flat, n)) for flat in sorted(kept)),
-        True, pruning, tested, rejected, pruned_by_trace, used,
-    )
+    return pool(True)
 
 
 def _rows(flat, n):
@@ -456,15 +506,36 @@ def _enumeration_cases():
 
 def test_kernel_lines_match_the_odometer_reference_and_carry_the_traces():
     # same lines in the same order, since the order decides where a budget
-    # cuts, and the carried tr(X), tr(BX), tr(X^2) are the direct values
+    # cuts, and each run's carried polynomials give, at every a, tr(X),
+    # tr(BX), tr(X^2) and two seeded random forms on the coordinates
+    rng = random.Random(11)
     for p, n, base_flat, kernel in _enumeration_cases():
-        want = list(_iter_canonical_kernel(kernel, p))
-        got = list(_kernel_lines(kernel, base_flat, n, p))
-        assert len(got) == len(want) == (p ** len(kernel) - 1) // (p - 1)
-        for (tr_x, tr_bx, q, vec, step, a), x in zip(got, want):
-            flat = tuple((v + a * y) % p for v, y in zip(vec, step)) if a else vec
-            assert flat == x
-            assert (tr_x, tr_bx, q) == _traces(_rows(base_flat, n), _rows(x, n), p)
+        d = len(kernel)
+        base = ExactMatrix(PrimeField(p), _rows(base_flat, n))
+        forms = [_on_kernel(f, kernel, p) for f in _line_forms(base, 1, p, "none").invariants]
+        forms += [
+            ([rng.randrange(p) for _ in range(d)],
+             [[rng.randrange(p) for _ in range(d)] for _ in range(d)])
+            for _ in range(2)
+        ]
+        want = iter(_iter_canonical_kernel(kernel, p))
+        count = 0
+        for polys, size, lead, coeffs in _kernel_lines(kernel, forms, p, lambda polys: polys):
+            assert size == (1 if lead == d - 1 else p)
+            for a in range(size):
+                c = (0,) * lead + (1,) + (tuple(coeffs) + (a,) if size == p else ())
+                x = tuple(sum(ci * u[k] for ci, u in zip(c, kernel)) % p for k in range(n * n))
+                assert x == next(want)
+                got = [(c0 + a * c1 + a * a * c2) % p for c0, c1, c2 in polys]
+                assert got[:3] == list(_traces(_rows(base_flat, n), _rows(x, n), p))
+                assert got[3:] == [
+                    (sum(l * ci for l, ci in zip(lam, c))
+                     + sum(m[i][j] * c[i] * c[j] for i in range(d) for j in range(d))) % p
+                    for lam, m in forms[3:]
+                ]
+                count += 1
+        assert next(want, None) is None
+        assert count == (p**d - 1) // (p - 1)
 
 
 @pytest.mark.parametrize("n, r, p, pruning", [
@@ -482,7 +553,7 @@ def test_complete_pools_reject_on_the_invariants_exactly_the_failing_lines(n, r,
         for x in _iter_canonical_kernel(kernel, p):
             tr_x, tr_bx, q = _traces(base.rows, _rows(x, n), p)
             want += bool(tr_x or (q and not tr_bx))
-        pool, kernel_dim, at_invariants = _build_pool(base, r, field, pruning, 10**6)
+        pool, kernel_dim, at_invariants, _ = _build_pool(base, r, field, pruning, 10**6)
         assert pool.complete and kernel_dim == len(kernel)
         assert at_invariants == want
 
@@ -617,6 +688,156 @@ def test_rank_one_maximum_one_size_past_n3():
         assert rep.max_dim_found == bound_rank_one(4) == 2
 
 
+def test_rank_one_maximum_at_n5():
+    # the paper's rank-one value n - 2, decided exhaustively at n = 5: 960 800
+    # kernel lines, 798 kept; every line the screen rejects fails member 1
+    rep = max_affine_dimension(5, 1, PrimeField(7))
+    assert rep.status == "EXHAUSTIVE"
+    assert rep.max_dim_found == bound_rank_one(5) == 3
+    assert (rep.evaluations, rep.nodes_explored) == (964_795, 402)
+
+
+def _unscreened(monkeypatch):
+    """Pools built from here on carry the trace invariants only."""
+    line_forms = search._line_forms
+    monkeypatch.setattr(
+        search, "_line_forms", lambda *args: line_forms(*args)._replace(screen=[], exact=[])
+    )
+
+
+@pytest.mark.parametrize("n, r, p", [
+    (2, 1, 3), (2, 1, 5), (2, 1, 7), (3, 1, 5), (3, 2, 5), (3, 1, 7), (3, 2, 7),
+    (4, 1, 5), (4, 1, 7), (5, 1, 7), (4, 2, 5),
+])
+def test_screened_pools_equal_the_pools_without_the_screen(n, r, p, monkeypatch):
+    # the screen drops no pool line: the same lines are tested, kept and
+    # rejected, and a screened line costs no more than its failing member
+    field = PrimeField(p)
+    bases = canonical_bases(n, r, field)
+    screened = [_build_pool(base, r, field, "trace", 10**8) for base in bases]
+    _unscreened(monkeypatch)
+    for base, (pool, _, at_invariants, at_screen) in zip(bases, screened):
+        plain, _, plain_invariants, plain_screen = _build_pool(base, r, field, "trace", 10**8)
+        assert pool.complete and plain.complete and plain_screen == 0
+        assert pool.candidates == plain.candidates
+        assert (pool.lines_tested, pool.pruned_by_rank) == (plain.lines_tested, plain.pruned_by_rank)
+        assert at_invariants == plain_invariants
+        assert pool.evaluations <= plain.evaluations
+        assert at_screen > 0 or n == 2
+
+
+def test_screened_j4_pool_prefixes_equal_the_pools_without_the_screen(monkeypatch):
+    # n=4 r=3 p=5 has 61 035 156 kernel lines, so every budget here cuts the
+    # pool: the screened build keeps exactly the lines that the unscreened
+    # build keeps among the lines the screened one tested
+    (base,) = canonical_bases(4, 3, F5)
+    kernel = _nullspace_mod_p(_domain_rows(base, 3, 5), 5)
+    screened = [
+        build_candidate_pool(base, 3, F5, pruning="trace", budget=budget)
+        for budget in (2000, 20_000, 200_000)
+    ]
+    _unscreened(monkeypatch)
+    kept = 0
+    for pool in screened:
+        assert not pool.complete
+        budget = pool.evaluations
+        while True:
+            budget *= 2
+            plain = build_candidate_pool(base, 3, F5, pruning="trace", budget=budget)
+            if plain.lines_tested >= pool.lines_tested:
+                break
+        first = {
+            _canonical_line(x, 5)
+            for x in itertools.islice(_iter_canonical_kernel(kernel, 5), pool.lines_tested)
+        }
+        assert _pool_lines(pool) == sorted(first & set(_pool_lines(plain)))
+        kept += len(pool.candidates)
+    assert kept
+
+
+def _s2_coefficient(b, x, p):
+    """The s^2 coefficient of det(B + sX), square B and X given by rows, by
+    the Leibniz expansion."""
+    k = len(b)
+    total = 0
+    for perm in itertools.permutations(range(k)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i, j in itertools.combinations(range(k), 2))
+        for i, j in itertools.combinations(range(k), 2):
+            term = sign * x[i][perm[i]] * x[j][perm[j]]
+            for l in range(k):
+                if l != i and l != j:
+                    term *= b[l][perm[l]]
+            total += term
+    return total % p
+
+
+def test_q_forms_vanish_exactly_when_the_minors_lose_their_s2_term():
+    # on points X of the pool kernel, every Q_uv(X) = u^T X B^T X v is 0
+    # exactly when every (r + 1)-minor of B + sX has no s^2 term; the Q_uv
+    # the pool builder uses are these, from the matrices
+    p = 7
+    field = PrimeField(p)
+    rng = random.Random(5)
+    samples = vanishing = 0
+    for n, r in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2)):
+        for base in canonical_bases(n, r, field):
+            forms = _line_forms(base, r, p, "trace")
+            q_forms = forms.exact or forms.screen[:1]  # one Q_uv when r = n - 1
+            b = base.rows
+            bt = tuple(zip(*b))
+            pairs = [(u, v) for u in _nullspace_mod_p(bt, p) for v in _nullspace_mod_p(b, p)]
+            assert len(q_forms) == len(pairs) == (n - r) ** 2
+            kernel = _nullspace_mod_p(_domain_rows(base, r, p), p)
+            subsets = list(itertools.combinations(range(n), r + 1))
+            for _ in range(300):
+                # sparse coordinates, so that some points have every Q_uv = 0
+                coeffs = [rng.randrange(1, p) if rng.random() < 0.25 else 0 for _ in kernel]
+                x = tuple(sum(c * u[k] for c, u in zip(coeffs, kernel)) % p for k in range(n * n))
+                rows = _rows(x, n)
+                xbx = _matmul_rows(_matmul_rows(rows, bt, p), rows, p)
+                q = [_form_value(f, x, p) for f in q_forms]
+                assert q == [
+                    sum(u[i] * xbx[i][j] * v[j] for i in range(n) for j in range(n)) % p
+                    for u, v in pairs
+                ]
+                no_s2 = all(
+                    not _s2_coefficient(
+                        [[b[i][j] for j in cols] for i in sub],
+                        [[rows[i][j] for j in cols] for i in sub], p,
+                    )
+                    for sub in subsets for cols in subsets
+                )
+                assert (not any(q)) == no_s2, (n, r, x)
+                samples += 1
+                vanishing += no_s2
+    assert samples == 2700 and 300 < vanishing < 2400
+
+
+def test_q_screen_gates():
+    # at p = r + 1 a minor can vanish at every s without vanishing
+    # identically, so there is no Q form; tr(BX^2) needs only r >= 3, p >= 5
+    for n, r, p in ((2, 1, 2), (3, 2, 3), (5, 4, 5)):
+        (base,) = canonical_bases(n, r, PrimeField(p))
+        forms = _line_forms(base, r, p, "trace")
+        assert forms.exact == [] and len(forms.screen) == (r >= 3)
+    assert len(_line_forms(shift_matrix(3, F5), 2, 5, "trace").screen) == 1
+    assert _line_forms(shift_matrix(3, F5), 2, 5, "none").screen == []
+    # a conjugate of the shift has no Q screen (C C^T C != C) and the
+    # conjugate pool
+    base = shift_matrix(3, F5)
+    g = ExactMatrix(F5, ((1, 2, 0), (0, 1, 3), (1, 0, 1)))
+    conj = g @ base @ inverse(g)
+    assert conj @ conj.transpose() @ conj != conj
+    assert _line_forms(conj, 2, 5, "trace") == ([_line_forms(base, 2, 5, "none").invariants[2]], [], [])
+    pool, _, _, at_screen = _build_pool(conj, 2, F5, "trace", 10**6)
+    assert pool.complete and at_screen == 0
+    image = sorted(
+        _canonical_line(tuple(x for row in (g @ c @ inverse(g)).rows for x in row), 5)
+        for c in build_candidate_pool(base, 2, F5, pruning="trace").candidates
+    )
+    assert _pool_lines(pool) == image
+
+
 def _reference_greedy(cands, pool, zero, p, rng, restarts: int):
     """Oracle for the greedy search: each pick re-tests every extendable
     candidate on the point lists of each trial space."""
@@ -723,7 +944,9 @@ def test_search_logs_one_record_per_base_that_adds_up_to_the_report(
         jordan_partition(b).nonzero_parts() for b in bases
     ]
     for rec, base in zip(records, bases):
-        assert rec["lines_tested"] == rec["at_invariants"] + rec["at_member_test"] + rec["kept"]
+        assert rec["lines_tested"] == (
+            rec["at_invariants"] + rec["at_screen"] + rec["at_member_test"] + rec["kept"]
+        )
         assert rec["mode"] == mode
         if rec["complete"]:  # the whole pool, so its graph can be rebuilt
             pool = build_candidate_pool(base, r, field, pruning=rep.pruning)
@@ -735,7 +958,9 @@ def test_search_logs_one_record_per_base_that_adds_up_to_the_report(
         elif not rec["lines_tested"]:  # no graph, no search
             assert rec["edges"] == rec["nodes"] == 0
     assert sum(rec["evaluations"] for rec in records) == rep.evaluations
-    assert sum(rec["at_invariants"] + rec["at_member_test"] for rec in records) == rep.pruned_by_rank
+    assert sum(
+        rec["at_invariants"] + rec["at_screen"] + rec["at_member_test"] for rec in records
+    ) == rep.pruned_by_rank
     assert sum(rec["nodes"] for rec in records) == rep.nodes_explored
     best = [rec["best_dim"] for rec in records]
     assert best == sorted(best) and best[-1] == rep.max_dim_found
@@ -924,7 +1149,7 @@ def test_max_dimension_small_instances():
     assert rep.base_points_tried == (jordan_partition(shift_matrix(3, F5)),)
     # only the pool build evaluates members; the search over it does lookups
     pool = build_candidate_pool(shift_matrix(3, F5), 2, F5, pruning="trace")
-    assert rep.evaluations == pool.evaluations == 4138
+    assert rep.evaluations == pool.evaluations == 4038
 
     rep = max_affine_dimension(3, 1, F5)
     assert rep.max_dim_found == 1 == bound_rank_one(3)
