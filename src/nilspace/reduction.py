@@ -28,6 +28,8 @@ from .spaces import (
     DEFAULT_BUDGET,
     DEFAULT_SAMPLES,
     VerificationOutcome,
+    _matmul_batch,
+    _reduce,
     _run_sampling,
     _scan_grid,
     _scan_rows,
@@ -153,8 +155,14 @@ class TraceWitness:
     value: RawScalar
 
 
+def _nonzero_entries(rows):
+    """(b, a, B[b][a]) for each nonzero entry of B: tr(P @ B) is the sum of
+    P[a][b] * B[b][a] over them."""
+    n = len(rows)
+    return [(b, a, rows[b][a]) for b in range(n) for a in range(n) if rows[b][a]]
+
+
 def _trace_product(power_rows, nz_entries, p):
-    # tr(P @ B) = sum over nonzero B[b][a] of P[a][b] * B[b][a]
     acc = sum(power_rows[a][b] * v for b, a, v in nz_entries)
     return acc % p if p else acc
 
@@ -175,21 +183,20 @@ def _validate_span_basis(span_basis, field):
 
 def _fails_trace_batch(basis_rows, m_max: int, p: int):
     """Batch predicate for ``_scan_grid``: some tr(A^m B) != 0 mod p."""
-    n = len(basis_rows[0])
-    # tr(P @ B) = flat(P) . flat(B^T), so one matmul per power covers every
-    # basis element
-    basis_t = np.array(
-        [[rows[b][a] for a in range(n) for b in range(n)] for rows in basis_rows],
-        dtype=np.int64,
-    ).T
+    entries = [_nonzero_entries(rows) for rows in basis_rows]
 
     def fails(members):
-        bad = np.zeros(len(members), dtype=bool)
+        scalar = members.dtype.type
+        bad = np.zeros(members.shape[-1], dtype=bool)
         power = members
         for m in range(1, m_max + 1):
             if m > 1:
-                power = power @ members % p
-            bad |= (power.reshape(len(members), n * n) @ basis_t % p).any(axis=1)
+                power = _matmul_batch(power, members, p)
+            for nonzero in entries:
+                trace = np.zeros_like(bad, dtype=members.dtype)
+                for b, a, v in nonzero:
+                    trace += power[a, b] * scalar(v)
+                bad |= _reduce(trace, p) != 0
         return bad
 
     return fails
@@ -223,15 +230,12 @@ def trace_condition_verify(
     basis_rows = [m.rows for m in span_basis]
     p = _modulus(field)
 
-    def nonzero_entries(rows):
-        return [(b, a, rows[b][a]) for b in range(n) for a in range(n) if rows[b][a]]
-
-    nz = [nonzero_entries(rows) for rows in basis_rows]
+    nz = [_nonzero_entries(rows) for rows in basis_rows]
     zero_rows = tuple((field.zero,) * n for _ in range(n))
     # over Q the scans test L M in place of each member M; scaling each B
     # by the same L keeps every trace an int and each verdict unchanged
     _, scan_basis, _ = _scan_rows(field, zero_rows, basis_rows)
-    nz_scan = [nonzero_entries(rows) for rows in scan_basis]
+    nz_scan = [_nonzero_entries(rows) for rows in scan_basis]
     total = (m_max + 1) ** d
 
     def first_nonzero_trace(rows, entries_of):

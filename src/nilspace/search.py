@@ -63,7 +63,8 @@ CONSISTENT = "CONSISTENT"
 WITNESS_EXCEEDS = "WITNESS_EXCEEDS"
 UNRESOLVED = "UNRESOLVED"
 
-# one DEBUG record per base of a search; silent unless a handler is set up
+# one DEBUG record per base of a search, then one for the re-verification of
+# its witness; silent unless a handler is set up
 _log = logging.getLogger("nilspace.search")
 _BASE_RECORD = (
     "base %(partition)s: kernel dimension %(kernel_dim)d, %(lines_tested)d lines "
@@ -73,6 +74,10 @@ _BASE_RECORD = (
     "evaluations; pool %(pool_s).3f s, complete %(complete)s; graph %(graph_s).3f s, "
     "%(edges)d edges; %(mode)s search %(search_s).3f s, %(nodes)d nodes, best "
     "dimension so far %(best_dim)d"
+)
+_REVERIFY_RECORD = (
+    "re-verification %(reverify_s).3f s: nilpotency %(nilpotent_status)s "
+    "(%(nilpotent_method)s), constant rank %(rank_status)s (%(rank_method)s)"
 )
 
 
@@ -784,7 +789,13 @@ def max_affine_dimension(
         field, n, best_base,
         tuple(ExactMatrix(field, _flat_to_rows(flat, n)) for flat in best_dirs),
     )
-    _reverify_witness(witness, r, best_dim)
+    clock = time.perf_counter()
+    nilp, ranks = _reverify_witness(witness, r, best_dim)
+    _log.debug(_REVERIFY_RECORD, {
+        "reverify_s": time.perf_counter() - clock,
+        "nilpotent_status": nilp.status, "nilpotent_method": nilp.method,
+        "rank_status": ranks.status, "rank_method": ranks.method,
+    })
     wall = time.perf_counter() - start
     return SearchReport(
         n=n, r=r, p=p, max_dim_found=best_dim, witness=witness, status=status,
@@ -856,13 +867,15 @@ def _greedy_search(graph: _LineGraph, rng, restarts: int):
 
 
 def _reverify_witness(witness: AffineMatrixSpace, r: int, claimed_dim: int):
-    """Soundness gate: a reported witness must re-verify independently."""
+    """Soundness gate: a reported witness must re-verify independently.
+    Returns the nilpotency and constant-rank outcomes."""
     if witness.d != claimed_dim:
         raise AssertionError("witness dimension does not match the report")
     nilp = verify_all_nilpotent(witness, sample_count=0)
     ranks = verify_constant_rank(witness, r, sample_count=0)
     if nilp.status != "PROVED" or ranks.status != "PROVED":
         raise AssertionError("search produced a witness that fails re-verification")
+    return nilp, ranks
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,14 @@ run batched in numpy (``_scan_numpy``): nilpotency by repeated squaring,
 rank by fraction-free elimination, and the trace predicate of
 ``reduction.trace_condition_verify``.  They return the same first failing
 point and check count as the pure scan ``_scan``, which every smaller scan
-and every rational scan uses.  The arithmetic is exact in int64 because
-every dot product a batched scan computes, ``terms`` products of residues
-plus one residue, obeys ``terms * (p - 1)**2 + (p - 1) < 2**63``
-(``_fits_int64``); a scan whose bound fails runs pure.
+and every rational scan uses.  A batch of members is one (n, n, B) array,
+batch axis last, so each elementwise step runs over B contiguous values.
+Its dtype is the narrowest of int16, int32 and int64 that holds every sum
+a batched scan computes, ``terms`` products of residues plus one residue:
+``_int_dtype(p, terms)``, the one place the bound
+``terms * (p - 1)**2 + (p - 1) <= max(dtype)`` is stated; ``_scan_numpy``
+asserts it, and a scan that no dtype holds runs pure.  At p = 7 every
+scan runs in int16.
 """
 
 from __future__ import annotations
@@ -231,10 +235,14 @@ def _scan(base_rows, dir_rows_list, values, field, fails) -> tuple[Optional[tupl
     return None, None, checked
 
 
-def _fits_int64(p: int, terms: int) -> bool:
-    """Whether a sum of ``terms`` products of residues mod ``p``, plus one
-    residue, stays below 2**63."""
-    return terms * (p - 1) ** 2 + (p - 1) < 2**63
+def _int_dtype(p: int, terms: int):
+    """The narrowest of int16, int32 and int64 that holds a sum of ``terms``
+    products of residues mod ``p`` plus one residue, or None."""
+    bound = terms * (p - 1) ** 2 + (p - 1)
+    for dtype in map(np.dtype, ("int16", "int32", "int64")):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return None
 
 
 def _scan_grid(field, base_rows, dir_rows_list, values, method, fails, witness,
@@ -245,7 +253,7 @@ def _scan_grid(field, base_rows, dir_rows_list, values, method, fails, witness,
     path from a grid or exhaustive scan to an outcome.
 
     Over F_p the scan is batched by ``_scan_numpy`` when the grid has at
-    least ``_NUMPY_MIN_POINTS`` points and the int64 bound holds;
+    least ``_NUMPY_MIN_POINTS`` points and ``_int_dtype`` finds a dtype;
     ``fails_batch`` is the batch form of ``fails`` and ``terms`` the longest
     dot product it computes.  Over Q it runs on the integer members of
     ``_scan_rows``.
@@ -255,7 +263,7 @@ def _scan_grid(field, base_rows, dir_rows_list, values, method, fails, witness,
     if (
         isinstance(field, PrimeField)
         and len(values) ** d >= _NUMPY_MIN_POINTS
-        and _fits_int64(field.p, max(terms, d))
+        and _int_dtype(field.p, terms) is not None
     ):
         t, rows, checked = _scan_numpy(scan_base, scan_dirs, values, field.p,
                                        len(base_rows), fails_batch, terms)
@@ -272,71 +280,114 @@ def _scan_grid(field, base_rows, dir_rows_list, values, method, fails, witness,
 def _scan_numpy(base_rows, dir_rows_list, values, p, n, fails_batch, terms):
     """Batched ``_scan`` over F_p: the same (t, member_rows, checks) triple.
 
-    Points are generated chunk by chunk in product order from their index;
-    ``fails_batch`` maps a (B, n, n) int64 array of members to a boolean
-    array of length B.  Building a member is a dot product of length d, so
-    the int64 bound must hold for ``max(terms, d)``.
+    ``fails_batch`` maps an (n, n, B) array of members, batch axis last, in
+    the dtype ``_int_dtype(p, terms)`` to a boolean array of length B.
+    Chunks run in product order, from ``_NUMPY_FIRST_CHUNK`` points doubling
+    up to ``_NUMPY_CHUNK``.  Each lies in one block of k**j consecutive
+    points that share their first d - j coordinates, so its members are the
+    member at that prefix plus a slice of the cached suffix grid over the
+    last j coordinates, mod p; j is the smallest with a block as large as
+    the chunk, as long as d and the chunk cap allow.
     """
-    d = len(dir_rows_list)
-    if not _fits_int64(p, max(terms, d)):
-        raise AssertionError(f"int64 overflow: {max(terms, d)} terms mod {p}")
-    k = len(values)
+    dtype = _int_dtype(p, terms)
+    if dtype is None:
+        raise AssertionError(f"int64 overflow: {terms} terms mod {p}")
+    d, k = len(dir_rows_list), len(values)
     total = k**d
-    vals = np.array(values, dtype=np.int64)
-    place = k ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    base_vec = np.array([x for row in base_rows for x in row], dtype=np.int64)
-    dir_mat = np.array(
-        [[x for row in rows for x in row] for rows in dir_rows_list], dtype=np.int64
-    ).reshape(d, n * n)
+    vals = np.array(values, dtype=dtype)
+    base = np.array(base_rows, dtype=dtype)
+    dirs = np.array(dir_rows_list, dtype=dtype).reshape(d, n, n)
+    grids = {0: np.zeros((n, n, 1), dtype=dtype)}
+
+    def suffix(j, lo, hi):
+        """Columns lo:hi of the (n, n, k**j) grid of sum t_i dir_i over the
+        last j coordinates, in product order."""
+        if j == 1:  # k alone may exceed the chunk cap, so it is not cached
+            return _reduce(dirs[-1][:, :, None] * vals[lo:hi], p)
+        if j not in grids:
+            lead = dirs[d - j][:, :, None, None] * vals[:, None]
+            grid = lead + suffix(j - 1, 0, k ** (j - 1))[:, :, None, :]
+            grids[j] = _reduce(grid, p).reshape(n, n, k**j)
+        return grids[j][:, :, lo:hi]
+
     start, size = 0, _NUMPY_FIRST_CHUNK
     while start < total:
-        idx = np.arange(start, min(start + size, total), dtype=np.int64)
-        combos = vals[idx[:, None] // place % k]
-        members = ((combos @ dir_mat + base_vec) % p).reshape(-1, n, n)
+        j = min(d, 1)
+        while j < d and k**j < size and k ** (j + 1) <= _NUMPY_CHUNK:
+            j += 1
+        prefix, offset = divmod(start, k**j)
+        stop = min(start + size, start - offset + k**j)
+        member = base
+        for i, digit in enumerate(np.unravel_index(prefix, (k,) * (d - j))):
+            member = _reduce(member + vals[digit] * dirs[i], p)
+        members = _reduce(member[:, :, None] + suffix(j, offset, offset + stop - start), p)
         bad = np.flatnonzero(fails_batch(members))
         if bad.size:
             first = int(bad[0])
-            t = tuple(int(x) for x in combos[first])
-            rows = tuple(tuple(int(x) for x in row) for row in members[first])
+            t = tuple(values[i] for i in np.unravel_index(start + first, (k,) * d))
+            rows = tuple(tuple(int(x) for x in row) for row in members[:, :, first])
             return t, rows, start + first + 1
-        start += len(idx)
+        start = stop
         size = min(2 * size, _NUMPY_CHUNK)
     return None, None, total
 
 
-def _rank_mod_p_batch(a, p: int):
-    """Ranks of a (B, m, k) int64 batch of residues mod p.
+def _reduce(a, p: int):
+    """``a`` mod p, in place.  a - p * (a // p) is the remainder; numpy
+    vectorises integer floor division by a scalar but not the remainder,
+    which takes 3 to 12 times as long."""
+    mod = a.dtype.type(p)
+    quotient = a // mod
+    quotient *= mod
+    a -= quotient
+    return a
 
-    Fraction-free elimination: the pivot is the lowest eligible row, swapped
-    into place, and each row below becomes ``row * pivot - factor *
-    pivot_row`` mod p, so no inverse is needed and the products stay within
-    the int64 bound for two terms.  Only the columns right of the pivot
-    column are updated, since later steps read no column left of them.
+
+def _matmul_batch(a, b, p: int):
+    """The products mod p of two (n, n, B) batches, batch axis last: each
+    output row is n multiply-adds of (n, B) planes."""
+    n = a.shape[0]
+    out = np.empty_like(a)
+    term = np.empty_like(b[0])
+    for i in range(n):
+        row = out[i]
+        np.multiply(b[0], a[i, 0], out=row)
+        for m in range(1, n):
+            np.multiply(b[m], a[i, m], out=term)
+            row += term
+    return _reduce(out, p)
+
+
+def _rank_mod_p_batch(a, p: int):
+    """Ranks of an (m, k, B) batch of residues mod p, batch axis last, in a
+    signed dtype that holds two products of residues plus one residue.
+
+    Fraction-free elimination on a copy, one column at a time.  The pivot
+    row is the lowest row with a nonzero entry in the column, and every row
+    becomes ``row * pivot - entry * pivot_row`` mod p, so no inverse is
+    needed and no row is swapped: the pivot row becomes 0 and takes no
+    further part.  Only the columns right of the pivot column are updated,
+    since later steps read no column left of them.
     """
-    # batch axis last, so every elementwise step runs over contiguous memory
-    a = np.ascontiguousarray(np.moveaxis(np.asarray(a, dtype=np.int64) % p, 0, -1))
+    a = a.copy()
     m, k, n_batch = a.shape
-    batch = np.arange(n_batch)
-    row_idx = np.arange(m)[:, None]
+    one = a.dtype.type(1)
     rank = np.zeros(n_batch, dtype=np.int64)
     for col in range(k):
-        eligible = (a[:, col, :] != 0) & (row_idx >= rank)
-        has = eligible.any(axis=0)
+        column = a[:, col, :]
+        nonzero = column != 0
+        has = nonzero.any(axis=0)
         if not has.any():
             continue
-        top = np.minimum(rank, m - 1)
-        piv = np.where(has, eligible.argmax(axis=0), top)
-        prow = a[piv, :, batch]  # (B, k)
-        a[piv, :, batch] = a[top, :, batch]
-        a[top, :, batch] = prow
-        prow = prow.T
-        below = (row_idx > rank) & has
-        factor = np.where(below, a[:, col, :], 0)
-        scale = np.where(below, prow[col], 1)
+        piv = np.zeros(n_batch, dtype=np.intp)
+        for i in range(m - 1, -1, -1):
+            piv[nonzero[i]] = i
+        prow = np.take_along_axis(a[:, col:, :], piv[None, None, :], axis=0)[0]
+        np.copyto(prow[0], one, where=~has)  # a zero column: every row stays
         rest = a[:, col + 1:, :]
-        rest *= scale[:, None, :]
-        rest -= factor[:, None, :] * prow[None, col + 1:, :]
-        rest %= p
+        rest *= prow[0]
+        rest -= column[:, None, :] * prow[None, 1:, :]
+        _reduce(rest, p)
         rank += has
         if (rank == m).all():
             break
@@ -348,9 +399,9 @@ def _fails_nilpotency_batch(p: int, n: int) -> Callable:
         power = members
         span = 1
         while span < n:
-            power = power @ power % p
+            power = _matmul_batch(power, power, p)
             span *= 2
-        return power.reshape(len(power), -1).any(axis=1)
+        return power.reshape(n * n, -1).any(axis=0)
 
     return fails
 

@@ -33,6 +33,8 @@ from nilspace.matrices import (
 )
 from nilspace import search
 from nilspace.search import (
+    _BASE_RECORD,
+    _REVERIFY_RECORD,
     CandidatePool,
     _build_pool,
     _canonical_dfs,
@@ -938,7 +940,8 @@ def test_search_logs_one_record_per_base_that_adds_up_to_the_report(
     caplog.set_level(logging.DEBUG, logger="nilspace.search")
     field = PrimeField(p)
     rep = max_affine_dimension(n, r, field, mode=mode, budget=budget)
-    records = [rec.args for rec in caplog.records if rec.name == "nilspace.search"]
+    records = [rec.args for rec in caplog.records
+               if rec.name == "nilspace.search" and rec.msg is _BASE_RECORD]
     bases = canonical_bases(n, r, field)
     assert [rec["partition"] for rec in records] == [
         jordan_partition(b).nonzero_parts() for b in bases
@@ -967,6 +970,18 @@ def test_search_logs_one_record_per_base_that_adds_up_to_the_report(
     if mode == "exhaustive":
         assert all(rec["complete"] for rec in records) == (rep.status == "EXHAUSTIVE")
 
+
+@pytest.mark.parametrize("p, methods", [(3, ("exhaustive", "exhaustive")), (5, ("grid", "exhaustive"))])
+def test_search_logs_the_witness_reverification_last(p, methods, caplog):
+    caplog.set_level(logging.DEBUG, logger="nilspace.search")
+    rep = max_affine_dimension(3, 2, PrimeField(p))
+    records = [rec for rec in caplog.records if rec.name == "nilspace.search"]
+    assert [rec.msg for rec in records] == [_BASE_RECORD] * (len(records) - 1) + [_REVERIFY_RECORD]
+    args = records[-1].args
+    assert (args["nilpotent_status"], args["rank_status"]) == ("PROVED", "PROVED")
+    assert (args["nilpotent_method"], args["rank_method"]) == methods
+    assert 0 <= args["reverify_s"] <= rep.wall_time
+    assert records[-1].getMessage().startswith("re-verification ")
 
 @pytest.mark.parametrize("p, pruning, counts", [
     (3, "none", (37, 666, 54)),  # maximal dimension 2: some pairs extend

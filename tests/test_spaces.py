@@ -300,20 +300,23 @@ def test_batched_and_pure_nilpotency_scans_agree():
     assert pure[0] is not None
 
 
-def _largest_prime_within_int64_bound(terms):
+def _largest_prime_for(dtype, terms):
+    """The largest prime p with terms * (p - 1)**2 + (p - 1) <= max(dtype)."""
     from math import isqrt
 
-    from nilspace.fields import is_prime
-    from nilspace.spaces import _fits_int64
+    import numpy as np
 
-    p = isqrt(2**63 // terms) + 1
-    while not (_fits_int64(p, terms) and is_prime(p)):
+    from nilspace.fields import is_prime
+
+    top = int(np.iinfo(dtype).max)
+    p = isqrt(top // terms) + 1
+    while not (terms * (p - 1) ** 2 + (p - 1) <= top and is_prime(p)):
         p -= 1
     return p
 
 
 _RANK_SHAPES = [(1, 1), (3, 3), (4, 4), (5, 5), (4, 16), (6, 3), (2, 7)]
-_RANK_PRIMES = [2, 3, 5, 7, 11, 65537, _largest_prime_within_int64_bound(2)]
+_RANK_PRIMES = [2, 3, 5, 7, 11, 65537, _largest_prime_for("int64", 2)]
 
 
 @st.composite
@@ -345,10 +348,12 @@ def _rank_batches(draw):
 def test_batched_rank_matches_pure_rank(batch):
     import numpy as np
 
-    from nilspace.spaces import _rank_mod_p_batch
+    from nilspace.spaces import _int_dtype, _rank_mod_p_batch
 
     p, mats = batch
-    ranks = _rank_mod_p_batch(np.array(mats, dtype=np.int64), p)
+    # (B, m, k) to the batch-last (m, k, B) layout
+    stacked = np.array(mats, dtype=_int_dtype(p, 2)).transpose(1, 2, 0).copy()
+    ranks = _rank_mod_p_batch(stacked, p)
     assert [int(x) for x in ranks] == [_rank_mod_p(m, p) for m in mats]
 
 
@@ -419,6 +424,129 @@ def test_batched_and_pure_scans_agree(predicate, case, monkeypatch):
     assert (pure[0] is not None) == refuted
     if refuted:
         assert pure_fails(pure[1])
+
+
+# F_7, n = 5, the values 0..6 on six directions: the shape of the exhaustive
+# rank scan of witness_rank_full(5, F_7).  Every member is J plus a strictly
+# upper matrix until E40 enters, and J + E40 fails every predicate.  As
+# direction 1, E40 first enters at point 2402, one past the block of 7**4
+# points the first two chunks are cut from; as direction 0 at point 16808,
+# one past a block of 7**5.
+_FIVE_UPPER = [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4)]
+
+
+@pytest.mark.parametrize("predicate, slot, checks", [
+    ("nilpotency", 1, 2402), ("rank != 4", 1, 2402), ("trace", 1, 2402),
+    ("rank != 4", 0, 16808),
+])
+def test_batched_scan_keeps_product_order_across_block_and_chunk_edges(
+    predicate, slot, checks, monkeypatch
+):
+    from nilspace import spaces
+    from nilspace.reduction import _fails_trace_batch
+    from nilspace.spaces import (
+        _fails_nilpotency,
+        _fails_nilpotency_batch,
+        _rank_mod_p_batch,
+        _scan,
+        _scan_numpy,
+    )
+
+    dirs = _FIVE_UPPER[:slot] + [(4, 0)] + _FIVE_UPPER[slot:]
+    dir_rows = [unit_matrix(i, j, 5, F7).rows for i, j in dirs]
+    base = shift_matrix(5, F7)
+    trace_basis = [unit_matrix(i, j, 5, F7).rows for i in range(5) for j in range(i + 1, 5)]
+    pure_fails, batch_fails, terms = {
+        "nilpotency": (_fails_nilpotency(F7), _fails_nilpotency_batch(7, 5), 5),
+        "rank != 4": (lambda rows: _rank_mod_p(rows, 7) != 4,
+                      lambda mem: _rank_mod_p_batch(mem, 7) != 4, 2),
+        "trace": (_pure_trace_fails(trace_basis, 2, 7),
+                  _fails_trace_batch(trace_basis, 2, 7), 25),
+    }[predicate]
+    values = list(range(7))
+    pure = _scan(base.rows, dir_rows, values, F7, pure_fails)
+    assert pure[0] == tuple(int(i == slot) for i in range(6)) and pure[2] == checks
+    # 1536 is no power of 7; at 5 one coordinate spans more than a chunk,
+    # which takes 3000-odd chunks, and seconds, to reach point 16808
+    for chunk_cap in (spaces._NUMPY_CHUNK, 1536) + ((5,) if slot else ()):
+        monkeypatch.setattr(spaces, "_NUMPY_CHUNK", chunk_cap)
+        assert _scan_numpy(base.rows, dir_rows, values, 7, 5, batch_fails, terms) == pure
+
+
+def _next_prime(p):
+    from nilspace.fields import is_prime
+
+    p += 1
+    while not is_prime(p):
+        p += 1
+    return p
+
+
+@pytest.mark.parametrize("terms", [1, 2, 5, 16, 25])
+def test_scans_run_in_the_narrowest_dtype_that_holds_the_bound(terms):
+    import numpy as np
+
+    from nilspace.spaces import _int_dtype
+
+    for narrow, wide in (("int16", "int32"), ("int32", "int64"), ("int64", None)):
+        p = _largest_prime_for(narrow, terms)
+        assert _int_dtype(p, terms) == np.dtype(narrow)
+        assert _int_dtype(_next_prime(p), terms) == (wide and np.dtype(wide))
+    # a 4 x 4 trace: 16 * 42**2 + 42 = 28266 fits int16, 16 * 46**2 + 46 does not
+    if terms == 16:
+        assert (_largest_prime_for("int16", 16), _next_prime(43)) == (43, 47)
+
+
+@pytest.mark.parametrize("p, dtype", [(43, "int16"), (47, "int32")])
+@pytest.mark.parametrize("refuted", [False, True])
+def test_trace_scan_at_the_int16_boundary_matches_the_pure_scan(p, dtype, refuted):
+    # members with zero row sums have A^m 1 = 0, so tr(A^m 1 w^T) = w^T A^m 1
+    # vanishes for every basis element whose rows all equal one w; E00 as
+    # direction 0 breaks that first at point 4**5 + 1.  Entries and values
+    # near p - 1 push each trace sum to about 16 (p - 1)**2.
+    import numpy as np
+
+    from nilspace.reduction import _fails_trace_batch
+    from nilspace.spaces import _scan, _scan_numpy
+
+    field = PrimeField(p)
+    n = 4
+
+    def zero_row_sum(i, j, k):
+        return (unit_matrix(i, j, n, field) - unit_matrix(i, k, n, field)).scale(p - 1).rows
+
+    dir_rows = [zero_row_sum(0, 1, 2), zero_row_sum(1, 3, 0), zero_row_sum(2, 0, 3),
+                zero_row_sum(3, 2, 1), zero_row_sum(0, 3, 1), zero_row_sum(2, 1, 2)]
+    if refuted:
+        dir_rows[0] = unit_matrix(0, 0, n, field).scale(p - 1).rows
+    basis = [((p - 1,) * n,) * n, ((p - 1, 1, p - 2, 2),) * n]
+    values = [0, 1, p - 2, p - 1]
+    zero = ((0,) * n,) * n
+    seen = []
+    batch = _fails_trace_batch(basis, 2, p)
+    pure = _scan(zero, dir_rows, values, field, _pure_trace_fails(basis, 2, p))
+    batched = _scan_numpy(zero, dir_rows, values, p, n,
+                          lambda members: seen.append(members.dtype) or batch(members), n * n)
+    assert batched == pure
+    assert (pure[0] is not None) == refuted and pure[2] == (4**5 + 1 if refuted else 4**6)
+    assert set(seen) == {np.dtype(dtype)}
+
+
+def test_constant_rank_scan_memory_stays_below_the_int64_layout():
+    # the exhaustive rank scan of witness_rank_full(5, F_7) over 117 649
+    # members traced a 37.6-39.4 MB peak in the (B, n, n) int64 layout;
+    # batch-last int16 members and suffix grids keep it near 18 MB
+    import tracemalloc
+
+    space = witness_rank_full(5, F7)
+    tracemalloc.start()
+    try:
+        out = verify_constant_rank(space, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.status, out.method, out.checks_performed) == ("PROVED", "exhaustive", 7**6)
+    assert peak < 25e6
 
 
 def test_verifiers_give_identical_outcomes_batched_and_pure(monkeypatch):
