@@ -2,8 +2,9 @@
 
 Every bound carries the field-size hypothesis under which it is known to
 hold, so callers can warn when a queried field violates it; the two-element
-field shows the hypotheses are not removable.  Witness constructions are
-machine-verified before being handed out.
+field shows the hypotheses are not removable.  The witnesses are staircase
+spaces.  Only ``witness_conjecture`` machine-verifies its space before
+handing it out; the two extremal ones are returned as constructed.
 """
 
 from __future__ import annotations
@@ -165,25 +166,20 @@ def hypothesis_violated(hypothesis: str, field: FieldSpec, n: int, r: Optional[i
 # witnesses
 
 def witness_rank_full(n: int, field: FieldSpec) -> AffineMatrixSpace:
-    """The extremal constant-rank-(n-1) space: shift base, all unit matrices
-    strictly above the superdiagonal as directions."""
+    """The extremal constant-rank-(n-1) space, the staircase of rank n-1:
+    shift base, all unit matrices strictly above the superdiagonal as
+    directions."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    base = shift_matrix(n, field)
-    dirs = tuple(
-        unit_matrix(i, j, n, field) for i in range(n) for j in range(i + 2, n)
-    )
-    return AffineMatrixSpace(field, n, base, dirs)
+    return _staircase_space(n, n - 1, field)
 
 
 def witness_rank_one(n: int, field: FieldSpec) -> AffineMatrixSpace:
-    """The extremal constant-rank-1 space: one unit base on the first row,
-    the remaining first-row units as directions."""
+    """The extremal constant-rank-1 space, the staircase of rank 1: one unit
+    base on the first row, the remaining first-row units as directions."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    base = unit_matrix(0, 1, n, field)
-    dirs = tuple(unit_matrix(0, j, n, field) for j in range(2, n))
-    return AffineMatrixSpace(field, n, base, dirs)
+    return _staircase_space(n, 1, field)
 
 
 def counterexample_f2() -> AffineMatrixSpace:
@@ -201,11 +197,9 @@ def _staircase_space(n: int, r: int, field: FieldSpec) -> AffineMatrixSpace:
     right; rows r.. are zero.  Every member has leading entries in strictly
     increasing columns, hence rank exactly r, and is strictly upper
     triangular, hence nilpotent.  Dimension: sum_{i=1..r} (n-1-i)."""
-    add = ExactMatrix.__add__
-    base = None
+    base = ExactMatrix.zeros(n, n, field)
     for i in range(r):
-        u = unit_matrix(i, i + 1, n, field)
-        base = u if base is None else add(base, u)
+        base = base + unit_matrix(i, i + 1, n, field)
     dirs = tuple(
         unit_matrix(i, j, n, field) for i in range(r) for j in range(i + 2, n)
     )

@@ -113,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "greedy"), default="exhaustive")
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pruning", choices=("auto", "none", "trace"), default="auto")
-    p.add_argument("--restarts", type=_positive_int, default=5)
     _add_common(p)
     p.set_defaults(func=_cmd_search)
 
@@ -124,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=_field_arg, required=True)
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pruning", choices=("auto", "none", "trace"), default="auto")
     _add_common(p)
     p.set_defaults(func=_cmd_conjecture)
 
@@ -319,8 +316,7 @@ def _search_warnings(n: int, r: int, field: PrimeField) -> None:
 def _cmd_search(args) -> int:
     _search_warnings(args.n, args.r, args.field)
     report = search.max_affine_dimension(
-        args.n, args.r, args.field, mode=args.mode, budget=args.budget,
-        pruning=args.pruning, seed=args.seed, restarts=args.restarts,
+        args.n, args.r, args.field, mode=args.mode, budget=args.budget, seed=args.seed,
     )
     obj = serialize.search_report_to_obj(report)
     print(f"searched {report.evaluations} member evaluations in "
@@ -334,8 +330,7 @@ def _cmd_search(args) -> int:
 def _cmd_conjecture(args) -> int:
     _search_warnings(args.n, args.r, args.field)
     result = search.check_conjecture(
-        args.n, args.r, args.field, budget=args.budget,
-        pruning=args.pruning, seed=args.seed,
+        args.n, args.r, args.field, budget=args.budget, seed=args.seed,
     )
     obj = serialize.conjecture_test_to_obj(result)
     text = (f"{result.status}: conjectured {result.conjectured_dimension}, "

@@ -3,13 +3,14 @@
 The search fixes one nilpotent base point in block-shift form per similarity
 class (conjugation preserves nilpotency, the rank profile and dimension) and
 builds a pool of direction candidates whose one-parameter lines through the
-base stay nilpotent of the target rank.  Under trace pruning a pool is
-enumerated only inside the kernel of linear conditions that every line it
-needs meets: trace, rank tangent, and dominance order of the bases, each
-gated in code on its field-size bound.  B + W is valid exactly when every
-nonzero point of W lies on a pool line, so for valid W, W + c is valid iff
-every line of span(l, c), l a line of W, is a pool line: the search runs on
-this compatibility graph of the pool lines and visits each valid W once.
+base stay nilpotent of the target rank.  Under trace pruning, which the
+search uses exactly when p >= n + 1, a pool is enumerated only inside the
+kernel of linear conditions that every line it needs meets: trace, rank
+tangent, and dominance order of the bases, each gated in code on its
+field-size bound.  B + W is valid exactly when every nonzero point of W
+lies on a pool line, so for valid W, W + c is valid iff every line of
+span(l, c), l a line of W, is a pool line: the search runs on this
+compatibility graph of the pool lines and visits each valid W once.
 
 Only the pool build evaluates members; it charges them against the budget,
 and running out of budget leaves a partial pool and downgrades the result to
@@ -62,6 +63,9 @@ LOWER_BOUND_ONLY = "LOWER_BOUND_ONLY"
 CONSISTENT = "CONSISTENT"
 WITNESS_EXCEEDS = "WITNESS_EXCEEDS"
 UNRESOLVED = "UNRESOLVED"
+
+# randomized restarts of a greedy search
+_GREEDY_RESTARTS = 5
 
 # one DEBUG record per base of a search, then one for the re-verification of
 # its witness; silent unless a handler is set up
@@ -276,68 +280,15 @@ def _canonical_line(flat: tuple[int, ...], p: int) -> tuple[int, ...]:
     raise ValueError("zero vector has no line")
 
 
-def _domain_rows(base: ExactMatrix, r: int, p: int) -> list[tuple[int, ...]]:
-    """The linear conditions on the flattened direction X of a trace-pruned
-    pool, one row each, for |K| = p >= n + 1.
-
-    Trace: tr(B^m X) = 0 for m < n, met by every nilpotent line.  Power
-    tangents: u^T D_k(X) v = 0 for u in coker B^k and v in ker B^k, where
-    D_k(X) = sum_{i<k} B^i X B^(k-1-i) is the t-coefficient of (B + tX)^k.
-    If rank((B + tX)^k) <= rank(B^k) at every t, the (rank(B^k) + 1)-minors
-    of (B + tX)^k, of degree at most k (rank(B^k) + 1) in t, vanish at all
-    p points, so identically when p > k (rank(B^k) + 1), and so does their
-    t-coefficient, which is the condition; each k is gated on that bound.
-    k = 1 is the rank tangent of the rank-r matrices at B.  k >= 2 is the
-    dominance restriction, emitted only when the types of the canonical
-    bases form a chain (true for every n <= 8; at n = 9, (5,2,2) and
-    (4,4,1) are incomparable).  Then a space of constant rank r has a
-    member M of the largest type among its members, every member's type is
-    dominated by M's, and dominance is the order of the ranks of all powers
-    (Gerstenhaber-Hesselink), so the space is found in the pool of the base
-    of M's type.
-    """
-    n = base.n_rows
-    # looked up on the module at call time, so a tracing wrapper put on
-    # ``reduction.linear_trace_constraints`` sees the pool builder's call
-    rows = [
-        tuple(x for row in c.rows for x in row)
-        for c in reduction.linear_trace_constraints(base, n - 1)
-    ]
-    types = [jordan_partition(b) for b in canonical_bases(n, r, base.field)]
-    chain = all(
-        dominance_leq(a, b) or dominance_leq(b, a) for a in types for b in types
-    )
-    powers = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
-    for k in range(1, n if chain else 2):
-        powers.append(_matmul(powers[-1], base.rows, p))
-        if p <= k * (_rank(powers[k], p) + 1):
-            continue
-        # u^T B^i for u in coker B^k and B^j v for v in ker B^k, i, j < k
-        lefts = [
-            [_matmul((u,), power, p)[0] for power in powers[:k]]
-            for u in _nullspace(tuple(zip(*powers[k])), p)
-        ]
-        rights = [
-            [[sum(x * y for x, y in zip(row, v)) % p for row in power] for power in powers[:k]]
-            for v in _nullspace(powers[k], p)
-        ]
-        for left in lefts:
-            for right in rights:
-                rows.append(tuple(
-                    sum(left[i][a] * right[k - 1 - i][b] for i in range(k)) % p
-                    for a in range(n) for b in range(n)
-                ))
-    return rows
-
-
 # A form on flattened n x n matrices x: sum c x[k] over its linear terms
 # (k, c) plus sum c x[k] x[l] over its quadratic terms (k, l, c).
 _Form = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...]]
 
 
-class _LineForms(NamedTuple):
-    """The forms a line X of a pool must pass, from ``_line_forms``."""
+class _LineConditions(NamedTuple):
+    """What a line X of a pool must meet, from ``_line_conditions``."""
 
+    rows: list[tuple[int, ...]]  # linear rows on X; the pool is their kernel
     invariants: list[_Form]  # decide member 1 (the rule in _build_pool)
     screen: list[_Form]  # must vanish on every pool line
     exact: list[_Form]  # the Q_uv when screen forms combine them; each must vanish
@@ -366,25 +317,42 @@ def _quadratic(terms: dict[tuple[int, int], int]) -> _Form:
     return (), tuple((k, l, c) for (k, l), c in terms.items() if c)
 
 
-def _line_forms(base: ExactMatrix, r: int, p: int, pruning: str) -> _LineForms:
-    """The forms the pool builder carries through its enumeration of the
-    lines X through the nilpotent ``base`` B.
+def _line_conditions(base: ExactMatrix, r: int, p: int, pruning: str) -> _LineConditions:
+    """The conditions the pool builder puts on the lines X through the
+    nilpotent ``base`` B, each gated in code on its field-size bound.
 
     Invariants.  tr(B + sX) = s tr(X) and tr((B + sX)^2) = 2s tr(BX) +
     s^2 tr(X^2), so member 1 fails when tr(X) != 0 or tr(BX) = 0 != tr(X^2).
-    On the kernel of the trace rows tr(X) = tr(BX) = 0, and under trace
-    pruning tr(X^2) is the only invariant.
+    Without pruning these are all; the pool is all of F_p^(n*n).
 
-    Screen, under trace pruning only, where X meets the domain rows:
-    - Q_uv(X) = u^T X B^T X v, u in coker B, v in ker B, when B B^T B = B
-      and p > r + 1.  With B = CD a rank factorisation, L = [D B^T; u^T]
-      and R = [B^T C, v], det(L (B + sX) R) is a combination of the
-      (r + 1)-minors of B + sX, and as u^T X v = 0 (rank-tangent rows) its
-      s^2 coefficient is -Q_uv(X).  On a pool line those minors, of degree
-      at most r + 1 in s, vanish at all p values of s, so identically.
-      A single Q_uv (r = n - 1) is carried as it is; more are carried as
-      two fixed combinations, and then ``exact`` lists the Q_uv for the
-      lines that pass both.
+    Rows, under trace pruning (|K| = p >= n + 1).  Trace: tr(B^m X) = 0 for
+    m < n, met by every nilpotent line; on their kernel tr(X) = tr(BX) = 0,
+    and tr(X^2) is the only invariant.  Power tangents: u^T D_k(X) v = 0
+    for u in coker B^k and v in ker B^k, where D_k(X) = sum_{i<k} B^i X
+    B^(k-1-i) is the t-coefficient of (B + tX)^k.  If rank((B + tX)^k) <=
+    rank(B^k) at every t, the (rank(B^k) + 1)-minors of (B + tX)^k, of
+    degree at most k (rank(B^k) + 1) in t, vanish at all p points, so
+    identically when p > k (rank(B^k) + 1), and so does their
+    t-coefficient, which is the condition; each k is gated on that bound.
+    k = 1 is the rank tangent of the rank-r matrices at B, gated on p > r +
+    1.  k >= 2 is the dominance restriction, emitted only when the types of
+    the canonical bases form a chain (true for every n <= 8; at n = 9,
+    (5,2,2) and (4,4,1) are incomparable).  Then a space of constant rank r
+    has a member M of the largest type among its members, every member's
+    type is dominated by M's, and dominance is the order of the ranks of
+    all powers (Gerstenhaber-Hesselink), so the space is found in the pool
+    of the base of M's type.
+
+    Screen, under trace pruning, forms that vanish on every pool line:
+    - Q_uv(X) = u^T X B^T X v, for the u and v of the rank tangent, when
+      B B^T B = B.  With B = CD a rank factorisation, L = [D B^T; u^T] and
+      R = [B^T C, v], det(L (B + sX) R) is a combination of the (r + 1)-
+      minors of B + sX, and as u^T X v = 0 (the rank-tangent row) its s^2
+      coefficient is -Q_uv(X).  On a pool line those minors, of degree at
+      most r + 1 in s, vanish at all p values of s, so identically: the
+      rank tangent's gate.  A single Q_uv (r = n - 1) is carried as it is;
+      more are carried as two fixed combinations, and then ``exact`` lists
+      the Q_uv for the lines that pass both.
     - tr(BX^2), for r >= 3 and p >= 5.  On the kernel tr(B^2 X) = 0, so
       tr((B + sX)^3) = 3s^2 tr(BX^2) + s^3 tr(X^3), which vanishes at every
       s != 0 of a pool line.  For r <= 2 it rejected no line the other
@@ -398,14 +366,43 @@ def _line_forms(base: ExactMatrix, r: int, p: int, pruning: str) -> _LineForms:
     if pruning == "none":
         trace = (tuple((i * (n + 1), 1) for i in range(n)), ())
         base_trace = (tuple((j * n + i, c) for i, j, c in support), ())
-        return _LineForms([trace, base_trace, square], [], [])
+        return _LineConditions([], [trace, base_trace, square], [], [])
+    # looked up on the module at call time, so a tracing wrapper put on
+    # ``reduction.linear_trace_constraints`` sees the pool builder's call
+    rows = [
+        tuple(x for row in c.rows for x in row)
+        for c in reduction.linear_trace_constraints(base, n - 1)
+    ]
     screen: list[_Form] = []
     exact: list[_Form] = []
-    transposed = tuple(zip(*b))
-    if p > r + 1 and _matmul(_matmul(b, transposed, p), b, p) == b:
+    types = [jordan_partition(c) for c in canonical_bases(n, r, base.field)]
+    chain = all(
+        dominance_leq(a, c) or dominance_leq(c, a) for a in types for c in types
+    )
+    powers = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
+    for k in range(1, n if chain else 2):
+        powers.append(_matmul(powers[-1], b, p))
+        if p <= k * (_rank(powers[k], p) + 1):
+            continue
+        coker = _nullspace(tuple(zip(*powers[k])), p)
+        ker = _nullspace(powers[k], p)
+        # u^T B^i for u in coker B^k and B^j v for v in ker B^k, i, j < k
+        lefts = [[_matmul((u,), power, p)[0] for power in powers[:k]] for u in coker]
+        rights = [
+            [[sum(x * y for x, y in zip(row, v)) % p for row in power] for power in powers[:k]]
+            for v in ker
+        ]
+        for left in lefts:
+            for right in rights:
+                rows.append(tuple(
+                    sum(left[i][a] * right[k - 1 - i][e] for i in range(k)) % p
+                    for a in range(n) for e in range(n)
+                ))
+        if k > 1 or _matmul(_matmul(b, tuple(zip(*b)), p), b, p) != b:
+            continue  # the Q_uv screen below needs the rank tangent and B B^T B = B
         pairs = []
-        for u in _nullspace(transposed, p):
-            for v in _nullspace(b, p):
+        for u in coker:
+            for v in ker:
                 # Q_uv(X) = sum u_a X[a, y] B[c, y] X[c, e] v_e
                 terms: dict[tuple[int, int], int] = {}
                 for c, y, z in support:
@@ -417,13 +414,13 @@ def _line_forms(base: ExactMatrix, r: int, p: int, pruning: str) -> _LineForms:
         if len(pairs) == 1:
             screen.append(_quadratic(pairs[0]))
         else:
-            # two fixed combinations sum (i + 1)^k Q_i, k = 0, 1: a line
+            # two fixed combinations sum (i + 1)^j Q_i, j = 0, 1: a line
             # with some Q_i != 0 passes both about once in p^2
-            for k in (0, 1):
+            for j in (0, 1):
                 combined: dict[tuple[int, int], int] = {}
                 for i, terms in enumerate(pairs):
                     for key, c in terms.items():
-                        combined[key] = (combined.get(key, 0) + (i + 1) ** k * c) % p
+                        combined[key] = (combined.get(key, 0) + (i + 1) ** j * c) % p
                 screen.append(_quadratic(combined))
             exact = [_quadratic(terms) for terms in pairs]
     if r >= 3 and p >= 5:
@@ -431,7 +428,7 @@ def _line_forms(base: ExactMatrix, r: int, p: int, pruning: str) -> _LineForms:
         screen.append(((), tuple(
             (j * n + k, k * n + i, c) for i, j, c in support for k in range(n)
         )))
-    return _LineForms([square], screen, exact)
+    return _LineConditions(rows, [square], screen, exact)
 
 
 def build_candidate_pool(
@@ -445,7 +442,7 @@ def build_candidate_pool(
     line through ``base`` is nilpotent of rank exactly r.
 
     With ``pruning="trace"`` only the common kernel of the linear
-    constraints of ``_domain_rows`` is enumerated (sound for |K| >= n+1):
+    rows of ``_line_conditions`` is enumerated (sound for |K| >= n+1):
     the trace and rank-tangent conditions every such line meets, and, when
     the Jordan types of rank r form a chain in dominance order, the
     conditions of lines whose members' types the base's type dominates.
@@ -465,9 +462,9 @@ def _build_pool(base, r, field, pruning, limit: int) -> tuple[CandidatePool, int
     trace invariants and the quadric screen rejected.
 
     Member t of a line is B + t*X for its canonical representative X.  The
-    forms of ``_line_forms`` are carried through the enumeration, and the
-    lines of each run of the last coefficient that fail one are found from
-    the run's values alone, without building X: a line fails when tr(X)
+    forms of ``_line_conditions`` are carried through the enumeration, and
+    the lines of each run of the last coefficient that fail one are found
+    from the run's values alone, without building X: a line fails when tr(X)
     != 0 or tr(BX) = 0 != tr(X^2), or a screen form is nonzero.  Each such
     line is charged 1 evaluation, as is a line whose X, built, has some
     Q_uv(X) != 0, so a line's charge depends only on the line.  The other
@@ -488,26 +485,27 @@ def _build_pool(base, r, field, pruning, limit: int) -> tuple[CandidatePool, int
         raise ValueError("base point must be nilpotent of rank exactly r")
     n_entries = n * n
 
+    if pruning == "trace" and p < n + 1:
+        raise FieldTooSmallError("trace pruning is only sound for |K| >= n+1")
+    domain, invariants, screen, exact = _line_conditions(base, r, p, pruning)
     pruned_by_trace = 0
     if pruning == "trace":
-        if p < n + 1:
-            raise FieldTooSmallError(
-                "trace pruning is only sound for |K| >= n+1"
-            )
-        kernel = _nullspace(_domain_rows(base, r, p), p)
+        kernel = _nullspace(domain, p)
         pruned_by_trace = _line_count(p, n_entries) - _line_count(p, len(kernel))
     else:
         kernel = [
             tuple(int(i == j) for j in range(n_entries)) for i in range(n_entries)
         ]
-    forms = _line_forms(base, r, p, pruning)
-    carried = [_on_kernel(f, kernel, p) for f in forms.invariants + forms.screen]
+    carried = [_on_kernel(f, kernel, p) for f in invariants + screen]
     full = (1 << p) - 1
 
     def classify(polys):
-        # bit a: the line x0 + a v of the run passes the form
+        # bit a: the line x0 + a v of the run passes the form.  A nonzero
+        # polynomial has at most 2 roots; summing p shifted ints for a zero
+        # one would cost O(p^2) bits
         roots = [
             sum(1 << a for a in range(p) if not (c0 + a * (c1 + a * c2)) % p)
+            if c0 or c1 or c2 else full
             for c0, c1, c2 in polys
         ]
         if pruning == "none":
@@ -516,7 +514,7 @@ def _build_pool(base, r, field, pruning, limit: int) -> tuple[CandidatePool, int
         else:
             passed = roots[0]
         keep = passed
-        for mask in roots[len(forms.invariants):]:
+        for mask in roots[len(invariants):]:
             keep &= mask
         # the member test of a pruning="none" line reads tr(BX), tr(X^2)
         return keep, passed, passed.bit_count(), polys if pruning == "none" else None
@@ -561,7 +559,7 @@ def _build_pool(base, r, field, pruning, limit: int) -> tuple[CandidatePool, int
                         x0[k] += c * y
                 x0 = [x % p for x in x0]
             flat = tuple((x + a * y) % p for x, y in zip(x0, step)) if a else tuple(x0)
-            if any(_form_value(f, flat, p) for f in forms.exact):
+            if any(_form_value(f, flat, p) for f in exact):
                 used += 1
                 at_screen += 1
                 continue
@@ -690,19 +688,18 @@ def max_affine_dimension(
     field: FieldSpec,
     mode: str = "exhaustive",
     budget: int = DEFAULT_BUDGET,
-    pruning: str = "auto",
     seed: int = 0,
-    restarts: int = 5,
 ) -> SearchReport:
     """Maximal dimension of an affine space of nilpotent n x n matrices of
     constant rank r over F_p, with a re-verified witness.
 
     ``mode="exhaustive"`` visits every direction subspace of every
     candidate pool once, through its greedy basis; the result is EXHAUSTIVE
-    when every pool build completed.  ``mode="greedy"`` runs ``restarts``
-    seeded randomized restarts that repeatedly add the candidate keeping the
-    most candidates extendable, for cheap lower bounds.  ``pruning="auto"``
-    enables trace pruning exactly when it is sound (|K| >= n+1).
+    when every pool build completed.  ``mode="greedy"`` runs
+    ``_GREEDY_RESTARTS`` seeded randomized restarts that repeatedly add the
+    candidate keeping the most candidates extendable, for cheap lower
+    bounds.  The pools are trace-pruned exactly when that is sound (|K| >=
+    n+1), and the report's ``pruning`` says which ("trace" or "none").
 
     ``budget`` caps the member evaluations of the pool builds; ``evaluations``
     reports what they used.  The k bases share it in order: base i (from 0)
@@ -721,11 +718,8 @@ def max_affine_dimension(
         raise ValueError(f"unknown mode {mode!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     p = field.p
-    if pruning == "auto":
-        pruning = "trace" if p >= n + 1 else "none"  # the pool builder checks the rest
+    pruning = "trace" if p >= n + 1 else "none"
     start = time.perf_counter()
     used = 0
     bases = canonical_bases(n, r, field)
@@ -773,7 +767,7 @@ def max_affine_dimension(
             if mode == "exhaustive":
                 got = _canonical_dfs(graph, p, best_dim)
             else:
-                got = _greedy_search(graph, rng, restarts)
+                got = _greedy_search(graph, rng, _GREEDY_RESTARTS)
             record["search_s"] = time.perf_counter() - clock - record["graph_s"]
             record["nodes"] = got["nodes"]
             nodes += got["nodes"]
@@ -886,7 +880,6 @@ def check_conjecture(
     r: int,
     field: FieldSpec,
     budget: int = DEFAULT_BUDGET,
-    pruning: str = "auto",
     seed: int = 0,
 ) -> ConjectureTest:
     """Compare the conjectured maximal dimension against a verified witness
@@ -902,7 +895,7 @@ def check_conjecture(
     bound = conjecture_bound(n, r)
     lower_witness = witness_conjecture(n, r, field, budget)
     report = max_affine_dimension(
-        n, r, field, mode="exhaustive", budget=budget, pruning=pruning, seed=seed
+        n, r, field, mode="exhaustive", budget=budget, seed=seed
     )
     lower = max(report.max_dim_found, lower_witness.d if lower_witness else 0)
     notes: list[str] = []

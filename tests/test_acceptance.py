@@ -124,7 +124,7 @@ def test_criterion_6_conjecture_lower_bound_and_attempt():
         ranks = verify_constant_rank(w, 2)
         assert nilp.status == "PROVED" and nilp.checks_performed == 125
         assert ranks.status == "PROVED" and ranks.checks_performed == 125
-        result = run_conjecture_test(4, 2, F5, pruning="trace")
+        result = run_conjecture_test(4, 2, F5)
         assert result.status == "CONSISTENT"
         assert result.lower_bound_dimension == 3
         rep = result.search_report

@@ -199,6 +199,17 @@ def test_cli_usage_errors(tmp_path):
     assert main(["verify", "--input", str(missing), "--nilpotent"]) == 2
 
 
+def test_cli_search_options_it_decides_itself_are_gone(capsys):
+    # the search trace-prunes exactly when p >= n + 1 and runs a fixed
+    # number of greedy restarts
+    assert main(["search", "--n", "3", "--r", "2", "--field", "5", "--pruning", "trace"]) == 2
+    assert main(["conjecture", "--n", "3", "--r", "2", "--field", "5", "--pruning", "none"]) == 2
+    assert main([
+        "search", "--n", "3", "--r", "2", "--field", "5", "--mode", "greedy", "--restarts", "3",
+    ]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target in (a, b):

@@ -2,6 +2,7 @@ import functools
 import itertools
 import logging
 import random
+import time
 
 import pytest
 
@@ -39,11 +40,10 @@ from nilspace.search import (
     _build_pool,
     _canonical_dfs,
     _canonical_line,
-    _domain_rows,
     _form_value,
     _greedy_search,
     _kernel_lines,
-    _line_forms,
+    _line_conditions,
     _on_kernel,
     _LineGraph,
     _line_graph,
@@ -153,14 +153,12 @@ def test_pool_budget_cut_is_flagged():
 
 
 def test_trace_pruning_rejected_on_small_fields():
-    # the search leaves the check to the pool builder: same error, same message
-    with pytest.raises(FieldTooSmallError) as built:
+    # |K| < n + 1; the search itself never asks for trace pruning there
+    with pytest.raises(FieldTooSmallError, match=r"\|K\| >= n\+1"):
         build_candidate_pool(shift_matrix(2, F2), 1, F2, pruning="trace")
-    with pytest.raises(FieldTooSmallError) as searched:
-        max_affine_dimension(2, 1, F2, pruning="trace")
-    assert str(searched.value) == str(built.value)
-    with pytest.raises(FieldTooSmallError):
-        max_affine_dimension(4, 2, F3, pruning="trace", mode="greedy")
+    for base in canonical_bases(4, 2, F3):
+        with pytest.raises(FieldTooSmallError):
+            build_candidate_pool(base, 2, F3, pruning="trace")
 
 
 def test_candidates_lie_in_the_trace_constraint_kernel():
@@ -345,6 +343,11 @@ def _rows(flat, n):
     return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
 
 
+def _trace_kernel(base, r, p):
+    """The kernel a trace-pruned pool of ``base`` enumerates."""
+    return _nullspace_mod_p(_line_conditions(base, r, p, "trace").rows, p)
+
+
 def _reference_extension_lines(zs, lines, cand, pool, p):
     """The canonical lines that adjoining ``cand`` adds to a direction space
     W, given all points ``zs`` of W and the set ``lines`` of its lines.
@@ -496,7 +499,7 @@ def _enumeration_cases():
                             tuple(int(i == j) for j in range(n * n)) for i in range(n * n)
                         ]
                     if p >= n + 1:
-                        yield p, n, base_flat, _nullspace_mod_p(_domain_rows(base, r, p), p)
+                        yield p, n, base_flat, _trace_kernel(base, r, p)
     rng = random.Random(8)
     for p in (2, 3, 5, 7, 11):
         for _ in range(6):
@@ -514,7 +517,7 @@ def test_kernel_lines_match_the_odometer_reference_and_carry_the_traces():
     for p, n, base_flat, kernel in _enumeration_cases():
         d = len(kernel)
         base = ExactMatrix(PrimeField(p), _rows(base_flat, n))
-        forms = [_on_kernel(f, kernel, p) for f in _line_forms(base, 1, p, "none").invariants]
+        forms = [_on_kernel(f, kernel, p) for f in _line_conditions(base, 1, p, "none").invariants]
         forms += [
             ([rng.randrange(p) for _ in range(d)],
              [[rng.randrange(p) for _ in range(d)] for _ in range(d)])
@@ -548,7 +551,7 @@ def test_complete_pools_reject_on_the_invariants_exactly_the_failing_lines(n, r,
     field = PrimeField(p)
     for base in canonical_bases(n, r, field):
         if pruning == "trace":
-            kernel = _nullspace_mod_p(_domain_rows(base, r, p), p)
+            kernel = _trace_kernel(base, r, p)
         else:
             kernel = [tuple(int(i == j) for j in range(n * n)) for i in range(n * n)]
         want = 0
@@ -665,7 +668,7 @@ def test_dominance_rows_need_a_chain_of_types():
 
             trace = [tuple(x for row in c.rows for x in row)
                      for c in linear_trace_constraints(base, n - 1)]
-            rows = _domain_rows(base, r, p)
+            rows = _line_conditions(base, r, p, "trace").rows
             assert rows[:len(trace)] == trace
             tangent = [
                 tuple(u[a] * v[b] % p for a in range(n) for b in range(n))
@@ -679,7 +682,7 @@ def test_dominance_rows_need_a_chain_of_types():
     # implied by the others on every base tried (n <= 8), so the rows, not
     # their kernel, show the gate
     for base in canonical_bases(8, 5, PrimeField(11)):
-        assert _domain_rows(base, 5, 11) == _reference_domain_rows(base, 5, 11)
+        assert _line_conditions(base, 5, 11, "trace").rows == _reference_domain_rows(base, 5, 11)
 
 
 def test_rank_one_maximum_one_size_past_n3():
@@ -701,9 +704,10 @@ def test_rank_one_maximum_at_n5():
 
 def _unscreened(monkeypatch):
     """Pools built from here on carry the trace invariants only."""
-    line_forms = search._line_forms
+    line_conditions = search._line_conditions
     monkeypatch.setattr(
-        search, "_line_forms", lambda *args: line_forms(*args)._replace(screen=[], exact=[])
+        search, "_line_conditions",
+        lambda *args: line_conditions(*args)._replace(screen=[], exact=[]),
     )
 
 
@@ -733,7 +737,7 @@ def test_screened_j4_pool_prefixes_equal_the_pools_without_the_screen(monkeypatc
     # pool: the screened build keeps exactly the lines that the unscreened
     # build keeps among the lines the screened one tested
     (base,) = canonical_bases(4, 3, F5)
-    kernel = _nullspace_mod_p(_domain_rows(base, 3, 5), 5)
+    kernel = _trace_kernel(base, 3, 5)
     screened = [
         build_candidate_pool(base, 3, F5, pruning="trace", budget=budget)
         for budget in (2000, 20_000, 200_000)
@@ -783,13 +787,13 @@ def test_q_forms_vanish_exactly_when_the_minors_lose_their_s2_term():
     samples = vanishing = 0
     for n, r in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2)):
         for base in canonical_bases(n, r, field):
-            forms = _line_forms(base, r, p, "trace")
+            forms = _line_conditions(base, r, p, "trace")
             q_forms = forms.exact or forms.screen[:1]  # one Q_uv when r = n - 1
             b = base.rows
             bt = tuple(zip(*b))
             pairs = [(u, v) for u in _nullspace_mod_p(bt, p) for v in _nullspace_mod_p(b, p)]
             assert len(q_forms) == len(pairs) == (n - r) ** 2
-            kernel = _nullspace_mod_p(_domain_rows(base, r, p), p)
+            kernel = _nullspace_mod_p(forms.rows, p)
             subsets = list(itertools.combinations(range(n), r + 1))
             for _ in range(300):
                 # sparse coordinates, so that some points have every Q_uv = 0
@@ -817,20 +821,33 @@ def test_q_forms_vanish_exactly_when_the_minors_lose_their_s2_term():
 
 def test_q_screen_gates():
     # at p = r + 1 a minor can vanish at every s without vanishing
-    # identically, so there is no Q form; tr(BX^2) needs only r >= 3, p >= 5
-    for n, r, p in ((2, 1, 2), (3, 2, 3), (5, 4, 5)):
-        (base,) = canonical_bases(n, r, PrimeField(p))
-        forms = _line_forms(base, r, p, "trace")
-        assert forms.exact == [] and len(forms.screen) == (r >= 3)
-    assert len(_line_forms(shift_matrix(3, F5), 2, 5, "trace").screen) == 1
-    assert _line_forms(shift_matrix(3, F5), 2, 5, "none").screen == []
+    # identically, so there are neither rank-tangent rows nor a Q form; just
+    # above, there are both.  tr(BX^2) needs only r >= 3, p >= 5
+    from nilspace import linear_trace_constraints
+
+    for n, r, ps in ((2, 1, (2, 3)), (3, 2, (3, 5)), (5, 4, (5, 7))):
+        for p in ps:
+            (base,) = canonical_bases(n, r, PrimeField(p))
+            rows, _, screen, exact = _line_conditions(base, r, p, "trace")
+            trace = [tuple(x for row in c.rows for x in row)
+                     for c in linear_trace_constraints(base, n - 1)]
+            (u,) = _nullspace_mod_p(base.transpose().rows, p)
+            (v,) = _nullspace_mod_p(base.rows, p)
+            tangent = tuple(u[a] * v[b] % p for a in range(n) for b in range(n))
+            assert rows[:len(trace)] == trace and exact == []
+            if p == r + 1:
+                assert rows == trace and len(screen) == (r >= 3)
+            else:
+                assert rows[len(trace)] == tangent and len(screen) == 1 + (r >= 3)
+    unpruned = _line_conditions(shift_matrix(3, F5), 2, 5, "none")
+    assert unpruned.rows == unpruned.screen == unpruned.exact == []
     # a conjugate of the shift has no Q screen (C C^T C != C) and the
     # conjugate pool
     base = shift_matrix(3, F5)
     g = ExactMatrix(F5, ((1, 2, 0), (0, 1, 3), (1, 0, 1)))
     conj = g @ base @ inverse(g)
     assert conj @ conj.transpose() @ conj != conj
-    assert _line_forms(conj, 2, 5, "trace") == ([_line_forms(base, 2, 5, "none").invariants[2]], [], [])
+    assert _line_conditions(conj, 2, 5, "trace")[1:] == ([unpruned.invariants[2]], [], [])
     pool, _, _, at_screen = _build_pool(conj, 2, F5, "trace", 10**6)
     assert pool.complete and at_screen == 0
     image = sorted(
@@ -1193,22 +1210,39 @@ def test_search_witness_reverifies():
 
 
 def test_pruning_disabled_gives_identical_results():
-    fast = max_affine_dimension(3, 2, F5, pruning="trace")
-    slow = max_affine_dimension(3, 2, F5, pruning="none")
-    assert fast.max_dim_found == slow.max_dim_found
-    assert fast.status == slow.status == "EXHAUSTIVE"
-    assert fast.witness == slow.witness
+    # the search is a function of the sorted pool lines, so equal pools
+    # give equal searches whichever pruning built them
+    for p in (5, 7):
+        field = PrimeField(p)
+        for n in (2, 3):
+            for r in range(1, n):
+                for base in canonical_bases(n, r, field):
+                    slow = build_candidate_pool(base, r, field, pruning="none")
+                    fast = build_candidate_pool(base, r, field, pruning="trace")
+                    assert slow.complete and fast.complete
+                    assert slow.candidates == fast.candidates, (n, r, p)
 
 
 def test_budget_monotonicity_and_downgrade():
     dims = []
     for budget in (20, 2000, 1_000_000):
-        rep = max_affine_dimension(3, 2, F5, budget=budget, pruning="trace")
+        rep = max_affine_dimension(3, 2, F5, budget=budget)
         dims.append(rep.max_dim_found)
         assert rep.max_dim_found <= bound_rank_bounded(3, 2)
     assert dims == sorted(dims)
-    cut = max_affine_dimension(3, 2, F5, budget=20, pruning="trace")
+    cut = max_affine_dimension(3, 2, F5, budget=20)
     assert cut.status == "LOWER_BOUND_ONLY"
+
+
+def test_large_prime_search_is_bounded_by_its_budget():
+    # a run polynomial that is identically zero passes every line of its run;
+    # its root mask is built in O(p) bits, not by summing p shifted ints,
+    # which took 20-30 s at p = 1 000 003 on a 2-core machine
+    start = time.perf_counter()
+    rep = max_affine_dimension(3, 2, PrimeField(1_000_003), budget=10)
+    assert time.perf_counter() - start < 5.0
+    assert rep.pruning == "trace" and rep.evaluations == 10
+    assert rep.status == "LOWER_BOUND_ONLY"
 
 
 def test_greedy_mode_reaches_known_lower_bound():
@@ -1226,13 +1260,8 @@ def test_search_input_validation():
         max_affine_dimension(3, 2, F5, mode="sideways")
     with pytest.raises(ValueError, match="budget"):
         max_affine_dimension(3, 2, F5, budget=0)
-    with pytest.raises(ValueError, match="restarts"):
-        max_affine_dimension(3, 2, F5, mode="greedy", restarts=0)
-    with pytest.raises(ValueError) as built:
+    with pytest.raises(ValueError, match="unknown pruning 'sideways'"):
         build_candidate_pool(shift_matrix(3, F5), 2, F5, pruning="sideways")
-    with pytest.raises(ValueError) as searched:
-        max_affine_dimension(3, 2, F5, pruning="sideways")
-    assert str(searched.value) == str(built.value) == "unknown pruning 'sideways'"
     from nilspace import RATIONALS
 
     with pytest.raises(ValueError):
