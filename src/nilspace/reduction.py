@@ -284,15 +284,21 @@ def linear_trace_constraints(p_mat: ExactMatrix, m_max: int) -> tuple[ExactMatri
     coefficient matrix C with value sum_{i,j} C[i][j] * X[i][j]; the two
     trace orders coincide by cyclicity, and zero or repeated functionals
     are dropped.
+
+    For a direction X, tr((P + sX)^(m+1)) is a polynomial of degree <= m + 1
+    in s that vanishes at every s, and its s-coefficient is (m + 1) tr(P^m
+    X).  So row m is necessary when |K| > m + 1, i.e. m_max <= |K| - 2.  At
+    m = |K| - 1 it is not: over F_3, every member of J_3 + s X with X =
+    [[0,0,1],[0,1,0],[2,0,2]] is nilpotent, yet tr(J_3^2 X) = 2.
     """
     if not p_mat.is_square:
         raise ValueError("expected a square matrix")
     if not is_nilpotent(p_mat):
         raise NotNilpotentError("base point must be nilpotent")
     field = p_mat.field
-    if isinstance(field, PrimeField) and m_max >= field.p:
+    if isinstance(field, PrimeField) and m_max > field.p - 2:
         raise FieldTooSmallError(
-            f"trace constraints need |K| > m_max: |K| = {field.p}, m_max = {m_max}"
+            f"trace constraints need |K| >= m_max + 2: |K| = {field.p}, m_max = {m_max}"
         )
     if m_max < 0:
         raise ValueError("m_max must be >= 0")

@@ -3,11 +3,12 @@
 The search fixes one nilpotent base point in block-shift form per similarity
 class (conjugation preserves nilpotency, the rank profile and dimension) and
 builds a pool of direction candidates whose one-parameter lines through the
-base stay nilpotent of the target rank.  Under trace pruning, which the
-search uses exactly when p >= n + 1, a pool is enumerated only inside the
-kernel of linear conditions that every line it needs meets: trace, rank
-tangent, and dominance order of the bases, each gated in code on its
-field-size bound.  B + W is valid exactly when every nonzero point of W
+base stay nilpotent of the target rank.  The search always trace-prunes:
+a pool is enumerated only inside the kernel of linear conditions that
+every line it needs meets, the trace rows tr(B^m X) = 0 for m <= min(n -
+1, p - 2), the rank tangent and the dominance order of the bases, each
+row gated in code on its own field-size bound, so every field gets the
+rows it can afford.  B + W is valid exactly when every nonzero point of W
 lies on a pool line, so for valid W, W + c is valid iff every line of
 span(l, c), l a line of W, is a pool line: the search runs on this
 compatibility graph of the pool lines and visits each valid W once.
@@ -36,7 +37,6 @@ from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import reduction
 from .catalog import conjecture_bound, witness_conjecture
-from .errors import FieldTooSmallError
 from .fields import FieldSpec, PrimeField
 from .matrices import (
     ExactMatrix,
@@ -325,15 +325,21 @@ def _line_conditions(base: ExactMatrix, r: int, p: int, pruning: str) -> _LineCo
     s^2 tr(X^2), so member 1 fails when tr(X) != 0 or tr(BX) = 0 != tr(X^2).
     Without pruning these are all; the pool is all of F_p^(n*n).
 
-    Rows, under trace pruning (|K| = p >= n + 1).  Trace: tr(B^m X) = 0 for
-    m < n, met by every nilpotent line; on their kernel tr(X) = tr(BX) = 0,
-    and tr(X^2) is the only invariant.  Power tangents: u^T D_k(X) v = 0
-    for u in coker B^k and v in ker B^k, where D_k(X) = sum_{i<k} B^i X
-    B^(k-1-i) is the t-coefficient of (B + tX)^k.  If rank((B + tX)^k) <=
-    rank(B^k) at every t, the (rank(B^k) + 1)-minors of (B + tX)^k, of
-    degree at most k (rank(B^k) + 1) in t, vanish at all p points, so
-    identically when p > k (rank(B^k) + 1), and so does their
-    t-coefficient, which is the condition; each k is gated on that bound.
+    Rows, under trace pruning.  Trace: tr(B^m X) = 0 for m <= min(n - 1, p
+    - 2).  On a nilpotent line tr((B + sX)^(m+1)), of degree at most m + 1
+    in s, vanishes at all p values of s, so identically when p > m + 1, and
+    so does its s-coefficient (m + 1) tr(B^m X); each row m has that gate
+    (``reduction.linear_trace_constraints``), and m >= n adds nothing as
+    B^n = 0.  On their kernel tr(X) = 0 and, for p >= 3, tr(BX) = 0, and
+    tr(X^2) is the only invariant.  At p = 2 there is no tr(BX) row, but
+    there 2 tr(BX) = 0, so member 1 still fails exactly when tr(X^2) != 0.
+    Power tangents: u^T D_k(X) v = 0 for u in coker B^k and v in ker B^k,
+    where D_k(X) = sum_{i<k} B^i X B^(k-1-i) is the t-coefficient of (B +
+    tX)^k.  If rank((B + tX)^k) <= rank(B^k) at every t, the (rank(B^k) +
+    1)-minors of (B + tX)^k, of degree at most k (rank(B^k) + 1) in t,
+    vanish at all p points, so identically when p > k (rank(B^k) + 1), and
+    so does their t-coefficient, which is the condition; each k is gated on
+    that bound.
     k = 1 is the rank tangent of the rank-r matrices at B, gated on p > r +
     1.  k >= 2 is the dominance restriction, emitted only when the types of
     the canonical bases form a chain (true for every n <= 8; at n = 9,
@@ -353,7 +359,8 @@ def _line_conditions(base: ExactMatrix, r: int, p: int, pruning: str) -> _LineCo
       rank tangent's gate.  A single Q_uv (r = n - 1) is carried as it is;
       more are carried as two fixed combinations, and then ``exact`` lists
       the Q_uv for the lines that pass both.
-    - tr(BX^2), for r >= 3 and p >= 5.  On the kernel tr(B^2 X) = 0, so
+    - tr(BX^2), for r >= 3 and p >= 5.  On the kernel tr(B^2 X) = 0 (a
+      row at p >= 4 as n > r >= 3), so
       tr((B + sX)^3) = 3s^2 tr(BX^2) + s^3 tr(X^3), which vanishes at every
       s != 0 of a pool line.  For r <= 2 it rejected no line the other
       forms pass on any instance tried (n <= 4 at p = 5, 7; n=5 r=1 p=7),
@@ -371,7 +378,7 @@ def _line_conditions(base: ExactMatrix, r: int, p: int, pruning: str) -> _LineCo
     # ``reduction.linear_trace_constraints`` sees the pool builder's call
     rows = [
         tuple(x for row in c.rows for x in row)
-        for c in reduction.linear_trace_constraints(base, n - 1)
+        for c in reduction.linear_trace_constraints(base, min(n - 1, p - 2))
     ]
     screen: list[_Form] = []
     exact: list[_Form] = []
@@ -441,9 +448,10 @@ def build_candidate_pool(
     """Enumerate one canonical representative per direction line whose whole
     line through ``base`` is nilpotent of rank exactly r.
 
-    With ``pruning="trace"`` only the common kernel of the linear
-    rows of ``_line_conditions`` is enumerated (sound for |K| >= n+1):
-    the trace and rank-tangent conditions every such line meets, and, when
+    With ``pruning="trace"`` only the common kernel of the linear rows of
+    ``_line_conditions`` is enumerated, over every F_p, since each row is
+    emitted only on the field-size bound it needs: the trace and
+    rank-tangent conditions every such line meets, and, when
     the Jordan types of rank r form a chain in dominance order, the
     conditions of lines whose members' types the base's type dominates.
     Every space of the search passes through a member of its largest type,
@@ -485,8 +493,6 @@ def _build_pool(base, r, field, pruning, limit: int) -> tuple[CandidatePool, int
         raise ValueError("base point must be nilpotent of rank exactly r")
     n_entries = n * n
 
-    if pruning == "trace" and p < n + 1:
-        raise FieldTooSmallError("trace pruning is only sound for |K| >= n+1")
     domain, invariants, screen, exact = _line_conditions(base, r, p, pruning)
     pruned_by_trace = 0
     if pruning == "trace":
@@ -512,6 +518,8 @@ def _build_pool(base, r, field, pruning, limit: int) -> tuple[CandidatePool, int
             tr_x, tr_bx, square = roots
             passed = tr_x & (square | full & ~tr_bx)
         else:
+            # the kernel has tr(X) = 0 and, for p >= 3, tr(BX) = 0; at p = 2
+            # tr(M^2) = 2s tr(BX) + s^2 tr(X^2) = s^2 tr(X^2) all the same
             passed = roots[0]
         keep = passed
         for mask in roots[len(invariants):]:
@@ -529,7 +537,9 @@ def _build_pool(base, r, field, pruning, limit: int) -> tuple[CandidatePool, int
     kept: list[tuple[int, ...]] = []
     at_invariants = at_screen = at_member_test = 0
     used = 0
-    tr_bx = q = 0  # of every member-tested line under trace pruning
+    # of every member-tested line under trace pruning: tr(X^2) = 0, and
+    # 2 tr(BX) = 0, by the tr(BX) row at p >= 3 and as 2 = 0 at p = 2
+    tr_bx = q = 0
     complete = True
     for (keep, passed, n_passed, polys), size, lead, coeffs in _kernel_lines(
         kernel, carried, p, classify
@@ -698,8 +708,8 @@ def max_affine_dimension(
     when every pool build completed.  ``mode="greedy"`` runs
     ``_GREEDY_RESTARTS`` seeded randomized restarts that repeatedly add the
     candidate keeping the most candidates extendable, for cheap lower
-    bounds.  The pools are trace-pruned exactly when that is sound (|K| >=
-    n+1), and the report's ``pruning`` says which ("trace" or "none").
+    bounds.  The pools are always trace-pruned, each row of the pruning on
+    the field-size bound it needs, and the report's ``pruning`` is "trace".
 
     ``budget`` caps the member evaluations of the pool builds; ``evaluations``
     reports what they used.  The k bases share it in order: base i (from 0)
@@ -719,7 +729,6 @@ def max_affine_dimension(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     p = field.p
-    pruning = "trace" if p >= n + 1 else "none"
     start = time.perf_counter()
     used = 0
     bases = canonical_bases(n, r, field)
@@ -739,7 +748,7 @@ def max_affine_dimension(
         share = -(-(budget - used) // (len(bases) - i))
         clock = time.perf_counter()
         pool, kernel_dim, at_invariants, at_screen = _build_pool(
-            base, r, field, pruning, share
+            base, r, field, "trace", share
         )
         used += pool.evaluations
         partition = jordan_partition(base)
@@ -795,7 +804,7 @@ def max_affine_dimension(
         n=n, r=r, p=p, max_dim_found=best_dim, witness=witness, status=status,
         base_points_tried=tuple(base_partitions), nodes_explored=nodes,
         pruned_by_trace=pruned_by_trace, pruned_by_rank=pruned_by_rank,
-        evaluations=used, budget=budget, pruning=pruning,
+        evaluations=used, budget=budget, pruning="trace",
         mode=mode, seed=seed, wall_time=wall,
     )
 

@@ -498,6 +498,13 @@ def combine_outcomes(*outcomes: VerificationOutcome) -> VerificationOutcome:
 # ---------------------------------------------------------------------------
 # verification oracles
 
+def _field_values(p: int, d: int) -> list[int]:
+    """The coordinate values of an exhaustive scan of F_p^d.  A space with
+    d = 0 has its base as its one member, so no list of p values is built
+    for it."""
+    return list(range(p)) if d else [0]
+
+
 def _choose_points(space: AffineMatrixSpace, degree: int, method: str):
     """Pick evaluation values and the method label they justify.
 
@@ -508,7 +515,7 @@ def _choose_points(space: AffineMatrixSpace, degree: int, method: str):
     if isinstance(field, PrimeField):
         p = field.p
         if method == "exhaustive" or (method == "auto" and p <= degree + 1):
-            return list(range(p)), "exhaustive"
+            return _field_values(p, space.d), "exhaustive"
         if p < degree + 1:
             raise ValueError(
                 f"a grid certificate needs {degree + 1} distinct values; |K| = {p}"
@@ -588,7 +595,7 @@ def verify_constant_rank(
 
     if isinstance(field, PrimeField) and field.p ** space.d <= budget:
         return _scan_space(
-            space, list(range(field.p)), "exhaustive", fails_exact,
+            space, _field_values(field.p, space.d), "exhaustive", fails_exact,
             lambda members: _rank_mod_p_batch(members, field.p) != r, 2,
         )
 

@@ -200,8 +200,8 @@ def test_cli_usage_errors(tmp_path):
 
 
 def test_cli_search_options_it_decides_itself_are_gone(capsys):
-    # the search trace-prunes exactly when p >= n + 1 and runs a fixed
-    # number of greedy restarts
+    # the search always trace-prunes, each row on its own field-size bound,
+    # and runs a fixed number of greedy restarts
     assert main(["search", "--n", "3", "--r", "2", "--field", "5", "--pruning", "trace"]) == 2
     assert main(["conjecture", "--n", "3", "--r", "2", "--field", "5", "--pruning", "none"]) == 2
     assert main([
@@ -256,6 +256,8 @@ GOLDEN_CASES = {
     # name: (argv, exit code); {rank_full} and {conjecture_q} are witness files
     "search_n3_r2_f5": (["search", "--n", "3", "--r", "2", "--field", "5"], 0),
     "search_n3_r2_f3": (["search", "--n", "3", "--r", "2", "--field", "3"], 0),
+    # p < n + 1: the rank-one value n - 2, decided with the trace rows m <= 1
+    "search_n4_r1_f3": (["search", "--n", "4", "--r", "1", "--field", "3"], 0),
     "search_n3_r2_f5_greedy_seed7": (
         ["search", "--n", "3", "--r", "2", "--field", "5", "--mode", "greedy",
          "--seed", "7"], 3),

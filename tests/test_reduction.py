@@ -15,6 +15,7 @@ from nilspace import (
     clear_first_column,
     conjugate_by_shift,
     identity_matrix,
+    is_nilpotent,
     jordan_partition,
     linear_trace_constraints,
     mat_pow,
@@ -265,6 +266,36 @@ def test_linear_trace_constraints_validation():
         linear_trace_constraints(identity_matrix(2, F5), 1)
     with pytest.raises(FieldTooSmallError):
         linear_trace_constraints(shift_matrix(3, PrimeField(2)), 2)
+
+
+def test_linear_trace_constraints_stop_at_p_minus_2():
+    # tr((B + sX)^(m+1)) vanishing at all p values of s forces its
+    # s-coefficient (m + 1) tr(B^m X) to vanish only when p > m + 1.  Over
+    # F_3 the X with every member of J_3 + sX nilpotent and tr(J_3^2 X) != 0
+    # are found by brute force; the gate admits m_max <= 1 and refuses 2
+    import itertools
+
+    f3 = PrimeField(3)
+    base = shift_matrix(3, f3)
+    square = base @ base
+    broken = []
+    for entries in itertools.product(range(3), repeat=9):
+        x = ExactMatrix(f3, (entries[0:3], entries[3:6], entries[6:9]))
+        if (square @ x).trace() == 0:
+            continue
+        if all(is_nilpotent(base + x.scale(s)) for s in range(3)):
+            broken.append(x)
+    assert len(broken) == 54
+    x = ExactMatrix(f3, ((0, 0, 1), (0, 1, 0), (2, 0, 2)))
+    assert x in broken
+    assert (square @ x).trace() == 2
+    with pytest.raises(FieldTooSmallError, match=r"m_max \+ 2"):
+        linear_trace_constraints(base, 2)
+    rows = linear_trace_constraints(base, 1)
+    assert rows == (identity_matrix(3, f3), base.transpose())
+    for y in broken:
+        assert all(sum(c[i, j] * y[i, j] for i in range(3) for j in range(3)) % 3 == 0
+                   for c in rows)
 
 
 def test_witness_directions_satisfy_all_constraints():

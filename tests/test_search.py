@@ -9,7 +9,6 @@ import pytest
 from nilspace import (
     AffineMatrixSpace,
     ExactMatrix,
-    FieldTooSmallError,
     PrimeField,
     bound_rank_bounded,
     bound_rank_full,
@@ -152,15 +151,6 @@ def test_pool_budget_cut_is_flagged():
     assert pool.evaluations <= 50
 
 
-def test_trace_pruning_rejected_on_small_fields():
-    # |K| < n + 1; the search itself never asks for trace pruning there
-    with pytest.raises(FieldTooSmallError, match=r"\|K\| >= n\+1"):
-        build_candidate_pool(shift_matrix(2, F2), 1, F2, pruning="trace")
-    for base in canonical_bases(4, 2, F3):
-        with pytest.raises(FieldTooSmallError):
-            build_candidate_pool(base, 2, F3, pruning="trace")
-
-
 def test_candidates_lie_in_the_trace_constraint_kernel():
     # every direction whose line through the shift base stays nilpotent (no
     # rank requirement even) satisfies the linear trace constraints; the
@@ -200,15 +190,18 @@ def test_candidates_lie_in_the_trace_constraint_kernel():
 
 
 def _reference_domain_rows(base, r, p):
-    """Oracle for the trace-pruned pool domain: the trace rows, then for
-    k = 1..n-1 the rows u^T D_k(X) v = 0, u in coker B^k, v in ker B^k, got
-    by applying D_k(X) = sum_{i<k} B^i X B^(k-1-i) to each unit matrix X.
-    Rows with k >= 2 need the types of rank r to form a chain; each k needs
-    p > k (rank(B^k) + 1)."""
+    """Oracle for the trace-pruned pool domain: the trace rows tr(B^m X),
+    m <= min(n - 1, p - 2), then for k = 1..n-1 the rows u^T D_k(X) v = 0,
+    u in coker B^k, v in ker B^k, got by applying D_k(X) = sum_{i<k} B^i X
+    B^(k-1-i) to each unit matrix X.  Rows with k >= 2 need the types of
+    rank r to form a chain; each k needs p > k (rank(B^k) + 1)."""
     from nilspace import dominance_leq, linear_trace_constraints, mat_pow, unit_matrix
 
     field, n = base.field, base.n_rows
-    rows = [tuple(x for row in c.rows for x in row) for c in linear_trace_constraints(base, n - 1)]
+    rows = [
+        tuple(x for row in c.rows for x in row)
+        for c in linear_trace_constraints(base, min(n - 1, p - 2))
+    ]
     types = [jordan_partition(b) for b in canonical_bases(n, r, field)]
     chain = all(
         dominance_leq(a, b) or dominance_leq(b, a) for a, b in itertools.combinations(types, 2)
@@ -409,6 +402,9 @@ def _reference_dfs(cands, pool, zero, p, initial_best: int):
     (3, 1, 7, "trace"), (4, 1, 5, "trace"), (4, 2, 5, "trace"),
     # p = r: traces of powers do not decide nilpotency, e.g. diag(1, 1, 0)
     (3, 2, 2, "none"),
+    # p < n + 1: the trace rows m <= p - 2 only; at p = 2 just tr(X) = 0
+    (2, 1, 2, "trace"), (3, 1, 2, "trace"), (3, 2, 2, "trace"),
+    (3, 1, 3, "trace"), (3, 2, 3, "trace"), (4, 1, 3, "trace"),
 ])
 def test_pool_builder_matches_the_member_by_member_reference(n, r, p, pruning):
     # same pool, counters and budget charges at every budget, including
@@ -498,8 +494,7 @@ def _enumeration_cases():
                         yield p, n, base_flat, [
                             tuple(int(i == j) for j in range(n * n)) for i in range(n * n)
                         ]
-                    if p >= n + 1:
-                        yield p, n, base_flat, _trace_kernel(base, r, p)
+                    yield p, n, base_flat, _trace_kernel(base, r, p)
     rng = random.Random(8)
     for p in (2, 3, 5, 7, 11):
         for _ in range(6):
@@ -545,6 +540,7 @@ def test_kernel_lines_match_the_odometer_reference_and_carry_the_traces():
 
 @pytest.mark.parametrize("n, r, p, pruning", [
     (2, 1, 5, "none"), (3, 2, 3, "none"), (3, 1, 5, "trace"), (3, 2, 7, "trace"),
+    (3, 2, 3, "trace"),
 ])
 def test_complete_pools_reject_on_the_invariants_exactly_the_failing_lines(n, r, p, pruning):
     # the lines with tr(X) != 0, or tr(BX) = 0 != tr(X^2), and no others
@@ -702,6 +698,16 @@ def test_rank_one_maximum_at_n5():
     assert (rep.evaluations, rep.nodes_explored) == (964_795, 402)
 
 
+def test_rank_one_maximum_below_the_field_hypothesis():
+    # the paper's rank-one value n - 2 also holds at F_3, p < n + 1, where
+    # the trace rows stop at m = p - 2 = 1
+    for n, evaluations, nodes in ((4, 389, 14), (5, 3359, 42)):
+        rep = max_affine_dimension(n, 1, F3)
+        assert rep.status == "EXHAUSTIVE" and rep.pruning == "trace"
+        assert rep.max_dim_found == bound_rank_one(n) == n - 2
+        assert (rep.evaluations, rep.nodes_explored) == (evaluations, nodes)
+
+
 def _unscreened(monkeypatch):
     """Pools built from here on carry the trace invariants only."""
     line_conditions = search._line_conditions
@@ -830,7 +836,7 @@ def test_q_screen_gates():
             (base,) = canonical_bases(n, r, PrimeField(p))
             rows, _, screen, exact = _line_conditions(base, r, p, "trace")
             trace = [tuple(x for row in c.rows for x in row)
-                     for c in linear_trace_constraints(base, n - 1)]
+                     for c in linear_trace_constraints(base, min(n - 1, p - 2))]
             (u,) = _nullspace_mod_p(base.transpose().rows, p)
             (v,) = _nullspace_mod_p(base.rows, p)
             tangent = tuple(u[a] * v[b] % p for a in range(n) for b in range(n))
@@ -1102,10 +1108,11 @@ def test_packed_line_graph_matches_the_tuple_reference_on_random_line_sets(p, k,
 @pytest.mark.parametrize("n, r, p, pruning, budget, nodes", [
     # the six search-n3 instances, with the pruning the search picks, and
     # the canonical DFS's node count from an empty start
-    (3, 1, 3, "none", None, 4), (3, 2, 3, "none", None, 27),
+    (3, 1, 3, "trace", None, 4), (3, 2, 3, "trace", None, 27),
     (3, 1, 5, "trace", None, 6), (3, 2, 5, "trace", None, 22),
     (3, 1, 7, "trace", None, 8), (3, 2, 7, "trace", None, 44),
     # unpruned n=3 pools
+    (3, 1, 3, "none", None, 4), (3, 2, 3, "none", None, 27),
     (3, 1, 5, "none", None, 6), (3, 2, 5, "none", None, 22),
     # partial n=4 pools
     *((4, r, p, "none" if p == 3 else "trace", budget, None)
@@ -1196,7 +1203,8 @@ def test_remark_field_size_exception_is_found():
     rep = max_affine_dimension(2, 1, F2)
     assert rep.max_dim_found == 1 > bound_rank_one(2)
     assert rep.status == "EXHAUSTIVE"
-    assert rep.pruning == "none"  # auto-resolved: trace unsound at |K| < n+1
+    # the search always trace-prunes; at p = 2 the only trace row is tr(X)
+    assert rep.pruning == "trace"
     assert verify_all_nilpotent(rep.witness).status == "PROVED"
     assert verify_constant_rank(rep.witness, 1).status == "PROVED"
 
@@ -1211,8 +1219,9 @@ def test_search_witness_reverifies():
 
 def test_pruning_disabled_gives_identical_results():
     # the search is a function of the sorted pool lines, so equal pools
-    # give equal searches whichever pruning built them
-    for p in (5, 7):
+    # give equal searches whichever pruning built them; at p = 2, 3 each
+    # row of the trace pool is gated on its own field size
+    for p in (2, 3, 5, 7):
         field = PrimeField(p)
         for n in (2, 3):
             for r in range(1, n):
