@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from functools import lru_cache
+from typing import Optional, Union
 
 # Moduli are restricted to machine-word size; extension fields are out of scope.
 MAX_PRIME = 2**63
@@ -32,6 +33,45 @@ def is_prime(p: int) -> bool:
             return False
         f += 2
     return True
+
+
+@lru_cache(maxsize=8)
+def _sqrt_table(p: int) -> tuple[int, ...]:
+    """A square root of each residue 0..p-1 mod the odd prime p, or -1 for
+    a non-residue; for small primes."""
+    table = [-1] * p
+    for y in range((p + 1) // 2):
+        table[y * y % p] = y
+    return tuple(table)
+
+
+def _sqrt_mod(x: int, p: int) -> Optional[int]:
+    """A square root of x mod the odd prime p, or None when x is not a
+    square: from ``_sqrt_table`` below 65536, else by Tonelli-Shanks."""
+    x %= p
+    if p < 65536:
+        root = _sqrt_table(p)[x]
+        return None if root < 0 else root
+    if x == 0:
+        return 0
+    if pow(x, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0  # p - 1 = q * 2^s, q odd
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2  # the least non-residue
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, root = pow(z, q, p), pow(x, q, p), pow(x, (q + 1) // 2, p)
+    while t != 1:  # root^2 = x t, and t has order 2^i < 2^s
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, root = i, b * b % p, t * b * b % p, root * b % p
+    return root
 
 
 class FieldSpec:

@@ -28,11 +28,13 @@ from .spaces import (
     DEFAULT_BUDGET,
     DEFAULT_SAMPLES,
     VerificationOutcome,
+    _BatchTest,
     _matmul_batch,
     _reduce,
     _run_sampling,
     _scan_grid,
     _scan_rows,
+    _terms_held,
 )
 
 
@@ -181,25 +183,34 @@ def _validate_span_basis(span_basis, field):
     return span_basis[0].field, n
 
 
-def _fails_trace_batch(basis_rows, m_max: int, p: int):
-    """Batch predicate for ``_scan_grid``: some tr(A^m B) != 0 mod p."""
+def _trace_batch(basis_rows, m_max: int) -> _BatchTest:
+    """The batch form of ``trace_condition_verify``'s predicate, some
+    tr(A^m B) != 0 for a basis element B of ``basis_rows`` (integer or
+    residue rows).  For entries of A at most e, the entries of A^m are at
+    most n^(m - 1) e^m, so |tr(A^m B)| <= n^(m + 1) e^m max|B|."""
+    n = len(basis_rows[0])
     entries = [_nonzero_entries(rows) for rows in basis_rows]
+    b_max = max(abs(v) for nonzero in entries for _, _, v in nonzero) if any(entries) else 0
 
-    def fails(members):
+    def statistic(members, q):
         scalar = members.dtype.type
+        held = _terms_held(members.dtype, q)
         bad = np.zeros(members.shape[-1], dtype=bool)
         power = members
         for m in range(1, m_max + 1):
             if m > 1:
-                power = _matmul_batch(power, members, p)
+                power = _matmul_batch(power, members, q)
             for nonzero in entries:
                 trace = np.zeros_like(bad, dtype=members.dtype)
-                for b, a, v in nonzero:
-                    trace += power[a, b] * scalar(v)
-                bad |= _reduce(trace, p) != 0
+                for i, (b, a, v) in enumerate(nonzero):
+                    if i and i % held == 0:
+                        _reduce(trace, q)
+                    trace += power[a, b] * scalar(v % q)
+                bad |= _reduce(trace, q) != 0
         return bad
 
-    return fails
+    return _BatchTest(statistic, lambda nonzero: nonzero, n * n,
+                      lambda e: n ** (m_max + 1) * e**m_max * b_max)
 
 
 def trace_condition_verify(
@@ -251,28 +262,29 @@ def trace_condition_verify(
         return None
 
     def check_point(t, rows):
-        """Return a TraceWitness for the first failing (m, B) or None."""
+        """The TraceWitness of the first failing (m, B), re-checked on the
+        exact member."""
         found = first_nonzero_trace(rows, nz)
         if found is None:
-            return None
+            raise AssertionError("refutation witness has no nonzero trace")
         m, b_idx, val = found
         return TraceWitness(tuple(t), b_idx, span_basis[b_idx], m, val)
 
     def fails(rows):
         return first_nonzero_trace(rows, nz_scan) is not None
 
+    batch = _trace_batch(scan_basis, m_max)
     if total > budget:
         if sample_count <= 0:
             raise BudgetExceededError(f"{total} grid points exceed budget {budget}")
         return _run_sampling(
             field, zero_rows, basis_rows, fails, check_point, sample_count, seed,
-            (f"grid of {total} points exceeded budget {budget}",),
+            (f"grid of {total} points exceeded budget {budget}",), batch,
         )
 
-    fails_batch = _fails_trace_batch(basis_rows, m_max, p) if p else None
     return _scan_grid(
         field, zero_rows, basis_rows, list(range(m_max + 1)), "grid", fails,
-        check_point, fails_batch, n * n,
+        check_point, batch,
     )
 
 

@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import reduction
 from .catalog import conjecture_bound, witness_conjecture
-from .fields import FieldSpec, PrimeField
+from .fields import FieldSpec, PrimeField, _sqrt_mod
 from .matrices import (
     ExactMatrix,
     _is_nilpotent,
@@ -76,8 +76,8 @@ _BASE_RECORD = (
     "%(at_screen)d on the quadric screen, %(at_member_test)d by the member test, "
     "%(kept)d kept; %(evaluations)d "
     "evaluations; pool %(pool_s).3f s, complete %(complete)s; graph %(graph_s).3f s, "
-    "%(edges)d edges; %(mode)s search %(search_s).3f s, %(nodes)d nodes, best "
-    "dimension so far %(best_dim)d"
+    "%(edges)d edges; %(mode)s search %(search_s).3f s, %(nodes)d nodes, deepest "
+    "node at depth %(depth)d, best dimension so far %(best_dim)d"
 )
 _REVERIFY_RECORD = (
     "re-verification %(reverify_s).3f s: nilpotency %(nilpotent_status)s "
@@ -268,6 +268,21 @@ def _kernel_lines(
                 lvl -= 1
             if lvl < 0:
                 break
+
+
+def _root_mask(c0: int, c1: int, c2: int, p: int) -> int:
+    """The bits a of the roots in F_p of the nonzero polynomial c0 + c1 a +
+    c2 a^2, coefficients in [0, p): at most two, found in O(1) field
+    operations rather than by evaluating at all p values of a."""
+    if p == 2:
+        return sum(1 << a for a in (0, 1) if not (c0 + a * (c1 + a * c2)) % 2)
+    if not c2:
+        return 1 << (-c0 * pow(c1, -1, p) % p) if c1 else 0
+    root = _sqrt_mod(c1 * c1 - 4 * c0 * c2, p)
+    if root is None:
+        return 0
+    half = pow(2 * c2, -1, p)
+    return 1 << ((root - c1) * half % p) | 1 << ((-root - c1) * half % p)
 
 
 def _canonical_line(flat: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -506,14 +521,8 @@ def _build_pool(base, r, field, pruning, limit: int) -> tuple[CandidatePool, int
     full = (1 << p) - 1
 
     def classify(polys):
-        # bit a: the line x0 + a v of the run passes the form.  A nonzero
-        # polynomial has at most 2 roots; summing p shifted ints for a zero
-        # one would cost O(p^2) bits
-        roots = [
-            sum(1 << a for a in range(p) if not (c0 + a * (c1 + a * c2)) % p)
-            if c0 or c1 or c2 else full
-            for c0, c1, c2 in polys
-        ]
+        # bit a: the line x0 + a v of the run passes the form
+        roots = [_root_mask(c0, c1, c2, p) if c0 or c1 or c2 else full for c0, c1, c2 in polys]
         if pruning == "none":
             tr_x, tr_bx, square = roots
             passed = tr_x & (square | full & ~tr_bx)
@@ -760,6 +769,7 @@ def max_affine_dimension(
             "kept": len(pool.candidates), "evaluations": pool.evaluations,
             "pool_s": time.perf_counter() - clock, "complete": pool.complete,
             "graph_s": 0.0, "edges": 0, "mode": mode, "search_s": 0.0, "nodes": 0,
+            "depth": 0,
         }
         if not pool.complete:
             fully_exhausted = False
@@ -779,6 +789,7 @@ def max_affine_dimension(
                 got = _greedy_search(graph, rng, _GREEDY_RESTARTS)
             record["search_s"] = time.perf_counter() - clock - record["graph_s"]
             record["nodes"] = got["nodes"]
+            record["depth"] = got["depth"]
             nodes += got["nodes"]
             if got["best_dim"] > best_dim:
                 best_dim = got["best_dim"]
@@ -815,13 +826,15 @@ def _canonical_dfs(graph: _LineGraph, p: int, initial_best: int):
     adds (canonical augmentation, McKay 1998), so a subspace is reached only
     through its greedy basis.  ``best_dim`` improves only strictly, so the
     first space of each size has the lexicographically first increasing
-    basis; ``best_dirs`` holds line indices."""
-    state = {"best_dim": initial_best, "best_dirs": (), "nodes": 0}
+    basis; ``best_dirs`` holds line indices, and ``depth`` is the deepest
+    node's."""
+    state = {"best_dim": initial_best, "best_dirs": (), "nodes": 0, "depth": 0}
     chosen: list[int] = []
 
     def rec(w_lines: int, extendable: int):
         state["nodes"] += 1
         depth = len(chosen)
+        state["depth"] = max(state["depth"], depth)
         if depth > state["best_dim"]:
             state["best_dim"] = depth
             state["best_dirs"] = tuple(chosen)
@@ -842,7 +855,7 @@ def _canonical_dfs(graph: _LineGraph, p: int, initial_best: int):
 
 
 def _greedy_search(graph: _LineGraph, rng, restarts: int):
-    state = {"best_dim": 0, "best_dirs": (), "nodes": 0}
+    state = {"best_dim": 0, "best_dirs": (), "nodes": 0, "depth": 0}
     size = len(graph.neighbours)
     for _ in range(restarts):
         order = list(range(size))
@@ -864,7 +877,7 @@ def _greedy_search(graph: _LineGraph, rng, restarts: int):
             chosen.append(c)
             w_lines |= added
         if len(chosen) > state["best_dim"]:
-            state["best_dim"] = len(chosen)
+            state["best_dim"] = state["depth"] = len(chosen)
             state["best_dirs"] = tuple(chosen)
     return state
 

@@ -20,26 +20,44 @@ alike.  There is one path from points to an outcome for each way of
 choosing them, shared with ``reduction.trace_condition_verify``:
 ``_scan_grid`` scans a grid or the whole field and returns PROVED or
 REFUTED, and ``_run_sampling`` is the one seeded sampling loop.  Both hand
-a failing point and member to a caller's witness builder.
+a failing point and member to a caller's witness builder, which re-checks
+it with the pure predicate.
 
 Rational scans run on integer members: ``_scan_rows`` scales the rows
 once, by the lcm of all their denominators, and rebuilds a failing point
 and member as Fractions.  Its docstring states the scale-invariance
 contract every predicate obeys.
 
-Over F_p, grid and exhaustive scans of at least ``_NUMPY_MIN_POINTS`` points
-run batched in numpy (``_scan_numpy``): nilpotency by repeated squaring,
-rank by fraction-free elimination, and the trace predicate of
-``reduction.trace_condition_verify``.  They return the same first failing
-point and check count as the pure scan ``_scan``, which every smaller scan
-and every rational scan uses.  A batch of members is one (n, n, B) array,
-batch axis last, so each elementwise step runs over B contiguous values.
-Its dtype is the narrowest of int16, int32 and int64 that holds every sum
-a batched scan computes, ``terms`` products of residues plus one residue:
-``_int_dtype(p, terms)``, the one place the bound
-``terms * (p - 1)**2 + (p - 1) <= max(dtype)`` is stated; ``_scan_numpy``
-asserts it, and a scan that no dtype holds runs pure.  At p = 7 every
-scan runs in int16.
+Both loops run batched in numpy (``_scan_numpy``, ``_sample_numpy``) when
+``_batch_moduli`` allows: over F_p for at least ``_NUMPY_MIN_POINTS``
+points, over Q whenever the multi-modular rule below covers the scan.  A
+predicate's batch form, a ``_BatchTest``, computes an integer statistic of
+each member mod a prime q, nilpotency by repeated squaring, rank by
+fraction-free elimination, and the trace predicate of
+``reduction.trace_condition_verify``; the scan takes the largest value
+over its moduli and hands it to the predicate.  F_p scans run on the one
+modulus p.  Q scans run on the integer members mod the fewest primes of
+``_Q_MODULI`` whose product exceeds twice the largest |integer| the
+statistic compares with zero (``_BatchTest.bound``, from the largest
+|entry| of any member, e.g. the Hadamard bound k^(k/2) E^k on k x k
+minors).  Then the integer is 0 iff it is 0 mod every prime, so the rank
+over Q is the largest rank mod a prime and a member is nilpotent over Q
+iff it is nilpotent mod every prime.  ``_exact`` states that rule,
+``_scan_numpy`` and ``_sample_numpy`` assert it, and a scan whose bound
+outruns the list runs pure.  The batched scans give the same first
+failing point and check count as the pure ones, ``_scan`` and the
+sampling loop's own.
+
+A batch of members is one (n, n, B) array, batch axis last, so each
+elementwise step runs over B contiguous values.  Its dtype holds every sum
+of ``terms`` products of residues plus one residue: ``_terms_held(dtype,
+q)`` is the one place the bound ``terms * (q - 1)**2 + (q - 1) <=
+max(dtype)`` is stated.  Over F_p it is the narrowest of int16, int32 and
+int64 that holds the longest dot product a predicate computes,
+``_int_dtype(p, terms)``, and a scan that no dtype holds runs pure; at
+p = 7 every scan runs in int16.  Over Q it is int64, which holds two
+products mod each prime of ``_Q_MODULI``, and the kernels reduce a longer
+sum every ``_terms_held`` products.
 """
 
 from __future__ import annotations
@@ -48,8 +66,9 @@ import random
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import islice
+from math import isqrt, lcm, prod
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -74,6 +93,16 @@ _METHOD_STRENGTH = {"random": 0, "grid": 1, "exhaustive": 2}
 _NUMPY_MIN_POINTS = 4096
 _NUMPY_FIRST_CHUNK = _NUMPY_MIN_POINTS // 4
 _NUMPY_CHUNK = 1 << 17
+
+# rational samples draw each coordinate from [-_Q_SAMPLE_TOP, _Q_SAMPLE_TOP]
+_Q_SAMPLE_TOP = 10**6
+
+# the moduli of batched rational scans: the largest primes below 2^31, for
+# which int64 holds two products of residues plus one residue (248 bits)
+_Q_MODULI = (
+    2147483647, 2147483629, 2147483587, 2147483579,
+    2147483563, 2147483549, 2147483543, 2147483497,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,7 +168,7 @@ class AffineMatrixSpace:
             raise ValueError(f"expected {self.d} coefficients, got {len(t)}")
         coeffs = [self.field.normalize(x) for x in t]
         rows = _combine_rows(self.base.rows, [m.rows for m in self.directions],
-                             coeffs, self.field)
+                             coeffs, _modulus(self.field))
         return ExactMatrix(self.field, rows)
 
     def direction_span_space(self) -> "AffineMatrixSpace":
@@ -151,10 +180,10 @@ class AffineMatrixSpace:
 # ---------------------------------------------------------------------------
 # point generation
 
-def _combine_rows(base_rows, dir_rows_list, coeffs, field):
-    """The rows of base + sum c_i dir_i; over Q on ints and Fractions alike."""
+def _combine_rows(base_rows, dir_rows_list, coeffs, p):
+    """The rows of base + sum c_i dir_i mod the prime p, or over Q when p
+    is None, on ints and Fractions alike."""
     rows = base_rows
-    p = _modulus(field)
     for c, drows in zip(coeffs, dir_rows_list):
         if not c:
             continue
@@ -197,7 +226,7 @@ def _scan_rows(field, base_rows, dir_rows_list):
 
     def rebuild(t, _rows):
         t = tuple(map(Fraction, t))
-        return t, _combine_rows(base_rows, dir_rows_list, t, field)
+        return t, _combine_rows(base_rows, dir_rows_list, t, None)
 
     return scaled(base_rows), [scaled(rows) for rows in dir_rows_list], rebuild
 
@@ -209,6 +238,7 @@ def _iter_members(base_rows, dir_rows_list, values, field) -> Iterator[tuple[tup
     if d == 0:
         yield (), base_rows
         return
+    p = _modulus(field)
     prefix: list = []
 
     def rec(level, partial):
@@ -218,7 +248,7 @@ def _iter_members(base_rows, dir_rows_list, values, field) -> Iterator[tuple[tup
         drows = [dir_rows_list[level]]
         for v in values:
             prefix.append(v)
-            yield from rec(level + 1, _combine_rows(partial, drows, (v,), field))
+            yield from rec(level + 1, _combine_rows(partial, drows, (v,), p))
             prefix.pop()
 
     yield from rec(0, base_rows)
@@ -235,38 +265,134 @@ def _scan(base_rows, dir_rows_list, values, field, fails) -> tuple[Optional[tupl
     return None, None, checked
 
 
+# the scan dtypes, narrowest first, and their largest values; the kernels
+# read them per call, so np.iinfo is not asked each time
+_INT_MAX = {np.dtype(name): int(np.iinfo(name).max) for name in ("int16", "int32", "int64")}
+
+
+def _terms_held(dtype, q: int) -> int:
+    """How many products of residues mod ``q``, plus one residue, a sum in
+    ``dtype`` holds: the largest ``terms`` with ``terms * (q - 1)**2 +
+    (q - 1) <= max(dtype)``."""
+    return (_INT_MAX[dtype] - (q - 1)) // (q - 1) ** 2
+
+
 def _int_dtype(p: int, terms: int):
     """The narrowest of int16, int32 and int64 that holds a sum of ``terms``
     products of residues mod ``p`` plus one residue, or None."""
-    bound = terms * (p - 1) ** 2 + (p - 1)
-    for dtype in map(np.dtype, ("int16", "int32", "int64")):
-        if bound <= np.iinfo(dtype).max:
+    for dtype in _INT_MAX:
+        if _terms_held(dtype, p) >= terms:
             return dtype
     return None
 
 
+class _BatchTest(NamedTuple):
+    """The batch form of a scan predicate.
+
+    ``statistic(members, q)`` maps an (n, n, B) batch of members mod the
+    prime q, batch axis last, to B integers; ``fails`` maps their largest
+    value over a scan's moduli to B verdicts.  ``terms`` is the longest dot
+    product of residues the statistic computes, which an F_p scan's dtype
+    holds whole.  ``bound(e)`` bounds |x| for every integer x the statistic
+    compares with zero when the members are integer matrices with entries
+    in [-e, e]."""
+
+    statistic: Callable
+    fails: Callable
+    terms: int
+    bound: Callable
+
+
+def _exact(moduli, bound: int) -> bool:
+    """Whether integers in [-bound, bound] are determined by their residues
+    mod the primes ``moduli``: their product exceeds 2 * bound.  Then such
+    an integer is 0 iff it is 0 mod every prime, so over Q a statistic's
+    largest value over the moduli is its value over the integers."""
+    return prod(moduli) > 2 * bound
+
+
+def _q_moduli(bound: int):
+    """The fewest leading primes of ``_Q_MODULI`` that are ``_exact`` for
+    ``bound``, or None when all of them are not."""
+    for j in range(1, len(_Q_MODULI) + 1):
+        if _exact(_Q_MODULI[:j], bound):
+            return _Q_MODULI[:j]
+    return None
+
+
+def _entry_bound(base_rows, dir_rows_list, top: int) -> int:
+    """The largest |entry| of base + sum t_i dir_i over integer rows, for
+    every point with all |t_i| <= top."""
+    flat = [[x for row in rows for x in row] for rows in (base_rows, *dir_rows_list)]
+    return max(
+        abs(x) + top * sum(map(abs, ys)) for x, *ys in zip(*flat)
+    )
+
+
+def _batch_moduli(field, batch, base_rows, dir_rows_list, top: int, points: int):
+    """(moduli, bound) for a batched scan of ``points`` members base + sum
+    t_i dir_i of the rows ``_scan_rows`` gives, or None when the scan runs
+    pure.  Over F_p the moduli are (p,) and the bound is None: the residues
+    are the field's own elements.  Over Q the bound is ``batch.bound`` at
+    the largest |entry| of any member with every |t_i| <= top."""
+    if batch is None:
+        return None
+    if isinstance(field, PrimeField):
+        if points >= _NUMPY_MIN_POINTS and _int_dtype(field.p, batch.terms) is not None:
+            return (field.p,), None
+        return None
+    bound = batch.bound(_entry_bound(base_rows, dir_rows_list, top))
+    moduli = _q_moduli(bound)
+    return None if moduli is None else (moduli, bound)
+
+
+def _batch_dtype(moduli, batch, bound):
+    """The dtype of a batched scan, after checking what it relies on: over
+    F_p one that holds ``batch.terms`` products, over Q that ``moduli`` are
+    ``_exact`` for ``bound``."""
+    if bound is not None and not _exact(moduli, bound):
+        raise AssertionError(f"{len(moduli)} moduli do not determine integers up to {bound}")
+    # over Q the kernels reduce every _terms_held products, and int64 holds
+    # two products mod each prime of _Q_MODULI
+    terms = batch.terms if bound is None else 2
+    dtype = _int_dtype(max(moduli), terms)
+    if dtype is None:
+        raise AssertionError(f"int64 overflow: {terms} terms mod {max(moduli)}")
+    return dtype
+
+
+def _residues(rows, q: int, dtype):
+    return np.array([[x % q for x in row] for row in rows], dtype=dtype)
+
+
+def _combined_verdicts(batch, members_mod):
+    """``batch.fails`` of the largest statistic over the moduli, where
+    ``members_mod`` yields (members, q) per modulus."""
+    stat = None
+    for members, q in members_mod:
+        value = batch.statistic(members, q)
+        stat = value if stat is None else np.maximum(stat, value)
+    return batch.fails(stat)
+
+
 def _scan_grid(field, base_rows, dir_rows_list, values, method, fails, witness,
-               fails_batch, terms) -> VerificationOutcome:
+               batch) -> VerificationOutcome:
     """Scan the members ``base + sum t_i dir_i`` over the grid ``values^d``:
     REFUTED at the first member ``fails`` flags, with ``witness(t, rows)``
     as its witness, else PROVED; both labelled ``method``.  This is the one
     path from a grid or exhaustive scan to an outcome.
 
-    Over F_p the scan is batched by ``_scan_numpy`` when the grid has at
-    least ``_NUMPY_MIN_POINTS`` points and ``_int_dtype`` finds a dtype;
-    ``fails_batch`` is the batch form of ``fails`` and ``terms`` the longest
-    dot product it computes.  Over Q it runs on the integer members of
-    ``_scan_rows``.
+    It runs on the members of ``_scan_rows``, batched by ``_scan_numpy``
+    with ``batch``, the batch form of ``fails`` (or None), when
+    ``_batch_moduli`` allows.
     """
     d = len(dir_rows_list)
     scan_base, scan_dirs, rebuild = _scan_rows(field, base_rows, dir_rows_list)
-    if (
-        isinstance(field, PrimeField)
-        and len(values) ** d >= _NUMPY_MIN_POINTS
-        and _int_dtype(field.p, terms) is not None
-    ):
-        t, rows, checked = _scan_numpy(scan_base, scan_dirs, values, field.p,
-                                       len(base_rows), fails_batch, terms)
+    plan = _batch_moduli(field, batch, scan_base, scan_dirs, max(values), len(values) ** d)
+    if plan is not None:
+        moduli, bound = plan
+        t, rows, checked = _scan_numpy(scan_base, scan_dirs, values, moduli,
+                                       len(base_rows), batch, bound)
     else:
         t, rows, checked = _scan(scan_base, scan_dirs, values, field, fails)
     if t is None:
@@ -277,38 +403,51 @@ def _scan_grid(field, base_rows, dir_rows_list, values, method, fails, witness,
     )
 
 
-def _scan_numpy(base_rows, dir_rows_list, values, p, n, fails_batch, terms):
-    """Batched ``_scan`` over F_p: the same (t, member_rows, checks) triple.
+def _scan_numpy(base_rows, dir_rows_list, values, moduli, n, batch, bound=None):
+    """Batched ``_scan``: the same (t, member_rows, checks) triple.
 
-    ``fails_batch`` maps an (n, n, B) array of members, batch axis last, in
-    the dtype ``_int_dtype(p, terms)`` to a boolean array of length B.
-    Chunks run in product order, from ``_NUMPY_FIRST_CHUNK`` points doubling
-    up to ``_NUMPY_CHUNK``.  Each lies in one block of k**j consecutive
-    points that share their first d - j coordinates, so its members are the
-    member at that prefix plus a slice of the cached suffix grid over the
-    last j coordinates, mod p; j is the smallest with a block as large as
-    the chunk, as long as d and the chunk cap allow.
+    The scan runs on ``moduli`` with ``batch`` as its predicate, ``bound``
+    None over F_p and over Q the bound of ``_batch_moduli``.  Chunks run in
+    product order, from ``_NUMPY_FIRST_CHUNK`` points doubling up to
+    ``_NUMPY_CHUNK``.  Each lies in one block of k**j consecutive points
+    that share their first d - j coordinates, so its members are the member
+    at that prefix plus a slice of the cached suffix grid over the last j
+    coordinates, mod q; j is the smallest with a block as large as the
+    chunk, as long as d and the chunk cap allow.
     """
-    dtype = _int_dtype(p, terms)
-    if dtype is None:
-        raise AssertionError(f"int64 overflow: {terms} terms mod {p}")
+    dtype = _batch_dtype(moduli, batch, bound)
     d, k = len(dir_rows_list), len(values)
     total = k**d
-    vals = np.array(values, dtype=dtype)
-    base = np.array(base_rows, dtype=dtype)
-    dirs = np.array(dir_rows_list, dtype=dtype).reshape(d, n, n)
-    grids = {0: np.zeros((n, n, 1), dtype=dtype)}
+    shape = (k,) * d
+    states = [
+        (q, np.array([v % q for v in values], dtype=dtype), _residues(base_rows, q, dtype),
+         np.array([_residues(rows, q, dtype) for rows in dir_rows_list], dtype=dtype)
+         .reshape(d, n, n))
+        for q in moduli
+    ]
+    # the grids, per modulus, live in the closure of the recursive suffix,
+    # so they outlast the scan until the cyclic collector runs: freed at
+    # return, they made the next F_p scan of verify-witness 12-18 % slower
+    grids = {q: {0: np.zeros((n, n, 1), dtype=dtype)} for q in moduli}
 
-    def suffix(j, lo, hi):
+    def suffix(state, j, lo, hi):
         """Columns lo:hi of the (n, n, k**j) grid of sum t_i dir_i over the
-        last j coordinates, in product order."""
+        last j coordinates mod q, in product order."""
+        q, vals, _, dirs = state
         if j == 1:  # k alone may exceed the chunk cap, so it is not cached
-            return _reduce(dirs[-1][:, :, None] * vals[lo:hi], p)
-        if j not in grids:
+            return _reduce(dirs[-1][:, :, None] * vals[lo:hi], q)
+        if j not in grids[q]:
             lead = dirs[d - j][:, :, None, None] * vals[:, None]
-            grid = lead + suffix(j - 1, 0, k ** (j - 1))[:, :, None, :]
-            grids[j] = _reduce(grid, p).reshape(n, n, k**j)
-        return grids[j][:, :, lo:hi]
+            grid = lead + suffix(state, j - 1, 0, k ** (j - 1))[:, :, None, :]
+            grids[q][j] = _reduce(grid, q).reshape(n, n, k**j)
+        return grids[q][j][:, :, lo:hi]
+
+    def members(prefix, j, lo, hi):
+        for state in states:
+            q, vals, member, dirs = state
+            for i, digit in enumerate(np.unravel_index(prefix, (k,) * (d - j))):
+                member = _reduce(member + vals[digit] * dirs[i], q)
+            yield _reduce(member[:, :, None] + suffix(state, j, lo, hi), q), q
 
     start, size = 0, _NUMPY_FIRST_CHUNK
     while start < total:
@@ -317,19 +456,55 @@ def _scan_numpy(base_rows, dir_rows_list, values, p, n, fails_batch, terms):
             j += 1
         prefix, offset = divmod(start, k**j)
         stop = min(start + size, start - offset + k**j)
-        member = base
-        for i, digit in enumerate(np.unravel_index(prefix, (k,) * (d - j))):
-            member = _reduce(member + vals[digit] * dirs[i], p)
-        members = _reduce(member[:, :, None] + suffix(j, offset, offset + stop - start), p)
-        bad = np.flatnonzero(fails_batch(members))
+        bad = np.flatnonzero(
+            _combined_verdicts(batch, members(prefix, j, offset, offset + stop - start)))
         if bad.size:
             first = int(bad[0])
-            t = tuple(values[i] for i in np.unravel_index(start + first, (k,) * d))
-            rows = tuple(tuple(int(x) for x in row) for row in members[:, :, first])
+            t = tuple(values[i] for i in np.unravel_index(start + first, shape))
+            # the integer member over Q, the residues over F_p
+            rows = _combine_rows(base_rows, dir_rows_list, t, moduli[0] if bound is None else None)
             return t, rows, start + first + 1
         start = stop
         size = min(2 * size, _NUMPY_CHUNK)
     return None, None, total
+
+
+def _sample_numpy(points, base_rows, dir_rows_list, moduli, n, batch, bound=None):
+    """Batched sampling: (t, checks) for the first point t of the iterable
+    ``points`` whose member base + sum t_i dir_i fails ``batch``, checks
+    counting the points up to it, else None.  Chunks are taken as
+    ``_scan_numpy``'s; ``moduli`` and ``bound`` are as there."""
+    dtype = _batch_dtype(moduli, batch, bound)
+    d = len(dir_rows_list)
+    states = [
+        (q, _residues(base_rows, q, dtype), [_residues(rows, q, dtype) for rows in dir_rows_list])
+        for q in moduli
+    ]
+    points = iter(points)
+
+    def members(coords):
+        for q, base, dirs in states:
+            residues = (coords % q).astype(dtype)
+            member = np.repeat(base[:, :, None], coords.shape[1], axis=2)
+            for i in range(d):
+                member += dirs[i][:, :, None] * residues[i]
+                _reduce(member, q)
+            yield member, q
+
+    start, size = 0, _NUMPY_FIRST_CHUNK
+    while True:
+        chunk = list(islice(points, size))
+        if not chunk:
+            return None
+        # sampled coordinates fit int64: |t| <= _Q_SAMPLE_TOP over Q, t < p
+        # over F_p, whose p passed _int_dtype
+        coords = np.array(chunk, dtype=np.int64).reshape(len(chunk), d).T
+        bad = np.flatnonzero(_combined_verdicts(batch, members(coords)))
+        if bad.size:
+            first = int(bad[0])
+            return chunk[first], start + first + 1
+        start += len(chunk)
+        size = min(2 * size, _NUMPY_CHUNK)
 
 
 def _reduce(a, p: int):
@@ -345,14 +520,18 @@ def _reduce(a, p: int):
 
 def _matmul_batch(a, b, p: int):
     """The products mod p of two (n, n, B) batches, batch axis last: each
-    output row is n multiply-adds of (n, B) planes."""
+    output row is n multiply-adds of (n, B) planes, reduced every
+    ``_terms_held`` of them."""
     n = a.shape[0]
+    held = _terms_held(a.dtype, p)
     out = np.empty_like(a)
     term = np.empty_like(b[0])
     for i in range(n):
         row = out[i]
         np.multiply(b[0], a[i, 0], out=row)
         for m in range(1, n):
+            if m % held == 0:
+                _reduce(row, p)
             np.multiply(b[m], a[i, m], out=term)
             row += term
     return _reduce(out, p)
@@ -394,16 +573,26 @@ def _rank_mod_p_batch(a, p: int):
     return rank
 
 
-def _fails_nilpotency_batch(p: int, n: int) -> Callable:
-    def fails(members):
+def _rank_batch(n: int, fails: Callable) -> _BatchTest:
+    """The batch form of a predicate ``fails`` on the rank; a k x k minor
+    is at most k^(k/2) e^k <= n^(n/2) e^n in absolute value (Hadamard)."""
+    return _BatchTest(_rank_mod_p_batch, fails, 2, lambda e: (isqrt(n**n) + 1) * e**n)
+
+
+def _nilpotency_batch(n: int) -> _BatchTest:
+    """Not nilpotent: M^(2^s) != 0 for the least 2^s >= n, by s squarings;
+    its entries are at most n^(2^s - 1) e^(2^s) in absolute value."""
+    squarings = (n - 1).bit_length()
+
+    def statistic(members, q):
         power = members
-        span = 1
-        while span < n:
-            power = _matmul_batch(power, power, p)
-            span *= 2
+        for _ in range(squarings):
+            power = _matmul_batch(power, power, q)
         return power.reshape(n * n, -1).any(axis=0)
 
-    return fails
+    power = 1 << squarings
+    return _BatchTest(statistic, lambda nonzero: nonzero, n,
+                      lambda e: n ** (power - 1) * e**power)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +612,7 @@ def _witness(space: AffineMatrixSpace, t, rows, fails) -> Witness:
 
 def _sample_points(field: FieldSpec, d: int, sample_count: int, seed: int):
     """``sample_count`` seeded random coefficient vectors of length ``d``;
-    over Q integers in [-10^6, 10^6]."""
+    over Q integers in [-_Q_SAMPLE_TOP, _Q_SAMPLE_TOP]."""
     rng = random.Random(seed)
     if isinstance(field, PrimeField):
         p = field.p
@@ -431,42 +620,55 @@ def _sample_points(field: FieldSpec, d: int, sample_count: int, seed: int):
             yield tuple(rng.randrange(p) for _ in range(d))
     else:
         for _ in range(sample_count):
-            yield tuple(rng.randint(-10**6, 10**6) for _ in range(d))
+            # randint(a, b) is randrange(a, b + 1), one call fewer
+            yield tuple(rng.randrange(-_Q_SAMPLE_TOP, _Q_SAMPLE_TOP + 1) for _ in range(d))
 
 
 def _run_sampling(field, base_rows, dir_rows_list, fails, witness, sample_count,
-                  seed, notes) -> VerificationOutcome:
+                  seed, notes, batch) -> VerificationOutcome:
     """Seeded random sampling of the members ``base + sum t_i dir_i``:
     REFUTED at the first member ``fails`` flags, with ``witness(t, rows)``
     as its witness, else SAMPLED_PASS.  This is the one sampling loop; over
     Q it tests the integer members of ``_scan_rows`` at integer samples.
+    It runs batched by ``_sample_numpy`` with ``batch``, the batch form of
+    ``fails`` (or None), when ``_batch_moduli`` allows.
     """
     scan_base, scan_dirs, rebuild = _scan_rows(field, base_rows, dir_rows_list)
-    checked = 0
-    for t in _sample_points(field, len(dir_rows_list), sample_count, seed):
-        rows = _combine_rows(scan_base, scan_dirs, t, field)
-        checked += 1
-        if fails(rows):
-            return VerificationOutcome(
-                status=REFUTED, method="random", checks_performed=checked,
-                witness=witness(*rebuild(t, rows)), sample_count=sample_count,
-                seed=seed, notes=tuple(notes),
-            )
+    p = _modulus(field)
+    points = _sample_points(field, len(dir_rows_list), sample_count, seed)
+    plan = _batch_moduli(field, batch, scan_base, scan_dirs, _Q_SAMPLE_TOP, sample_count)
+    failed = None
+    if plan is not None:
+        moduli, bound = plan
+        failed = _sample_numpy(points, scan_base, scan_dirs, moduli, len(base_rows),
+                               batch, bound)
+    else:
+        for checked, t in enumerate(points, 1):
+            if fails(_combine_rows(scan_base, scan_dirs, t, p)):
+                failed = t, checked
+                break
+    if failed is not None:
+        t, checked = failed
+        rows = _combine_rows(scan_base, scan_dirs, t, p)
+        return VerificationOutcome(
+            status=REFUTED, method="random", checks_performed=checked,
+            witness=witness(*rebuild(t, rows)), sample_count=sample_count,
+            seed=seed, notes=tuple(notes),
+        )
     return VerificationOutcome(
-        status=SAMPLED_PASS, method="random", checks_performed=checked,
+        status=SAMPLED_PASS, method="random", checks_performed=sample_count,
         sample_count=sample_count, seed=seed, notes=tuple(notes),
     )
 
 
-def _scan_space(space, values, method, fails, fails_batch, terms) -> VerificationOutcome:
+def _scan_space(space, values, method, fails, batch) -> VerificationOutcome:
     return _scan_grid(
         space.field, space.base.rows, [m.rows for m in space.directions], values,
-        method, fails, lambda t, rows: _witness(space, t, rows, fails),
-        fails_batch, terms,
+        method, fails, lambda t, rows: _witness(space, t, rows, fails), batch,
     )
 
 
-def _sample_space(space, fails, sample_count, seed, notes) -> VerificationOutcome:
+def _sample_space(space, fails, sample_count, seed, notes, batch) -> VerificationOutcome:
     if sample_count <= 0:
         raise BudgetExceededError(
             "verification budget exceeded and sampling is disabled"
@@ -474,6 +676,7 @@ def _sample_space(space, fails, sample_count, seed, notes) -> VerificationOutcom
     return _run_sampling(
         space.field, space.base.rows, [m.rows for m in space.directions], fails,
         lambda t, rows: _witness(space, t, rows, fails), sample_count, seed, notes,
+        batch,
     )
 
 
@@ -547,8 +750,9 @@ def verify_all_nilpotent(
         raise ValueError(f"unknown method {method!r}")
     n = space.n
     fails = _fails_nilpotency(space.field)
+    batch = _nilpotency_batch(n)
     if method == "random":
-        return _sample_space(space, fails, sample_count, seed, ())
+        return _sample_space(space, fails, sample_count, seed, (), batch)
     values, used = _choose_points(space, n, method)
     total = len(values) ** space.d
     if total > budget:
@@ -559,12 +763,9 @@ def verify_all_nilpotent(
         return _sample_space(
             space, fails, sample_count, seed,
             (f"grid of {total} points exceeded budget {budget}; sampled instead",),
+            batch,
         )
-    fails_batch = (
-        _fails_nilpotency_batch(space.field.p, n)
-        if isinstance(space.field, PrimeField) else None
-    )
-    return _scan_space(space, values, used, fails, fails_batch, n)
+    return _scan_space(space, values, used, fails, batch)
 
 
 def verify_constant_rank(
@@ -593,10 +794,10 @@ def verify_constant_rank(
     def fails_exact(rows):
         return _rank(rows, p, r) != r
 
+    exact_batch = _rank_batch(n, lambda ranks: ranks != r)
     if isinstance(field, PrimeField) and field.p ** space.d <= budget:
         return _scan_space(
-            space, _field_values(field.p, space.d), "exhaustive", fails_exact,
-            lambda members: _rank_mod_p_batch(members, field.p) != r, 2,
+            space, _field_values(field.p, space.d), "exhaustive", fails_exact, exact_batch,
         )
 
     # budget rules out exhaustion (always the case over the rationals); the
@@ -616,7 +817,7 @@ def verify_constant_rank(
 
         upper = _scan_space(
             space, list(range(n + 1)), "grid", fails_upper,
-            lambda members: _rank_mod_p_batch(members, field.p) > r, 2,
+            _rank_batch(n, lambda ranks: ranks > r),
         )
         if upper.refuted:
             return upper
@@ -637,7 +838,7 @@ def verify_constant_rank(
         if not isinstance(field, PrimeField)
         else f"member count exceeds budget {budget}; sampled"
     )
-    sampled = _sample_space(space, fails_exact, sample_count, seed, (note,))
+    sampled = _sample_space(space, fails_exact, sample_count, seed, (note,), exact_batch)
     parts.append(sampled)
     return combine_outcomes(*parts)
 

@@ -94,3 +94,21 @@ def test_scalar_is_immutable():
     s = PrimeField(5).scalar(2)
     with pytest.raises(AttributeError):
         s.value = 3
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 65521, 65537, 1_000_003, 16_777_259, 2**31 - 1])
+def test_modular_square_roots(p):
+    # the table below 65536, Tonelli-Shanks above it; 65537 = 2^16 + 1 takes
+    # the most Tonelli-Shanks steps
+    import random
+
+    from nilspace.fields import _sqrt_mod
+
+    rng = random.Random(p)
+    xs = range(p) if p < 100 else [0, 1, p - 1] + [rng.randrange(p) for _ in range(200)]
+    for x in xs:
+        root = _sqrt_mod(x, p)
+        if root is None:
+            assert pow(x, (p - 1) // 2, p) == p - 1
+        else:
+            assert 0 <= root < p and root * root % p == x

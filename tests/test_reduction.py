@@ -225,7 +225,7 @@ def test_trace_scan_beyond_the_int64_bound_matches_the_pure_scan(monkeypatch):
     # p is the largest prime with 3 (p-1)^2 < 2^62; a trace tr(A B) of 3x3
     # matrices sums 9 such products, which wrap around in int64
     from nilspace import spaces
-    from nilspace.reduction import _fails_trace_batch
+    from nilspace.reduction import _trace_batch
 
     batched = []
     scan_numpy = spaces._scan_numpy
@@ -239,13 +239,13 @@ def test_trace_scan_beyond_the_int64_bound_matches_the_pure_scan(monkeypatch):
         outcomes[p] = trace_condition_verify([m, m], 63, field)  # 64^2 = 4096 points
         assert outcomes[p].witness.coefficients == (0, 1)
         assert outcomes[p].witness.value == 9  # tr(M M) = 9 (p-1)^2 = 9 mod p
-    assert [args[3] for args in batched] == [1000003]  # the larger p runs pure
+    assert [args[3] for args in batched] == [(1000003,)]  # the larger p runs pure
     monkeypatch.setattr(spaces, "_NUMPY_MIN_POINTS", 10**18)
     assert outcomes[p] == trace_condition_verify([m, m], 63, field)
     with pytest.raises(AssertionError, match="int64"):
         spaces._scan_numpy(
-            ((0,) * 3,) * 3, [m.rows, m.rows], list(range(64)), p, 3,
-            _fails_trace_batch([m.rows, m.rows], 63, p), 9,
+            ((0,) * 3,) * 3, [m.rows, m.rows], list(range(64)), (p,), 3,
+            _trace_batch([m.rows, m.rows], 63),
         )
 
 

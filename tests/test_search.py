@@ -969,6 +969,7 @@ def test_search_logs_one_record_per_base_that_adds_up_to_the_report(
     assert [rec["partition"] for rec in records] == [
         jordan_partition(b).nonzero_parts() for b in bases
     ]
+    best_before = 0
     for rec, base in zip(records, bases):
         assert rec["lines_tested"] == (
             rec["at_invariants"] + rec["at_screen"] + rec["at_member_test"] + rec["kept"]
@@ -981,8 +982,14 @@ def test_search_logs_one_record_per_base_that_adds_up_to_the_report(
                 graph.neighbours[i] >> j & 1
                 for i, j in itertools.combinations(range(len(pool.candidates)), 2)
             )
+            if mode == "exhaustive":  # the DFS is deterministic given the best so far
+                dfs = _canonical_dfs(graph, p, best_before)
+                assert (rec["nodes"], rec["depth"]) == (dfs["nodes"], dfs["depth"])
         elif not rec["lines_tested"]:  # no graph, no search
-            assert rec["edges"] == rec["nodes"] == 0
+            assert rec["edges"] == rec["nodes"] == rec["depth"] == 0
+        # a node at a new depth raises the best dimension to it
+        assert 0 <= rec["depth"] <= rec["best_dim"]
+        best_before = rec["best_dim"]
     assert sum(rec["evaluations"] for rec in records) == rep.evaluations
     assert sum(
         rec["at_invariants"] + rec["at_screen"] + rec["at_member_test"] for rec in records
@@ -990,6 +997,7 @@ def test_search_logs_one_record_per_base_that_adds_up_to_the_report(
     assert sum(rec["nodes"] for rec in records) == rep.nodes_explored
     best = [rec["best_dim"] for rec in records]
     assert best == sorted(best) and best[-1] == rep.max_dim_found
+    assert max(rec["depth"] for rec in records) == rep.max_dim_found
     if mode == "exhaustive":
         assert all(rec["complete"] for rec in records) == (rep.status == "EXHAUSTIVE")
 
@@ -1252,6 +1260,26 @@ def test_large_prime_search_is_bounded_by_its_budget():
     assert time.perf_counter() - start < 5.0
     assert rep.pruning == "trace" and rep.evaluations == 10
     assert rep.status == "LOWER_BOUND_ONLY"
+
+
+def test_run_polynomials_are_classified_without_evaluating_them_at_every_value():
+    # evaluating each nonzero run polynomial at all p values of a took 3.3 s
+    # here, nearly all of it in one classify call (2-core machine)
+    start = time.perf_counter()
+    rep = max_affine_dimension(3, 2, PrimeField(16_777_259), budget=10)
+    assert time.perf_counter() - start < 0.5
+    assert (rep.max_dim_found, rep.evaluations, rep.status) == (0, 10, "LOWER_BOUND_ONLY")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_root_masks_equal_evaluation_at_every_value(p):
+    from nilspace.search import _root_mask
+
+    for c0, c1, c2 in itertools.product(range(p), repeat=3):
+        if c0 or c1 or c2:
+            assert _root_mask(c0, c1, c2, p) == sum(
+                1 << a for a in range(p) if not (c0 + a * (c1 + a * c2)) % p
+            )
 
 
 def test_greedy_mode_reaches_known_lower_bound():

@@ -279,14 +279,14 @@ def test_member_accepts_scalars_and_fractions():
 
 
 def test_batched_and_pure_nilpotency_scans_agree():
-    from nilspace.spaces import _fails_nilpotency, _fails_nilpotency_batch, _scan, _scan_numpy
+    from nilspace.spaces import _fails_nilpotency, _nilpotency_batch, _scan, _scan_numpy
 
     w = witness_rank_full(4, F7)
     dir_rows = [m.rows for m in w.directions]
     values = list(range(5))
-    batch = _fails_nilpotency_batch(7, 4)
+    batch = _nilpotency_batch(4)
     pure = _scan(w.base.rows, dir_rows, values, F7, _fails_nilpotency(F7))
-    batched = _scan_numpy(w.base.rows, dir_rows, values, 7, 4, batch, 4)
+    batched = _scan_numpy(w.base.rows, dir_rows, values, (7,), 4, batch)
     assert pure == batched  # both PROVED with identical point counts
 
     bad = _space(
@@ -295,7 +295,7 @@ def test_batched_and_pure_nilpotency_scans_agree():
     )
     dir_rows = [m.rows for m in bad.directions]
     pure = _scan(bad.base.rows, dir_rows, values, F7, _fails_nilpotency(F7))
-    batched = _scan_numpy(bad.base.rows, dir_rows, values, 7, 4, batch, 4)
+    batched = _scan_numpy(bad.base.rows, dir_rows, values, (7,), 4, batch)
     assert pure == batched  # same first witness, same check count
     assert pure[0] is not None
 
@@ -390,14 +390,8 @@ _SCAN_CASES = {  # base, directions, checks, refuted
 @pytest.mark.parametrize("case", list(_SCAN_CASES))
 def test_batched_and_pure_scans_agree(predicate, case, monkeypatch):
     from nilspace import spaces
-    from nilspace.reduction import _fails_trace_batch
-    from nilspace.spaces import (
-        _fails_nilpotency,
-        _fails_nilpotency_batch,
-        _rank_mod_p_batch,
-        _scan,
-        _scan_numpy,
-    )
+    from nilspace.reduction import _trace_batch
+    from nilspace.spaces import _fails_nilpotency, _nilpotency_batch, _rank_batch, _scan, _scan_numpy
 
     base_name, dirs, checks, refuted = _SCAN_CASES[case]
     base = shift_matrix(4, F7)
@@ -405,20 +399,20 @@ def test_batched_and_pure_scans_agree(predicate, case, monkeypatch):
         base = base + unit_matrix(3, 0, 4, F7)
     dir_rows = [unit_matrix(i, j, 4, F7).rows for i, j in dirs]
     trace_basis = [unit_matrix(i, j, 4, F7).rows for i, j in _UPPER]
-    pure_fails, batch_fails, terms = {
-        "nilpotency": (_fails_nilpotency(F7), _fails_nilpotency_batch(7, 4), 4),
+    pure_fails, batch = {
+        "nilpotency": (_fails_nilpotency(F7), _nilpotency_batch(4)),
         "rank != 3": (lambda rows: _rank_mod_p(rows, 7) != 3,
-                      lambda mem: _rank_mod_p_batch(mem, 7) != 3, 2),
+                      _rank_batch(4, lambda ranks: ranks != 3)),
         "rank > 3": (lambda rows: _rank_mod_p(rows, 7) > 3,
-                     lambda mem: _rank_mod_p_batch(mem, 7) > 3, 2),
-        "trace": (_pure_trace_fails(trace_basis, 2, 7),
-                  _fails_trace_batch(trace_basis, 2, 7), 16),
+                     _rank_batch(4, lambda ranks: ranks > 3)),
+        "trace": (_pure_trace_fails(trace_basis, 2, 7), _trace_batch(trace_basis, 2)),
     }[predicate]
+    assert batch.terms == {"nilpotency": 4, "trace": 16}.get(predicate, 2)
     values = list(range(5))
     pure = _scan(base.rows, dir_rows, values, F7, pure_fails)
     for chunk_cap in (spaces._NUMPY_CHUNK, 1536):  # doubling, then capped
         monkeypatch.setattr(spaces, "_NUMPY_CHUNK", chunk_cap)
-        batched = _scan_numpy(base.rows, dir_rows, values, 7, 4, batch_fails, terms)
+        batched = _scan_numpy(base.rows, dir_rows, values, (7,), 4, batch)
         assert batched == pure
     assert pure[2] == checks
     assert (pure[0] is not None) == refuted
@@ -443,26 +437,20 @@ def test_batched_scan_keeps_product_order_across_block_and_chunk_edges(
     predicate, slot, checks, monkeypatch
 ):
     from nilspace import spaces
-    from nilspace.reduction import _fails_trace_batch
-    from nilspace.spaces import (
-        _fails_nilpotency,
-        _fails_nilpotency_batch,
-        _rank_mod_p_batch,
-        _scan,
-        _scan_numpy,
-    )
+    from nilspace.reduction import _trace_batch
+    from nilspace.spaces import _fails_nilpotency, _nilpotency_batch, _rank_batch, _scan, _scan_numpy
 
     dirs = _FIVE_UPPER[:slot] + [(4, 0)] + _FIVE_UPPER[slot:]
     dir_rows = [unit_matrix(i, j, 5, F7).rows for i, j in dirs]
     base = shift_matrix(5, F7)
     trace_basis = [unit_matrix(i, j, 5, F7).rows for i in range(5) for j in range(i + 1, 5)]
-    pure_fails, batch_fails, terms = {
-        "nilpotency": (_fails_nilpotency(F7), _fails_nilpotency_batch(7, 5), 5),
+    pure_fails, batch = {
+        "nilpotency": (_fails_nilpotency(F7), _nilpotency_batch(5)),
         "rank != 4": (lambda rows: _rank_mod_p(rows, 7) != 4,
-                      lambda mem: _rank_mod_p_batch(mem, 7) != 4, 2),
-        "trace": (_pure_trace_fails(trace_basis, 2, 7),
-                  _fails_trace_batch(trace_basis, 2, 7), 25),
+                      _rank_batch(5, lambda ranks: ranks != 4)),
+        "trace": (_pure_trace_fails(trace_basis, 2, 7), _trace_batch(trace_basis, 2)),
     }[predicate]
+    assert batch.terms == {"nilpotency": 5, "trace": 25}.get(predicate, 2)
     values = list(range(7))
     pure = _scan(base.rows, dir_rows, values, F7, pure_fails)
     assert pure[0] == tuple(int(i == slot) for i in range(6)) and pure[2] == checks
@@ -470,7 +458,7 @@ def test_batched_scan_keeps_product_order_across_block_and_chunk_edges(
     # which takes 3000-odd chunks, and seconds, to reach point 16808
     for chunk_cap in (spaces._NUMPY_CHUNK, 1536) + ((5,) if slot else ()):
         monkeypatch.setattr(spaces, "_NUMPY_CHUNK", chunk_cap)
-        assert _scan_numpy(base.rows, dir_rows, values, 7, 5, batch_fails, terms) == pure
+        assert _scan_numpy(base.rows, dir_rows, values, (7,), 5, batch) == pure
 
 
 def _next_prime(p):
@@ -506,7 +494,7 @@ def test_trace_scan_at_the_int16_boundary_matches_the_pure_scan(p, dtype, refute
     # near p - 1 push each trace sum to about 16 (p - 1)**2.
     import numpy as np
 
-    from nilspace.reduction import _fails_trace_batch
+    from nilspace.reduction import _trace_batch
     from nilspace.spaces import _scan, _scan_numpy
 
     field = PrimeField(p)
@@ -523,10 +511,11 @@ def test_trace_scan_at_the_int16_boundary_matches_the_pure_scan(p, dtype, refute
     values = [0, 1, p - 2, p - 1]
     zero = ((0,) * n,) * n
     seen = []
-    batch = _fails_trace_batch(basis, 2, p)
+    batch = _trace_batch(basis, 2)
+    assert batch.terms == n * n
     pure = _scan(zero, dir_rows, values, field, _pure_trace_fails(basis, 2, p))
-    batched = _scan_numpy(zero, dir_rows, values, p, n,
-                          lambda members: seen.append(members.dtype) or batch(members), n * n)
+    batched = _scan_numpy(zero, dir_rows, values, (p,), n, batch._replace(
+        statistic=lambda members, q: seen.append(members.dtype) or batch.statistic(members, q)))
     assert batched == pure
     assert (pure[0] is not None) == refuted and pure[2] == (4**5 + 1 if refuted else 4**6)
     assert set(seen) == {np.dtype(dtype)}
@@ -693,3 +682,185 @@ def test_rational_scans_do_no_fraction_arithmetic_per_member(monkeypatch):
                                             "PROVED", "SAMPLED_PASS"]
     assert sum(o.checks_performed for o in outcomes) == 125 + 50 + 175 + 256 + 50
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the multi-modular rule: rational scans run batched on the integer members
+# mod the fewest primes of _Q_MODULI that determine every integer the
+# predicate compares with zero
+
+def _batched_calls(monkeypatch):
+    """Record the moduli of every batched scan and sampling loop."""
+    from nilspace import spaces
+
+    seen = []
+    for name in ("_scan_numpy", "_sample_numpy"):
+        def recorded(*args, _run=getattr(spaces, name), _name=name):
+            seen.append((_name, args[3]))
+            return _run(*args)
+        monkeypatch.setattr(spaces, name, recorded)
+    return seen
+
+
+def _q_trace_basis():
+    half, two_thirds = Fraction(1, 2), Fraction(2, 3)
+    return [_q([[0, half, 0], [0, 0, 0], [0, 0, 0]]),
+            _q([[0, 0, 0], [0, 0, two_thirds], [0, 0, 0]]),
+            _q([[0, 0, 0], [0, 0, 0], [half, 0, 0]])]
+
+
+def test_rational_verifiers_give_identical_outcomes_batched_and_pure(monkeypatch):
+    from nilspace import spaces, trace_condition_verify
+
+    staircase = _space(RATIONALS, 4, shift_matrix(4, RATIONALS) - unit_matrix(2, 3, 4, RATIONALS), [
+        unit_matrix(i, j, 4, RATIONALS) for i in range(2) for j in range(i + 2, 4)
+    ])
+    full = witness_rank_full(4, RATIONALS)
+    calls = [
+        (verify_all_nilpotent, (_q_corner_space(),), {}),
+        (verify_all_nilpotent, (_q_corner_space(),), {"method": "random", "seed": 3}),
+        (verify_all_nilpotent, (staircase,), {}),
+        (verify_all_nilpotent, (full,), {"method": "random", "sample_count": 200}),
+        (direction_nilpotency, (full,), {}),
+        (verify_constant_rank, (_q_rank_space(), 1), {}),
+        (verify_constant_rank, (_q_rank_space(), 3), {"seed": 5}),
+        (verify_constant_rank, (_q_rank_space(), 2), {"seed": 5}),
+        (verify_constant_rank, (staircase, 2), {"seed": 1}),
+        (verify_constant_rank, (full, 3), {"sample_count": 300}),
+        (trace_condition_verify, (_q_trace_basis(), 2), {}),
+        (trace_condition_verify, (_q_trace_basis(), 2), {"budget": 20, "seed": 5}),
+        (trace_condition_verify, ([full.base, *full.directions], 3), {}),
+        (trace_condition_verify, ([full.base, *full.directions], 3),
+         {"budget": 20, "sample_count": 100}),
+    ]
+    seen = _batched_calls(monkeypatch)
+    batched = [fn(*args, **kwargs) for fn, args, kwargs in calls]
+    assert {name for name, _ in seen} == {"_scan_numpy", "_sample_numpy"}
+    assert all(moduli == spaces._Q_MODULI[:len(moduli)] for _, moduli in seen)
+    assert {len(moduli) for _, moduli in seen} >= {1, 3}  # samples reach 10^6
+    seen.clear()
+    monkeypatch.setattr(spaces, "_Q_MODULI", ())  # every bound outruns the list
+    pure = [fn(*args, **kwargs) for fn, args, kwargs in calls]
+    assert seen == []
+    assert batched == pure
+    assert {o.status for o in pure} == {"PROVED", "REFUTED", "SAMPLED_PASS"}
+    for out in pure:
+        if out.refuted:
+            assert all(type(c) is Fraction for c in out.witness.coefficients)
+
+
+def test_rational_rank_is_the_largest_rank_mod_enough_primes(monkeypatch):
+    # diag(1 + t, q1 q2) has rank 2 over Q at t = 0, but rank 1 mod q1 and
+    # mod q2; the bound 3 (q1 q2)^2 takes five primes, and the third sees it
+    import numpy as np
+
+    from nilspace import spaces
+    from nilspace.spaces import _Q_MODULI, _rank_batch, _rank_mod_p_batch, _sample_numpy, _scan_numpy
+
+    q1, q2 = _Q_MODULI[:2]
+    member = ((1, 0), (0, q1 * q2))
+    ranks = [int(_rank_mod_p_batch(np.array(member, dtype=np.int64)[:, :, None] % q, q)[0])
+             for q in _Q_MODULI[:3]]
+    assert ranks == [1, 1, 2]
+    space = _space(RATIONALS, 2, _q(member), [_q([[1, 0], [0, 0]])])
+    seen = _batched_calls(monkeypatch)
+    out = verify_constant_rank(space, 1)
+    assert (out.status, out.method, out.checks_performed) == ("REFUTED", "grid", 1)
+    assert out.witness.coefficients == (0,) and rank(out.witness.matrix) == 2
+    assert seen == [("_scan_numpy", _Q_MODULI[:5])]
+    out = verify_constant_rank(_space(RATIONALS, 2, _q(member), []), 2, sample_count=10)
+    assert (out.status, out.checks_performed) == ("SAMPLED_PASS", 10)
+    assert seen[1:] == [("_sample_numpy", _Q_MODULI[:5])]
+    # the scans refuse moduli that do not determine the minors
+    batch = _rank_batch(2, lambda r: r != 2)
+    bound = batch.bound(q1 * q2 + 2)
+    assert bound == 3 * (q1 * q2 + 2) ** 2
+    with pytest.raises(AssertionError, match="moduli"):
+        _scan_numpy(member, [((1, 0), (0, 0))], [0, 1, 2], _Q_MODULI[:4], 2, batch, bound)
+    with pytest.raises(AssertionError, match="moduli"):
+        _sample_numpy([()], member, [], _Q_MODULI[:4], 2, batch, bound)
+
+
+def test_rational_ranks_match_bareiss_on_planted_dependencies():
+    # 300 integer matrices L @ R of every rank, entries up to about 10^8:
+    # the largest rank over the moduli the rule takes is the rank over Q
+    import numpy as np
+
+    from nilspace.spaces import _entry_bound, _q_moduli, _rank_batch
+
+    rng = random.Random(15)
+    ranks = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        inner = rng.randint(0, n)
+        left = [[rng.randint(-100, 100) for _ in range(inner)] for _ in range(n)]
+        right = [[rng.randint(-2 * 10**5, 2 * 10**5) for _ in range(n)] for _ in range(inner)]
+        rows = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*right))
+                     if inner else (0,) * n for row in left)
+        batch = _rank_batch(n, None)
+        moduli = _q_moduli(batch.bound(_entry_bound(rows, [], 0)))
+        largest = max(
+            int(batch.statistic(np.array(rows, dtype=np.int64)[:, :, None] % q, q)[0])
+            for q in moduli
+        )
+        assert largest == _rank_mod_p(rows, None) <= inner
+        ranks.add(largest)
+    assert ranks == set(range(6))
+
+
+def test_the_rule_takes_exactly_one_more_prime_past_a_bound_edge():
+    from math import prod
+
+    from nilspace.spaces import _Q_MODULI, _exact, _q_moduli
+
+    for j in range(1, len(_Q_MODULI)):
+        edge = (prod(_Q_MODULI[:j]) - 1) // 2  # the largest bound j primes determine
+        assert _exact(_Q_MODULI[:j], edge) and not _exact(_Q_MODULI[:j], edge + 1)
+        assert _q_moduli(edge) == _Q_MODULI[:j]
+        assert _q_moduli(edge + 1) == _Q_MODULI[:j + 1]
+    assert _q_moduli(0) == _Q_MODULI[:1]
+    assert _q_moduli((prod(_Q_MODULI) - 1) // 2) == _Q_MODULI
+    assert _q_moduli((prod(_Q_MODULI) - 1) // 2 + 1) is None
+
+
+def test_a_rational_bound_beyond_the_prime_list_runs_the_pure_scan(monkeypatch):
+    # entries of 10^40: M^2 of a 2 x 2 member reaches 2 * 10^80 > 2^248
+    big = 10**40
+    space = _space(RATIONALS, 2, _q([[0, big], [0, 0]]), [_q([[0, 3], [0, 0]]), _q([[1, 1], [0, 0]])])
+    seen = _batched_calls(monkeypatch)
+    nilpotent = verify_all_nilpotent(space)
+    sampled = verify_all_nilpotent(space, method="random", sample_count=20)
+    rank_one = verify_constant_rank(space, 1, sample_count=20)
+    assert seen == []
+    # members are nilpotent exactly where t_1 = 0, and of rank 1 everywhere
+    assert (nilpotent.status, nilpotent.checks_performed, nilpotent.witness.coefficients) == (
+        "REFUTED", 2, (0, 1))
+    assert sampled.refuted and sampled.witness.coefficients[1] != 0
+    assert (rank_one.status, rank_one.checks_performed) == ("SAMPLED_PASS", 3**2 + 20)
+    # a small multiple of the same space runs batched to the same outcomes
+    small = _space(RATIONALS, 2, _q([[0, 1], [0, 0]]), [_q([[0, 3], [0, 0]]), _q([[1, 1], [0, 0]])])
+    assert verify_all_nilpotent(small).witness.coefficients == (0, 1)
+    assert [name for name, _ in seen] == ["_scan_numpy"]
+
+
+def test_rational_moduli_are_primes_that_int64_holds_two_products_of():
+    import numpy as np
+
+    from nilspace.fields import is_prime
+    from nilspace.spaces import _Q_MODULI, _int_dtype, _matmul_batch, _terms_held
+
+    assert list(_Q_MODULI) == sorted(set(_Q_MODULI), reverse=True)
+    for q in _Q_MODULI:
+        assert is_prime(q) and q < 2**31
+        assert _int_dtype(q, 2) == np.dtype("int64") and _terms_held(np.dtype("int64"), q) == 2
+    # 3 x 3 products of residues near q sum 3 products, and the kernel
+    # reduces after every 2 of them
+    q = _Q_MODULI[0]
+    rng = random.Random(q)
+    a, b = ([[rng.choice([q - 1, q - 2, rng.randrange(q)]) for _ in range(3)] for _ in range(3)]
+            for _ in range(2))
+    product = _matmul_batch(np.array(a, dtype=np.int64)[:, :, None],
+                            np.array(b, dtype=np.int64)[:, :, None], q)
+    assert product[:, :, 0].tolist() == [
+        [sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a
+    ]
