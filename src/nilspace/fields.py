@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Union
 
 # Moduli are restricted to machine-word size; extension fields are out of scope.
@@ -35,23 +34,10 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=8)
-def _sqrt_table(p: int) -> tuple[int, ...]:
-    """A square root of each residue 0..p-1 mod the odd prime p, or -1 for
-    a non-residue; for small primes."""
-    table = [-1] * p
-    for y in range((p + 1) // 2):
-        table[y * y % p] = y
-    return tuple(table)
-
-
 def _sqrt_mod(x: int, p: int) -> Optional[int]:
     """A square root of x mod the odd prime p, or None when x is not a
-    square: from ``_sqrt_table`` below 65536, else by Tonelli-Shanks."""
+    square, by Tonelli-Shanks."""
     x %= p
-    if p < 65536:
-        root = _sqrt_table(p)[x]
-        return None if root < 0 else root
     if x == 0:
         return 0
     if pow(x, (p - 1) // 2, p) != 1:

@@ -34,7 +34,6 @@ from .spaces import (
     _run_sampling,
     _scan_grid,
     _scan_rows,
-    _terms_held,
 )
 
 
@@ -194,7 +193,6 @@ def _trace_batch(basis_rows, m_max: int) -> _BatchTest:
 
     def statistic(members, q):
         scalar = members.dtype.type
-        held = _terms_held(members.dtype, q)
         bad = np.zeros(members.shape[-1], dtype=bool)
         power = members
         for m in range(1, m_max + 1):
@@ -202,9 +200,7 @@ def _trace_batch(basis_rows, m_max: int) -> _BatchTest:
                 power = _matmul_batch(power, members, q)
             for nonzero in entries:
                 trace = np.zeros_like(bad, dtype=members.dtype)
-                for i, (b, a, v) in enumerate(nonzero):
-                    if i and i % held == 0:
-                        _reduce(trace, q)
+                for b, a, v in nonzero:
                     trace += power[a, b] * scalar(v % q)
                 bad |= _reduce(trace, q) != 0
         return bad

@@ -52,12 +52,12 @@ A batch of members is one (n, n, B) array, batch axis last, so each
 elementwise step runs over B contiguous values.  Its dtype holds every sum
 of ``terms`` products of residues plus one residue: ``_terms_held(dtype,
 q)`` is the one place the bound ``terms * (q - 1)**2 + (q - 1) <=
-max(dtype)`` is stated.  Over F_p it is the narrowest of int16, int32 and
-int64 that holds the longest dot product a predicate computes,
-``_int_dtype(p, terms)``, and a scan that no dtype holds runs pure; at
-p = 7 every scan runs in int16.  Over Q it is int64, which holds two
-products mod each prime of ``_Q_MODULI``, and the kernels reduce a longer
-sum every ``_terms_held`` products.
+max(dtype)`` is stated.  It is the narrowest of int16, int32 and int64
+that holds the longest dot product a predicate computes mod the largest
+modulus, ``_int_dtype(q, terms)``, and a scan that no dtype holds runs
+pure.  At p = 7 every scan runs in int16; the primes of ``_Q_MODULI``
+lie below 2^27, so int64 holds every predicate's dot product on members
+up to 22 x 22.
 """
 
 from __future__ import annotations
@@ -97,11 +97,11 @@ _NUMPY_CHUNK = 1 << 17
 # rational samples draw each coordinate from [-_Q_SAMPLE_TOP, _Q_SAMPLE_TOP]
 _Q_SAMPLE_TOP = 10**6
 
-# the moduli of batched rational scans: the largest primes below 2^31, for
-# which int64 holds two products of residues plus one residue (248 bits)
+# the moduli of batched rational scans: the largest primes below 2^27, for
+# which int64 holds 512 products of residues plus one residue (216 bits)
 _Q_MODULI = (
-    2147483647, 2147483629, 2147483587, 2147483579,
-    2147483563, 2147483549, 2147483543, 2147483497,
+    134217689, 134217649, 134217617, 134217613,
+    134217593, 134217541, 134217529, 134217509,
 )
 
 
@@ -292,7 +292,7 @@ class _BatchTest(NamedTuple):
     ``statistic(members, q)`` maps an (n, n, B) batch of members mod the
     prime q, batch axis last, to B integers; ``fails`` maps their largest
     value over a scan's moduli to B verdicts.  ``terms`` is the longest dot
-    product of residues the statistic computes, which an F_p scan's dtype
+    product of residues the statistic computes, which the scan's dtype
     holds whole.  ``bound(e)`` bounds |x| for every integer x the statistic
     compares with zero when the members are integer matrices with entries
     in [-e, e]."""
@@ -332,32 +332,33 @@ def _entry_bound(base_rows, dir_rows_list, top: int) -> int:
 def _batch_moduli(field, batch, base_rows, dir_rows_list, top: int, points: int):
     """(moduli, bound) for a batched scan of ``points`` members base + sum
     t_i dir_i of the rows ``_scan_rows`` gives, or None when the scan runs
-    pure.  Over F_p the moduli are (p,) and the bound is None: the residues
-    are the field's own elements.  Over Q the bound is ``batch.bound`` at
-    the largest |entry| of any member with every |t_i| <= top."""
+    pure: when no dtype holds ``batch.terms`` products mod the moduli, and
+    over F_p below ``_NUMPY_MIN_POINTS`` points.  Over F_p the moduli are
+    (p,) and the bound is None: the residues are the field's own elements.
+    Over Q the bound is ``batch.bound`` at the largest |entry| of any
+    member with every |t_i| <= top."""
     if batch is None:
         return None
     if isinstance(field, PrimeField):
-        if points >= _NUMPY_MIN_POINTS and _int_dtype(field.p, batch.terms) is not None:
-            return (field.p,), None
+        plan = ((field.p,), None) if points >= _NUMPY_MIN_POINTS else None
+    else:
+        bound = batch.bound(_entry_bound(base_rows, dir_rows_list, top))
+        moduli = _q_moduli(bound)
+        plan = None if moduli is None else (moduli, bound)
+    if plan is None or _int_dtype(max(plan[0]), batch.terms) is None:
         return None
-    bound = batch.bound(_entry_bound(base_rows, dir_rows_list, top))
-    moduli = _q_moduli(bound)
-    return None if moduli is None else (moduli, bound)
+    return plan
 
 
 def _batch_dtype(moduli, batch, bound):
-    """The dtype of a batched scan, after checking what it relies on: over
-    F_p one that holds ``batch.terms`` products, over Q that ``moduli`` are
-    ``_exact`` for ``bound``."""
+    """The dtype of a batched scan, after checking what it relies on: that
+    it holds ``batch.terms`` products mod every modulus, and over Q that
+    ``moduli`` are ``_exact`` for ``bound``."""
     if bound is not None and not _exact(moduli, bound):
         raise AssertionError(f"{len(moduli)} moduli do not determine integers up to {bound}")
-    # over Q the kernels reduce every _terms_held products, and int64 holds
-    # two products mod each prime of _Q_MODULI
-    terms = batch.terms if bound is None else 2
-    dtype = _int_dtype(max(moduli), terms)
+    dtype = _int_dtype(max(moduli), batch.terms)
     if dtype is None:
-        raise AssertionError(f"int64 overflow: {terms} terms mod {max(moduli)}")
+        raise AssertionError(f"int64 overflow: {batch.terms} terms mod {max(moduli)}")
     return dtype
 
 
@@ -520,18 +521,14 @@ def _reduce(a, p: int):
 
 def _matmul_batch(a, b, p: int):
     """The products mod p of two (n, n, B) batches, batch axis last: each
-    output row is n multiply-adds of (n, B) planes, reduced every
-    ``_terms_held`` of them."""
+    output row is n multiply-adds of (n, B) planes."""
     n = a.shape[0]
-    held = _terms_held(a.dtype, p)
     out = np.empty_like(a)
     term = np.empty_like(b[0])
     for i in range(n):
         row = out[i]
         np.multiply(b[0], a[i, 0], out=row)
         for m in range(1, n):
-            if m % held == 0:
-                _reduce(row, p)
             np.multiply(b[m], a[i, m], out=term)
             row += term
     return _reduce(out, p)

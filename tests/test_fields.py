@@ -98,8 +98,7 @@ def test_scalar_is_immutable():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 65521, 65537, 1_000_003, 16_777_259, 2**31 - 1])
 def test_modular_square_roots(p):
-    # the table below 65536, Tonelli-Shanks above it; 65537 = 2^16 + 1 takes
-    # the most Tonelli-Shanks steps
+    # 65537 = 2^16 + 1 takes the most Tonelli-Shanks steps
     import random
 
     from nilspace.fields import _sqrt_mod

@@ -824,7 +824,7 @@ def test_the_rule_takes_exactly_one_more_prime_past_a_bound_edge():
 
 
 def test_a_rational_bound_beyond_the_prime_list_runs_the_pure_scan(monkeypatch):
-    # entries of 10^40: M^2 of a 2 x 2 member reaches 2 * 10^80 > 2^248
+    # entries of 10^40: M^2 of a 2 x 2 member reaches 2 * 10^80 > 2^216
     big = 10**40
     space = _space(RATIONALS, 2, _q([[0, big], [0, 0]]), [_q([[0, 3], [0, 0]]), _q([[1, 1], [0, 0]])])
     seen = _batched_calls(monkeypatch)
@@ -843,7 +843,7 @@ def test_a_rational_bound_beyond_the_prime_list_runs_the_pure_scan(monkeypatch):
     assert [name for name, _ in seen] == ["_scan_numpy"]
 
 
-def test_rational_moduli_are_primes_that_int64_holds_two_products_of():
+def test_rational_moduli_are_primes_whose_dot_products_int64_holds():
     import numpy as np
 
     from nilspace.fields import is_prime
@@ -851,13 +851,14 @@ def test_rational_moduli_are_primes_that_int64_holds_two_products_of():
 
     assert list(_Q_MODULI) == sorted(set(_Q_MODULI), reverse=True)
     for q in _Q_MODULI:
-        assert is_prime(q) and q < 2**31
-        assert _int_dtype(q, 2) == np.dtype("int64") and _terms_held(np.dtype("int64"), q) == 2
-    # 3 x 3 products of residues near q sum 3 products, and the kernel
-    # reduces after every 2 of them
-    q = _Q_MODULI[0]
+        assert is_prime(q) and q < 2**27
+        assert _int_dtype(q, 2) == _int_dtype(q, 22 * 22) == np.dtype("int64")
+        assert _terms_held(np.dtype("int64"), q) == 512
+    # each entry of a 22 x 22 product of residues near q sums 22 products
+    # before it is reduced
+    q = _Q_MODULI[-1]
     rng = random.Random(q)
-    a, b = ([[rng.choice([q - 1, q - 2, rng.randrange(q)]) for _ in range(3)] for _ in range(3)]
+    a, b = ([[rng.choice([q - 1, q - 2, rng.randrange(q)]) for _ in range(22)] for _ in range(22)]
             for _ in range(2))
     product = _matmul_batch(np.array(a, dtype=np.int64)[:, :, None],
                             np.array(b, dtype=np.int64)[:, :, None], q)
