@@ -11,7 +11,11 @@ row gated in code on its own field-size bound, so every field gets the
 rows it can afford.  B + W is valid exactly when every nonzero point of W
 lies on a pool line, so for valid W, W + c is valid iff every line of
 span(l, c), l a line of W, is a pool line: the search runs on this
-compatibility graph of the pool lines and visits each valid W once.
+compatibility graph of the pool lines and visits each valid W once.  The
+graph is built on the lines' coordinates over the kernel basis, d of them
+where a matrix has n^2 entries, by one numpy edge test over blocks of line
+pairs; it keeps only the neighbour sets, and the search recomputes the
+span of c with each line of W when it adjoins c.
 
 Only the pool build evaluates members; it charges them against the budget,
 and running out of budget leaves a partial pool and downgrades the result to
@@ -34,6 +38,8 @@ import random
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from . import reduction
 from .catalog import conjecture_bound, witness_conjecture
@@ -76,8 +82,8 @@ _BASE_RECORD = (
     "%(at_screen)d on the quadric screen, %(at_member_test)d by the member test, "
     "%(kept)d kept; %(evaluations)d "
     "evaluations; pool %(pool_s).3f s, complete %(complete)s; graph %(graph_s).3f s, "
-    "%(edges)d edges; %(mode)s search %(search_s).3f s, %(nodes)d nodes, deepest "
-    "node at depth %(depth)d, best dimension so far %(best_dim)d"
+    "%(pairs)d pairs, %(edges)d edges; %(mode)s search %(search_s).3f s, %(nodes)d "
+    "nodes, deepest node at depth %(depth)d, best dimension so far %(best_dim)d"
 )
 _REVERIFY_RECORD = (
     "re-verification %(reverify_s).3f s: nilpotency %(nilpotent_status)s "
@@ -199,9 +205,10 @@ def _kernel_lines(
 
     An odometer over the middle coefficients keeps a stack of packed
     states: per form, phi(x) and the differences D_j = phi(x + u_j) - phi(x),
-    one field of w + 1 bits each, packed as in ``_line_graph``.  Adding u_j
-    adds D_j to phi and S_ij = M_ij + M_ji to every D_i: one shift, mask and
-    add, and one packed reduction mod p, however many forms there are.  The
+    one field of w + 1 bits each, w the bits of 2p - 2, reduced as the
+    packed vectors of ``_line_graph`` are.  Adding u_j adds D_j to phi and
+    S_ij = M_ij + M_ji to every D_i: one shift, mask and add, and one packed
+    reduction mod p, however many forms there are.  The
     low two blocks, phi(x0) and D_v, are the run's key; the partial-sum
     vector x0 is never built here."""
     d = len(kernel)
@@ -479,10 +486,18 @@ def build_candidate_pool(
     return _build_pool(base, r, field, pruning, budget)[0]
 
 
-def _build_pool(base, r, field, pruning, limit: int) -> tuple[CandidatePool, int, int, int]:
-    """The pool of ``base`` within ``limit`` member evaluations, the
-    dimension of the kernel it enumerates, and how many of its lines the
+def _build_pool(
+    base, r, field, pruning, limit: int
+) -> tuple[CandidatePool, tuple[int, ...], int, int]:
+    """The pool of ``base`` within ``limit`` member evaluations, the free
+    columns of the kernel it enumerates, and how many of its lines the
     trace invariants and the quadric screen rejected.
+
+    A kernel basis vector of ``_nullspace`` is 1 at its own free column, 0
+    at the others and solved only at pivot columns left of it, so its free
+    column is its last nonzero entry.  A kernel vector's entries at the free
+    columns are therefore its coordinates over the basis: its kernel
+    coordinates, on which the search builds the line graph.
 
     Member t of a line is B + t*X for its canonical representative X.  The
     forms of ``_line_conditions`` are carried through the enumeration, and
@@ -626,7 +641,8 @@ def _build_pool(base, r, field, pruning, limit: int) -> tuple[CandidatePool, int
         pruned_by_trace=pruned_by_trace,
         evaluations=used,
     )
-    return pool, len(kernel), at_invariants, at_screen
+    free = tuple(max(k for k, y in enumerate(u) if y) for u in kernel)
+    return pool, free, at_invariants, at_screen
 
 
 # ---------------------------------------------------------------------------
@@ -634,27 +650,90 @@ def _build_pool(base, r, field, pruning, limit: int) -> tuple[CandidatePool, int
 
 class _LineGraph(NamedTuple):
     """Pool lines i and j are adjacent when all p + 1 lines of span(i, j)
-    are pool lines; the sets are bitsets over line indices."""
+    are pool lines; the sets are bitsets over line indices.  Spans are not
+    stored: ``_adjoin`` recomputes the ones it needs from the packed vectors
+    and the index of their multiples."""
 
     neighbours: list[int]  # N(i)
-    spans: list[dict[int, int]]  # spans[i][j]: the lines of span(i, j), j in N(i)
+    packed: list[int]  # line i's coordinates, w + 1 bits an entry
+    index: dict[int, int]  # every nonzero multiple of every line, packed -> the line
+    p: int
+    w: int  # an entry's low w bits hold a sum of two residues
+    ones: int  # 1 at the low bit of every entry
 
 
-def _line_graph(cands, p) -> _LineGraph:
-    """The graph of the sorted pool lines ``cands``, the only vector
-    arithmetic of the search: span(x, y) has the lines of y and x + t*y.
+# pairs per block of the edge test: its arrays stay a few hundred kB
+_PAIR_BLOCK = 4096
+# int64 holds the base-p key of every vector of d coordinates when p^d <= this
+_KEY_MAX = int(np.iinfo(np.int64).max)
 
-    Vectors are packed into one int, w + 1 bits an entry, where the w bits
-    hold a sum of two residues, at most 2p - 2.  Adding K = 2^w - p to each
+
+def _line_graph(coords, p) -> _LineGraph:
+    """The graph of the pool lines with coordinates ``coords``, the only
+    vector arithmetic of the search: span(x, y) has the lines of y and x +
+    t*y.  The search passes kernel coordinates (see ``_build_pool``), a
+    linear bijection onto F_p^d, which maps lines and spans to lines and
+    spans, so the graph is the pool's.
+
+    Edge test, in numpy.  A vector of d coordinates has the int64 key sum_j
+    x_j p^j, which needs p^d <= 2^63 - 1, and the keys of all multiples of
+    all lines are sorted once.  The pairs i < j run in row-major blocks of
+    ``_PAIR_BLOCK``, in the narrowest unsigned dtype that holds 2p - 2, so
+    min(s, s - p) reduces a sum s of two residues (s - p wraps around when
+    s < p).  At each t = 1..p-1 the key of x + t*y is looked up in a table
+    indexed by the keys' low bits, eight slots or more per key, that holds a
+    slot's one key; the few keys that share a slot are found with
+    searchsorted instead.  The pairs whose sum is no pool point drop out,
+    and those left after p - 1 steps are the edges.
+
+    Packed vectors, for ``_adjoin``: the bytes of a line's coordinates in
+    that dtype, little-endian, as one int, so an entry has w + 1 bits and
+    its low w bits hold a sum of two residues.  Adding K = 2^w - p to each
     entry of such a sum sets the entry's top bit exactly when it is >= p,
     so one shift, mask and multiply reduce every entry mod p at once, and
     one dict from every multiple of every line to the line's index replaces
     canonicalisation."""
-    w = (2 * p - 2).bit_length()
-    width = w + 1
-    ones = sum(1 << (j * width) for j in range(len(cands[0]))) if cands else 0
+    size = len(coords)
+    d = len(coords[0]) if coords else 0
+    assert p**d <= _KEY_MAX, "int64 overflow"
+    dtype = np.min_scalar_type(2 * p - 2).newbyteorder("<")
+    vecs = np.array(coords, dtype=dtype).reshape(size, d)
+    powers = np.array([p**j for j in range(d)], dtype=np.int64)
+    wide = vecs.astype(np.int64)
+    keys = np.sort(np.concatenate([wide * t % p @ powers for t in range(1, p)]))
+    keys = np.append(keys, _KEY_MAX)  # a sentinel: searchsorted stays in range
+    # per value of the keys' low bits, the one key that has it, -1 if none
+    # and -2 if several
+    mask = (1 << (8 * len(keys)).bit_length()) - 1
+    slots = np.full(mask + 1, -1, dtype=np.int64)
+    slots[keys & mask] = keys
+    slots[np.bincount(keys & mask, minlength=mask + 1) > 1] = -2
+    # row i holds the pairs (i, j), j > i, numbered from starts[i] to starts[i + 1]
+    starts = np.concatenate([[0], np.cumsum(np.arange(size - 1, -1, -1))])
+    bits = np.zeros((size, (size + 7) // 8), dtype=np.uint8)
+    for first in range(0, starts[-1], _PAIR_BLOCK):
+        last = min(first + _PAIR_BLOCK, starts[-1])
+        lo, hi = np.searchsorted(starts, first, "right") - 1, np.searchsorted(starts, last)
+        i = np.repeat(np.arange(lo, hi), np.diff(np.clip(starts[lo:hi + 1], first, last)))
+        j = np.arange(first, last) - starts[i] + i + 1
+        x, y = vecs.take(i, axis=0), vecs.take(j, axis=0)
+        for _ in range(p - 1):
+            x += y
+            np.minimum(x, x - p, out=x)
+            key = x @ powers
+            slot = slots[key & mask]
+            hit, clash = slot == key, slot == -2
+            hit[clash] = keys[np.searchsorted(keys, key[clash])] == key[clash]
+            if not hit.all():
+                i, j, x, y = i[hit], j[hit], x[hit], y[hit]
+        for a, b in ((i, j), (j, i)):
+            np.bitwise_or.at(bits, (a, b >> 3), (1 << (b & 7)).astype(np.uint8))
+    neighbours = [int.from_bytes(row.tobytes(), "little") for row in bits]
+
+    w = 8 * dtype.itemsize - 1
+    ones = int.from_bytes(np.ones(d, dtype).tobytes(), "little")
     k_const = ones * ((1 << w) - p)
-    packed = [sum(x << (j * width) for j, x in enumerate(line)) for line in cands]
+    packed = [int.from_bytes(row.tobytes(), "little") for row in vecs]
     index = {}
     for i, x in enumerate(packed):
         point = x
@@ -662,22 +741,7 @@ def _line_graph(cands, p) -> _LineGraph:
             index[point] = i
             s = point + x
             point = s - (((s + k_const) >> w) & ones) * p
-    lookup = index.get
-    spans: list[dict[int, int]] = [{} for _ in cands]
-    for i, x in enumerate(packed):
-        for j in range(i + 1, len(packed)):
-            y = packed[j]
-            span, point = 1 << i | 1 << j, x
-            for _ in range(p - 1):
-                s = point + y
-                point = s - (((s + k_const) >> w) & ones) * p
-                k = lookup(point)
-                if k is None:
-                    break
-                span |= 1 << k
-            else:
-                spans[i][j] = spans[j][i] = span
-    return _LineGraph([sum(1 << j for j in s) for s in spans], spans)
+    return _LineGraph(neighbours, packed, index, p, w, ones)
 
 
 def _bits(x: int) -> Iterator[int]:
@@ -691,11 +755,19 @@ def _adjoin(graph: _LineGraph, w_lines: int, extendable: int, c: int):
     """The lines that the extendable line c adds to the direction space W
     with line bitset ``w_lines``, and E(W + c) from ``extendable`` = E(W).
     The new points are the multiples of z + c, z in W, so the new lines
-    are c and those of span(l, c), l in W, that W lacks."""
+    are c and those of l + t*c, l a line of W and t = 1..p-1, each found
+    once.  These spans are recomputed here, p - 1 lookups per line of W:
+    c is adjacent to every line of W, so each lookup finds its line."""
+    p, w, ones, index = graph.p, graph.w, graph.ones, graph.index
+    k_const = ones * ((1 << w) - p)
+    y = graph.packed[c]
     added = 1 << c
     for line in _bits(w_lines):
-        added |= graph.spans[c][line]
-    added &= ~w_lines
+        point = graph.packed[line]
+        for _ in range(p - 1):
+            s = point + y
+            point = s - (((s + k_const) >> w) & ones) * p
+            added |= 1 << index[point]
     for line in _bits(added):
         extendable &= graph.neighbours[line]
     return added, extendable
@@ -756,19 +828,17 @@ def max_affine_dimension(
         # an equal share of what is left; what a base leaves flows on
         share = -(-(budget - used) // (len(bases) - i))
         clock = time.perf_counter()
-        pool, kernel_dim, at_invariants, at_screen = _build_pool(
-            base, r, field, "trace", share
-        )
+        pool, free, at_invariants, at_screen = _build_pool(base, r, field, "trace", share)
         used += pool.evaluations
         partition = jordan_partition(base)
         record = {
-            "partition": partition.nonzero_parts(), "kernel_dim": kernel_dim,
+            "partition": partition.nonzero_parts(), "kernel_dim": len(free),
             "lines_tested": pool.lines_tested, "at_invariants": at_invariants,
             "at_screen": at_screen,
             "at_member_test": pool.pruned_by_rank - at_invariants - at_screen,
             "kept": len(pool.candidates), "evaluations": pool.evaluations,
             "pool_s": time.perf_counter() - clock, "complete": pool.complete,
-            "graph_s": 0.0, "edges": 0, "mode": mode, "search_s": 0.0, "nodes": 0,
+            "graph_s": 0.0, "pairs": 0, "edges": 0, "mode": mode, "search_s": 0.0, "nodes": 0,
             "depth": 0,
         }
         if not pool.complete:
@@ -780,8 +850,9 @@ def max_affine_dimension(
             pruned_by_rank += pool.pruned_by_rank
             cands = [tuple(x for row in c.rows for x in row) for c in pool.candidates]
             clock = time.perf_counter()
-            graph = _line_graph(cands, p)
+            graph = _line_graph([tuple(x[f] for f in free) for x in cands], p)
             record["graph_s"] = time.perf_counter() - clock
+            record["pairs"] = len(cands) * (len(cands) - 1) // 2
             record["edges"] = sum(x.bit_count() for x in graph.neighbours) // 2
             if mode == "exhaustive":
                 got = _canonical_dfs(graph, p, best_dim)

@@ -44,7 +44,9 @@ from nilspace.search import (
     _kernel_lines,
     _line_conditions,
     _on_kernel,
-    _LineGraph,
+    _KEY_MAX,
+    _adjoin,
+    _bits,
     _line_graph,
 )
 from nilspace.search import check_conjecture as run_conjecture_test
@@ -554,8 +556,13 @@ def test_complete_pools_reject_on_the_invariants_exactly_the_failing_lines(n, r,
         for x in _iter_canonical_kernel(kernel, p):
             tr_x, tr_bx, q = _traces(base.rows, _rows(x, n), p)
             want += bool(tr_x or (q and not tr_bx))
-        pool, kernel_dim, at_invariants, _ = _build_pool(base, r, field, pruning, 10**6)
-        assert pool.complete and kernel_dim == len(kernel)
+        pool, free, at_invariants, _ = _build_pool(base, r, field, pruning, 10**6)
+        # each basis vector is 1 at its own free column and 0 at the others,
+        # so a kernel vector's entries there are its kernel coordinates
+        assert [tuple(u[f] for f in free) for u in kernel] == [
+            tuple(int(i == j) for j in range(len(kernel))) for i in range(len(kernel))
+        ]
+        assert pool.complete
         assert at_invariants == want
 
 
@@ -696,6 +703,15 @@ def test_rank_one_maximum_at_n5():
     assert rep.status == "EXHAUSTIVE"
     assert rep.max_dim_found == bound_rank_one(5) == 3
     assert (rep.evaluations, rep.nodes_explored) == (964_795, 402)
+
+
+def test_rank_one_maximum_at_n6():
+    # the paper's rank-one value n - 2 at n = 6: 1560 pool lines on a kernel
+    # of dimension 10, a graph of 604 500 edges; spans are not stored
+    rep = max_affine_dimension(6, 1, PrimeField(5))
+    assert rep.status == "EXHAUSTIVE"
+    assert rep.max_dim_found == bound_rank_one(6) == 4
+    assert (rep.evaluations, rep.nodes_explored) == (2_446_089, 784)
 
 
 def test_rank_one_maximum_below_the_field_hypothesis():
@@ -907,12 +923,12 @@ def _reference_greedy(cands, pool, zero, p, rng, restarts: int):
 
 def test_greedy_search_matches_the_reference():
     # same scores, same picks and the same random draws, restart by restart
-    for p, cands in (
+    for p, (cands, coords) in (
         (3, _differential_pools(3, 2, 3, "none", 10**7)[0]),
-        (3, _line_set(3, 4, 0.75, 0)),
-        (5, _line_set(5, 3, 1.0, 0)),
+        (3, (_line_set(3, 4, 0.75, 0),) * 2),
+        (5, (_line_set(5, 3, 1.0, 0),) * 2),
     ):
-        graph = _line_graph(cands, p)
+        graph = _line_graph(coords, p)
         for seed in range(10):
             want_rng, got_rng = random.Random(seed), random.Random(seed)
             want = _reference_greedy(cands, set(cands), (0,) * len(cands[0]), p, want_rng, 3)
@@ -975,6 +991,10 @@ def test_search_logs_one_record_per_base_that_adds_up_to_the_report(
             rec["at_invariants"] + rec["at_screen"] + rec["at_member_test"] + rec["kept"]
         )
         assert rec["mode"] == mode
+        searched = rec["complete"] or rec["lines_tested"]
+        # the edge test examines every pair of kept lines once
+        assert rec["pairs"] == (rec["kept"] * (rec["kept"] - 1) // 2 if searched else 0)
+        assert rec["edges"] <= rec["pairs"]
         if rec["complete"]:  # the whole pool, so its graph can be rebuilt
             pool = build_candidate_pool(base, r, field, pruning=rep.pruning)
             graph = _line_graph(_pool_lines(pool), p)
@@ -1028,6 +1048,8 @@ def test_pool_lookups_decide_extensions_like_the_verifiers(p, pruning, counts):
     assert pool.complete
     cands = _pool_lines(pool)
     graph = _line_graph(cands, p)
+    spans = _spans(graph)
+    assert (graph.neighbours, spans) == _reference_line_graph(cands, p)
     pairs = valid = 0
     for i, j in itertools.combinations(range(len(cands)), 2):
         adjacent = graph.neighbours[i] >> j & 1
@@ -1043,7 +1065,7 @@ def test_pool_lookups_decide_extensions_like_the_verifiers(p, pruning, counts):
                 _canonical_line(tuple((s * a + t * b) % p for a, b in zip(cands[i], cands[j])), p)
                 for s in range(p) for t in range(p) if s or t
             }
-            assert graph.spans[i][j] == graph.spans[j][i] == sum(
+            assert spans[i][j] == spans[j][i] == sum(
                 1 << cands.index(line) for line in span
             )
             assert len(span) == p + 1
@@ -1058,16 +1080,29 @@ def _pool_lines(pool):
 
 @functools.cache
 def _differential_pools(n, r, p, pruning, budget):
+    """Per base, the pool lines and their kernel coordinates."""
     field = PrimeField(p)
+    out = []
+    for base in canonical_bases(n, r, field):
+        pool, free, _, _ = _build_pool(base, r, field, pruning, budget)
+        cands = _pool_lines(pool)
+        out.append((cands, [tuple(x[f] for f in free) for x in cands]))
+    return out
+
+
+def _spans(graph):
+    """spans[i][j], j in N(i): the lines of span(i, j) as a bitset, from
+    the lines ``_adjoin`` finds that j adds to the line i."""
     return [
-        _pool_lines(build_candidate_pool(base, r, field, pruning=pruning, budget=budget))
-        for base in canonical_bases(n, r, field)
+        {j: _adjoin(graph, 1 << i, 0, j)[0] | 1 << i for j in _bits(adjacent)}
+        for i, adjacent in enumerate(graph.neighbours)
     ]
 
 
 def _reference_line_graph(cands, p):
-    """Oracle for the packed graph: adds y to x + t*y entry by entry and
-    looks each sum up by its canonical line."""
+    """Oracle for the line graph, its neighbour bitsets and the spans of
+    its edges: adds y to x + t*y entry by entry and looks each sum up by its
+    canonical line."""
     index = {line: i for i, line in enumerate(cands)}
     spans = [{} for _ in cands]
     for i, x in enumerate(cands):
@@ -1081,7 +1116,7 @@ def _reference_line_graph(cands, p):
                 span |= 1 << k
             else:
                 spans[i][j] = spans[j][i] = span
-    return _LineGraph([sum(1 << j for j in s) for s in spans], spans)
+    return [sum(1 << j for j in s) for s in spans], spans
 
 
 @pytest.mark.parametrize("n, r, p, pruning, budget", [
@@ -1094,23 +1129,85 @@ def _reference_line_graph(cands, p):
       for r in (1, 2, 3) for p in (3, 5) for budget in (3000, 30_000)),
 ])
 def test_packed_line_graph_matches_the_tuple_reference_on_pools(n, r, p, pruning, budget):
-    for cands in _differential_pools(n, r, p, pruning, budget or 10**7):
-        assert _line_graph(cands, p) == _reference_line_graph(cands, p)
+    for cands, coords in _differential_pools(n, r, p, pruning, budget or 10**7):
+        graph = _line_graph(coords, p)
+        assert (graph.neighbours, _spans(graph)) == _reference_line_graph(cands, p)
 
 
 @pytest.mark.parametrize("p, k, keep", [
-    (2, 5, 0.9), (3, 4, 0.8), (5, 3, 0.9), (7, 3, 0.95), (11, 2, 1.0), (257, 2, 0.9),
+    (2, 5, 0.9), (3, 4, 0.8), (5, 3, 0.9), (7, 3, 0.95), (11, 2, 1.0), (127, 2, 0.9),
+    (257, 2, 0.9),
 ])
 def test_packed_line_graph_matches_the_tuple_reference_on_random_line_sets(p, k, keep):
-    # p = 257 packs entries of 10 bits and an 11th for the carry; at
-    # keep = 0.9 a pair runs through about ten sums before a missing line
+    # the line sets are their own coordinates.  p = 127 is the largest p
+    # whose sums 2p - 2 fit uint8 and p = 257 runs in uint16; at keep = 0.9
+    # a pair runs through about ten sums before a missing line
     edges = 0
     for seed in range(2):
         cands = _line_set(p, k, keep, seed)
         graph = _line_graph(cands, p)
-        assert graph == _reference_line_graph(cands, p)
-        edges += sum(len(s) for s in graph.spans)
-    assert edges or p == 257
+        assert (graph.neighbours, _spans(graph)) == _reference_line_graph(cands, p)
+        edges += sum(x.bit_count() for x in graph.neighbours)
+    assert edges or p > 100
+
+
+def test_line_graph_runs_on_kernel_coordinates_where_full_vectors_overflow():
+    # n=5 r=1 p=7: 7^25 > 2^63 - 1, so the full vectors have no int64 key,
+    # while the kernel has dimension 8.  The pool lines in the hyperplane of
+    # kernel coordinate 0 keep their spans in it, so their graph is the
+    # pool graph's induced subgraph, small enough for the reference
+    field = PrimeField(7)
+    (base,) = canonical_bases(5, 1, field)
+    pool, free, _, _ = _build_pool(base, 1, field, "trace", 10**7)
+    assert pool.complete and 7 ** len(free) <= _KEY_MAX < 7**25
+    cands = _pool_lines(pool)
+    coords = [tuple(x[f] for f in free) for x in cands]
+    with pytest.raises(AssertionError):
+        _line_graph(cands, 7)
+    graph = _line_graph(coords, 7)
+    inside = [k for k, x in enumerate(coords) if not x[0]]
+    sub = _line_graph([coords[k] for k in inside], 7)
+    assert (sub.neighbours, _spans(sub)) == _reference_line_graph([cands[k] for k in inside], 7)
+    assert sub.neighbours == [
+        sum(1 << b for b, k in enumerate(inside) if graph.neighbours[a] >> k & 1) for a in inside
+    ]
+    assert (len(cands), len(inside), sum(x.bit_count() for x in sub.neighbours) // 2) == (
+        798, 114, 3192
+    )
+
+
+@pytest.mark.parametrize("p, d", [(2, 63), (3, 40), (7, 23)])
+def test_line_graph_asserts_the_int64_key_bound(p, d):
+    # p^(d - 1) <= 2^63 - 1 < p^d: lines of F_p^(d - 1) get a graph, lines
+    # of F_p^d do not
+    assert p ** (d - 1) <= _KEY_MAX < p**d
+
+    def units(k):  # the last two unit vectors of F_p^k
+        return [tuple(int(j == i) for j in range(k)) for i in (k - 2, k - 1)]
+
+    assert _line_graph(units(d - 1), p).neighbours == [0, 0]
+    with pytest.raises(AssertionError):
+        _line_graph(units(d), p)
+
+
+def test_line_graph_memory_stays_below_the_stored_spans():
+    # criterion 6's (3,1) pool: 2226 lines, 2 476 425 pairs, 54 675 edges.
+    # A 2226-bit span stored per edge traced an 18.1 MB peak; neighbour
+    # bitsets and blocks of 4096 pairs keep it near 2.7 MB
+    import tracemalloc
+
+    base = canonical_bases(4, 2, F5)[0]
+    assert jordan_partition(base).parts == (3, 1, 0, 0)
+    pool, free, _, _ = _build_pool(base, 2, F5, "trace", 10**7)
+    coords = [tuple(x[f] for f in free) for x in _pool_lines(pool)]
+    tracemalloc.start()
+    try:
+        graph = _line_graph(coords, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(coords), sum(x.bit_count() for x in graph.neighbours) // 2) == (2226, 54_675)
+    assert peak < 5e6
 
 
 @pytest.mark.parametrize("n, r, p, pruning, budget, nodes", [
@@ -1129,8 +1226,8 @@ def test_packed_line_graph_matches_the_tuple_reference_on_random_line_sets(p, k,
 def test_canonical_dfs_matches_the_ordered_extension_reference(n, r, p, pruning, budget, nodes):
     # same maximum and witness as the DFS over every increasing basis of
     # point lists, in no more nodes, whatever best the search starts from
-    for cands in _differential_pools(n, r, p, pruning, budget or 10**7):
-        graph = _line_graph(cands, p)
+    for cands, coords in _differential_pools(n, r, p, pruning, budget or 10**7):
+        graph = _line_graph(coords, p)
         for initial_best in (0, 1):
             want = _reference_dfs(cands, set(cands), (0,) * (n * n), p, initial_best)
             got = _canonical_dfs(graph, p, initial_best)
