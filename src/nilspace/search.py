@@ -13,9 +13,9 @@ lies on a pool line, so for valid W, W + c is valid iff every line of
 span(l, c), l a line of W, is a pool line: the search runs on this
 compatibility graph of the pool lines and visits each valid W once.  The
 graph is built on the lines' coordinates over the kernel basis, d of them
-where a matrix has n^2 entries, by one numpy edge test over blocks of line
-pairs; it keeps only the neighbour sets, and the search recomputes the
-span of c with each line of W when it adjoins c.
+where a matrix has n^2 entries, by an edge test that adds one line to all
+later lines at once in packed ints; it keeps only the neighbour sets, and
+the search recomputes the span of c with each line of W when it adjoins c.
 
 Only the pool build evaluates members; it charges them against the budget,
 and running out of budget leaves a partial pool and downgrades the result to
@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import logging
 import random
+import struct
 import time
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from . import reduction
 from .catalog import conjecture_bound, witness_conjecture
@@ -662,10 +663,18 @@ class _LineGraph(NamedTuple):
     ones: int  # 1 at the low bit of every entry
 
 
-# pairs per block of the edge test: its arrays stay a few hundred kB
-_PAIR_BLOCK = 4096
-# int64 holds the base-p key of every vector of d coordinates when p^d <= this
-_KEY_MAX = int(np.iinfo(np.int64).max)
+def _pool_lanes(raw: bytes, cuts: list[slice], alive: Sequence[int], points: set) -> list[int]:
+    """The lanes k of ``alive`` whose bytes ``raw[cuts[k]]`` are in
+    ``points``.  When every lane is alive they are read by ``struct``,
+    without a Python step per lane.  A function of its own because
+    ``tracemalloc`` finds the line of each allocation by a scan of its
+    function's line table: inside ``_line_graph`` the traced graph of
+    criterion 6's (3,1) pool took about three times as long."""
+    lane = cuts[0].stop
+    if len(alive) * lane == len(raw):
+        got = map(itemgetter(0), struct.iter_unpack(f"{lane}s", raw))
+        return list(compress(alive, map(points.__contains__, got)))
+    return [k for k in alive if raw[cuts[k]] in points]
 
 
 def _line_graph(coords, p) -> _LineGraph:
@@ -675,65 +684,31 @@ def _line_graph(coords, p) -> _LineGraph:
     linear bijection onto F_p^d, which maps lines and spans to lines and
     spans, so the graph is the pool's.
 
-    Edge test, in numpy.  A vector of d coordinates has the int64 key sum_j
-    x_j p^j, which needs p^d <= 2^63 - 1, and the keys of all multiples of
-    all lines are sorted once.  The pairs i < j run in row-major blocks of
-    ``_PAIR_BLOCK``, in the narrowest unsigned dtype that holds 2p - 2, so
-    min(s, s - p) reduces a sum s of two residues (s - p wraps around when
-    s < p).  At each t = 1..p-1 the key of x + t*y is looked up in a table
-    indexed by the keys' low bits, eight slots or more per key, that holds a
-    slot's one key; the few keys that share a slot are found with
-    searchsorted instead.  The pairs whose sum is no pool point drop out,
-    and those left after p - 1 steps are the edges.
+    Packed vectors: the entries of a vector, ``width`` bytes each, as one
+    little-endian int, so an entry has w + 1 bits and its low w bits hold a
+    sum of two residues, at most 2p - 2.  Adding K = 2^w - p to each entry
+    of such a sum sets the entry's top bit exactly when it is >= p, so one
+    shift, mask and multiply reduce every entry mod p at once, and one dict
+    from every multiple of every line to the line's index replaces
+    canonicalisation in ``_adjoin``.
 
-    Packed vectors, for ``_adjoin``: the bytes of a line's coordinates in
-    that dtype, little-endian, as one int, so an entry has w + 1 bits and
-    its low w bits hold a sum of two residues.  Adding K = 2^w - p to each
-    entry of such a sum sets the entry's top bit exactly when it is >= p,
-    so one shift, mask and multiply reduce every entry mod p at once, and
-    one dict from every multiple of every line to the line's index replaces
-    canonicalisation."""
+    Edge test, one row of pairs (i, j), j > i, at a time: the vectors of the
+    lines j sit side by side in one int, a lane each, and x_i sits in every
+    lane of another, so one addition and one packed reduction give x_i +
+    t*x_j for every j at once.  The lanes are read off the bytes of the sum
+    and looked up in the set of the pool points' bytes; a pair drops out at
+    its first sum off the pool, and the pairs left after t = p - 1 are the
+    edges."""
     size = len(coords)
     d = len(coords[0]) if coords else 0
-    assert p**d <= _KEY_MAX, "int64 overflow"
-    dtype = np.min_scalar_type(2 * p - 2).newbyteorder("<")
-    vecs = np.array(coords, dtype=dtype).reshape(size, d)
-    powers = np.array([p**j for j in range(d)], dtype=np.int64)
-    wide = vecs.astype(np.int64)
-    keys = np.sort(np.concatenate([wide * t % p @ powers for t in range(1, p)]))
-    keys = np.append(keys, _KEY_MAX)  # a sentinel: searchsorted stays in range
-    # per value of the keys' low bits, the one key that has it, -1 if none
-    # and -2 if several
-    mask = (1 << (8 * len(keys)).bit_length()) - 1
-    slots = np.full(mask + 1, -1, dtype=np.int64)
-    slots[keys & mask] = keys
-    slots[np.bincount(keys & mask, minlength=mask + 1) > 1] = -2
-    # row i holds the pairs (i, j), j > i, numbered from starts[i] to starts[i + 1]
-    starts = np.concatenate([[0], np.cumsum(np.arange(size - 1, -1, -1))])
-    bits = np.zeros((size, (size + 7) // 8), dtype=np.uint8)
-    for first in range(0, starts[-1], _PAIR_BLOCK):
-        last = min(first + _PAIR_BLOCK, starts[-1])
-        lo, hi = np.searchsorted(starts, first, "right") - 1, np.searchsorted(starts, last)
-        i = np.repeat(np.arange(lo, hi), np.diff(np.clip(starts[lo:hi + 1], first, last)))
-        j = np.arange(first, last) - starts[i] + i + 1
-        x, y = vecs.take(i, axis=0), vecs.take(j, axis=0)
-        for _ in range(p - 1):
-            x += y
-            np.minimum(x, x - p, out=x)
-            key = x @ powers
-            slot = slots[key & mask]
-            hit, clash = slot == key, slot == -2
-            hit[clash] = keys[np.searchsorted(keys, key[clash])] == key[clash]
-            if not hit.all():
-                i, j, x, y = i[hit], j[hit], x[hit], y[hit]
-        for a, b in ((i, j), (j, i)):
-            np.bitwise_or.at(bits, (a, b >> 3), (1 << (b & 7)).astype(np.uint8))
-    neighbours = [int.from_bytes(row.tobytes(), "little") for row in bits]
-
-    w = 8 * dtype.itemsize - 1
-    ones = int.from_bytes(np.ones(d, dtype).tobytes(), "little")
+    width = ((2 * p - 2).bit_length() + 7) // 8
+    lane = d * width
+    w = 8 * width - 1
+    unit = (1).to_bytes(width, "little") * d  # 1 in every entry of a lane
+    ones = int.from_bytes(unit, "little")
     k_const = ones * ((1 << w) - p)
-    packed = [int.from_bytes(row.tobytes(), "little") for row in vecs]
+    rows = [b"".join(x.to_bytes(width, "little") for x in line) for line in coords]
+    packed = [int.from_bytes(row, "little") for row in rows]
     index = {}
     for i, x in enumerate(packed):
         point = x
@@ -741,6 +716,28 @@ def _line_graph(coords, p) -> _LineGraph:
             index[point] = i
             s = point + x
             point = s - (((s + k_const) >> w) & ones) * p
+    points = {x.to_bytes(lane, "little") for x in index}
+    stack = int.from_bytes(b"".join(rows), "little")  # line j in lane j
+    cuts = [slice(k * lane, (k + 1) * lane) for k in range(size)]
+    adjacent = [bytearray((size + 7) // 8) for _ in range(size)]
+    for i in range(size - 1):
+        n = size - 1 - i  # line i + 1 + k in lane k
+        y = stack >> 8 * lane * (i + 1)
+        each = int.from_bytes(unit * n, "little")
+        k_each = each * ((1 << w) - p)
+        point = int.from_bytes(rows[i] * n, "little")
+        alive = range(n)
+        for _ in range(p - 1):
+            s = point + y
+            point = s - (((s + k_each) >> w) & each) * p
+            alive = _pool_lanes(point.to_bytes(lane * n, "little"), cuts, alive, points)
+            if not alive:
+                break
+        for k in alive:
+            j = i + 1 + k
+            adjacent[i][j >> 3] |= 1 << (j & 7)
+            adjacent[j][i >> 3] |= 1 << (i & 7)
+    neighbours = [int.from_bytes(row, "little") for row in adjacent]
     return _LineGraph(neighbours, packed, index, p, w, ones)
 
 

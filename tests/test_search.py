@@ -44,7 +44,6 @@ from nilspace.search import (
     _kernel_lines,
     _line_conditions,
     _on_kernel,
-    _KEY_MAX,
     _adjoin,
     _bits,
     _line_graph,
@@ -1140,8 +1139,8 @@ def test_packed_line_graph_matches_the_tuple_reference_on_pools(n, r, p, pruning
 ])
 def test_packed_line_graph_matches_the_tuple_reference_on_random_line_sets(p, k, keep):
     # the line sets are their own coordinates.  p = 127 is the largest p
-    # whose sums 2p - 2 fit uint8 and p = 257 runs in uint16; at keep = 0.9
-    # a pair runs through about ten sums before a missing line
+    # whose sums 2p - 2 fit one byte an entry and p = 257 packs two; at
+    # keep = 0.9 a pair runs through about ten sums before a missing line
     edges = 0
     for seed in range(2):
         cands = _line_set(p, k, keep, seed)
@@ -1151,19 +1150,17 @@ def test_packed_line_graph_matches_the_tuple_reference_on_random_line_sets(p, k,
     assert edges or p > 100
 
 
-def test_line_graph_runs_on_kernel_coordinates_where_full_vectors_overflow():
-    # n=5 r=1 p=7: 7^25 > 2^63 - 1, so the full vectors have no int64 key,
-    # while the kernel has dimension 8.  The pool lines in the hyperplane of
-    # kernel coordinate 0 keep their spans in it, so their graph is the
-    # pool graph's induced subgraph, small enough for the reference
+def test_line_graph_on_kernel_coordinates_matches_the_reference_on_full_vectors():
+    # n=5 r=1 p=7: the pool's 25-entry vectors have 8 kernel coordinates.
+    # The pool lines in the hyperplane of kernel coordinate 0 keep their
+    # spans in it, so their graph is the pool graph's induced subgraph,
+    # small enough for the reference
     field = PrimeField(7)
     (base,) = canonical_bases(5, 1, field)
     pool, free, _, _ = _build_pool(base, 1, field, "trace", 10**7)
-    assert pool.complete and 7 ** len(free) <= _KEY_MAX < 7**25
+    assert pool.complete and len(free) == 8
     cands = _pool_lines(pool)
     coords = [tuple(x[f] for f in free) for x in cands]
-    with pytest.raises(AssertionError):
-        _line_graph(cands, 7)
     graph = _line_graph(coords, 7)
     inside = [k for k, x in enumerate(coords) if not x[0]]
     sub = _line_graph([coords[k] for k in inside], 7)
@@ -1176,24 +1173,10 @@ def test_line_graph_runs_on_kernel_coordinates_where_full_vectors_overflow():
     )
 
 
-@pytest.mark.parametrize("p, d", [(2, 63), (3, 40), (7, 23)])
-def test_line_graph_asserts_the_int64_key_bound(p, d):
-    # p^(d - 1) <= 2^63 - 1 < p^d: lines of F_p^(d - 1) get a graph, lines
-    # of F_p^d do not
-    assert p ** (d - 1) <= _KEY_MAX < p**d
-
-    def units(k):  # the last two unit vectors of F_p^k
-        return [tuple(int(j == i) for j in range(k)) for i in (k - 2, k - 1)]
-
-    assert _line_graph(units(d - 1), p).neighbours == [0, 0]
-    with pytest.raises(AssertionError):
-        _line_graph(units(d), p)
-
-
 def test_line_graph_memory_stays_below_the_stored_spans():
     # criterion 6's (3,1) pool: 2226 lines, 2 476 425 pairs, 54 675 edges.
     # A 2226-bit span stored per edge traced an 18.1 MB peak; neighbour
-    # bitsets and blocks of 4096 pairs keep it near 2.7 MB
+    # bitsets and one row of pairs at a time keep it near 3 MB
     import tracemalloc
 
     base = canonical_bases(4, 2, F5)[0]
