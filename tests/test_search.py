@@ -924,6 +924,7 @@ def test_greedy_search_matches_the_reference():
     # same scores, same picks and the same random draws, restart by restart
     for p, (cands, coords) in (
         (3, _differential_pools(3, 2, 3, "none", 10**7)[0]),
+        # a line set is its own coordinates
         (3, (_line_set(3, 4, 0.75, 0),) * 2),
         (5, (_line_set(5, 3, 1.0, 0),) * 2),
     ):
