@@ -35,11 +35,8 @@ from __future__ import annotations
 
 import logging
 import random
-import struct
 import time
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import reduction
@@ -659,22 +656,8 @@ class _LineGraph(NamedTuple):
     packed: list[int]  # line i's coordinates, w + 1 bits an entry
     index: dict[int, int]  # every nonzero multiple of every line, packed -> the line
     p: int
-    w: int  # an entry's low w bits hold a sum of two residues
+    w: int  # the bits of 2p - 2
     ones: int  # 1 at the low bit of every entry
-
-
-def _pool_lanes(raw: bytes, cuts: list[slice], alive: Sequence[int], points: set) -> list[int]:
-    """The lanes k of ``alive`` whose bytes ``raw[cuts[k]]`` are in
-    ``points``.  When every lane is alive they are read by ``struct``,
-    without a Python step per lane.  A function of its own because
-    ``tracemalloc`` finds the line of each allocation by a scan of its
-    function's line table: inside ``_line_graph`` the traced graph of
-    criterion 6's (3,1) pool took about three times as long."""
-    lane = cuts[0].stop
-    if len(alive) * lane == len(raw):
-        got = map(itemgetter(0), struct.iter_unpack(f"{lane}s", raw))
-        return list(compress(alive, map(points.__contains__, got)))
-    return [k for k in alive if raw[cuts[k]] in points]
 
 
 def _line_graph(coords, p) -> _LineGraph:
@@ -684,31 +667,29 @@ def _line_graph(coords, p) -> _LineGraph:
     linear bijection onto F_p^d, which maps lines and spans to lines and
     spans, so the graph is the pool's.
 
-    Packed vectors: the entries of a vector, ``width`` bytes each, as one
-    little-endian int, so an entry has w + 1 bits and its low w bits hold a
-    sum of two residues, at most 2p - 2.  Adding K = 2^w - p to each entry
-    of such a sum sets the entry's top bit exactly when it is >= p, so one
-    shift, mask and multiply reduce every entry mod p at once, and one dict
-    from every multiple of every line to the line's index replaces
+    Packed vectors: the entries of a vector, w + 1 bits each, as one int,
+    w the bits of 2p - 2.  An entry then holds any sum s <= 2p - 2 of two
+    residues, and p <= 2^w, so with K = 2^w - p >= 0 the sum s + K stays
+    below 2^(w+1) and has its top bit set exactly when s >= p: one shift,
+    mask and multiply reduce every entry mod p at once, and one dict from
+    every multiple of every line to the line's index replaces
     canonicalisation in ``_adjoin``.
 
     Edge test, one row of pairs (i, j), j > i, at a time: the vectors of the
-    lines j sit side by side in one int, a lane each, and x_i sits in every
-    lane of another, so one addition and one packed reduction give x_i +
-    t*x_j for every j at once.  The lanes are read off the bytes of the sum
-    and looked up in the set of the pool points' bytes; a pair drops out at
-    its first sum off the pool, and the pairs left after t = p - 1 are the
-    edges."""
+    lines j sit side by side in one int, a lane of whole bytes each, and x_i
+    sits in every lane of another, so one addition and one packed reduction
+    give x_i + t*x_j for every j at once.  The lanes are read off the bytes
+    of the sum and looked up in the set of the pool points' bytes; a pair
+    drops out at its first sum off the pool, and the pairs left after t =
+    p - 1 are the edges."""
     size = len(coords)
     d = len(coords[0]) if coords else 0
-    width = ((2 * p - 2).bit_length() + 7) // 8
-    lane = d * width
-    w = 8 * width - 1
-    unit = (1).to_bytes(width, "little") * d  # 1 in every entry of a lane
-    ones = int.from_bytes(unit, "little")
+    w = (2 * p - 2).bit_length()
+    width = w + 1
+    lane = (d * width + 7) // 8
+    ones = sum(1 << (k * width) for k in range(d))
     k_const = ones * ((1 << w) - p)
-    rows = [b"".join(x.to_bytes(width, "little") for x in line) for line in coords]
-    packed = [int.from_bytes(row, "little") for row in rows]
+    packed = [sum(x << (k * width) for k, x in enumerate(line)) for line in coords]
     index = {}
     for i, x in enumerate(packed):
         point = x
@@ -717,6 +698,8 @@ def _line_graph(coords, p) -> _LineGraph:
             s = point + x
             point = s - (((s + k_const) >> w) & ones) * p
     points = {x.to_bytes(lane, "little") for x in index}
+    rows = [x.to_bytes(lane, "little") for x in packed]
+    unit = ones.to_bytes(lane, "little")
     stack = int.from_bytes(b"".join(rows), "little")  # line j in lane j
     cuts = [slice(k * lane, (k + 1) * lane) for k in range(size)]
     adjacent = [bytearray((size + 7) // 8) for _ in range(size)]
@@ -730,7 +713,8 @@ def _line_graph(coords, p) -> _LineGraph:
         for _ in range(p - 1):
             s = point + y
             point = s - (((s + k_each) >> w) & each) * p
-            alive = _pool_lanes(point.to_bytes(lane * n, "little"), cuts, alive, points)
+            raw = point.to_bytes(lane * n, "little")
+            alive = [k for k in alive if raw[cuts[k]] in points]
             if not alive:
                 break
         for k in alive:

@@ -1175,23 +1175,21 @@ def test_line_graph_on_kernel_coordinates_matches_the_reference_on_full_vectors(
 
 
 def test_line_graph_memory_stays_below_the_stored_spans():
-    # criterion 6's (3,1) pool: 2226 lines, 2 476 425 pairs, 54 675 edges.
-    # A 2226-bit span stored per edge traced an 18.1 MB peak; neighbour
-    # bitsets and one row of pairs at a time keep it near 3 MB
+    # the 364 lines of F_3^6, every pair an edge: the worst case for a span
+    # stored per edge, which traced a 12.1 MB peak on this set; neighbour
+    # bitsets and one row of pairs at a time keep it near 0.3 MB
     import tracemalloc
 
-    base = canonical_bases(4, 2, F5)[0]
-    assert jordan_partition(base).parts == (3, 1, 0, 0)
-    pool, free, _, _ = _build_pool(base, 2, F5, "trace", 10**7)
-    coords = [tuple(x[f] for f in free) for x in _pool_lines(pool)]
+    lines = [v for v in itertools.product(range(3), repeat=6) if any(v) and _canonical_line(v, 3) == v]
     tracemalloc.start()
     try:
-        graph = _line_graph(coords, 5)
+        graph = _line_graph(lines, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (len(coords), sum(x.bit_count() for x in graph.neighbours) // 2) == (2226, 54_675)
-    assert peak < 5e6
+    assert len(lines) == 364
+    assert graph.neighbours == [((1 << 364) - 1) ^ (1 << i) for i in range(364)]
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("n, r, p, pruning, budget, nodes", [
