@@ -1139,9 +1139,10 @@ def test_packed_line_graph_matches_the_tuple_reference_on_pools(n, r, p, pruning
     (257, 2, 0.9),
 ])
 def test_packed_line_graph_matches_the_tuple_reference_on_random_line_sets(p, k, keep):
-    # the line sets are their own coordinates.  p = 127 is the largest p
-    # whose sums 2p - 2 fit one byte an entry and p = 257 packs two; at
-    # keep = 0.9 a pair runs through about ten sums before a missing line
+    # the line sets are their own coordinates.  For p = 3, 5 and 257, all
+    # 2^k + 1, the largest sum 2p - 2 = 2^(k+1) sets the top bit of an
+    # entry's w bits; at keep = 0.9 a pair runs through about ten sums
+    # before a missing line
     edges = 0
     for seed in range(2):
         cands = _line_set(p, k, keep, seed)
