@@ -187,13 +187,16 @@ def _is_nilpotent(rows: Rows, p: int | None) -> bool:
         span *= 2
 
 
-def _is_nilpotent_of_rank(rows: Rows, p: int, r: int) -> bool:
+def _is_nilpotent_of_rank(rows: Rows, p: int, r: int, known: int = 0) -> bool:
     """Nilpotency of a matrix of rank r over F_p with p > r, by the traces
     tr(M^k) = 0, k = 1..r.  Its principal minors above size r vanish, so the
     characteristic polynomial is x^n iff e_1..e_r vanish, and by Newton's
     identities k e_k is a combination of the traces up to k, with k < p
-    invertible."""
-    if sum(row[i] for i, row in enumerate(rows)) % p:
+    invertible.  The caller vouches that tr(M^k) = 0 for k <= ``known``;
+    those traces are not checked."""
+    if r <= known:
+        return True
+    if not known and sum(row[i] for i, row in enumerate(rows)) % p:
         return False
     cols = tuple(zip(*rows))
     power = rows
@@ -201,7 +204,9 @@ def _is_nilpotent_of_rank(rows: Rows, p: int, r: int) -> bool:
         if k > 2:
             power = _matmul(power, rows, p)
         # tr(M^k): row i of M^(k-1) against column i of M
-        if sum(x * y for row, col in zip(power, cols) for x, y in zip(row, col)) % p:
+        if k > known and sum(
+            x * y for row, col in zip(power, cols) for x, y in zip(row, col)
+        ) % p:
             return False
     return True
 

@@ -20,13 +20,15 @@ the search recomputes the span of c with each line of W when it adjoins c.
 Only the pool build evaluates members; it charges them against the budget,
 and running out of budget leaves a partial pool and downgrades the result to
 a lower bound, it never aborts.  The pool build carries quadratic forms of
-the lines X through its enumeration, one item per run of the last
-coefficient: the trace invariants tr(X), tr(BX), tr(X^2), which decide
-member 1, and under trace pruning a quadric screen of forms that vanish on
-every pool line, u^T X B^T X v (u in coker B, v in ker B) and tr(BX^2),
-each gated in code on its field-size bound.  Most lines fail one of them
-and are rejected from the run's values alone, charged 1 evaluation, without
-building X or a member.  The bases share the budget: each one in
+the lines X through its enumeration, a run of the last coefficient at a
+time: the trace invariants tr(X), tr(BX), tr(X^2), which decide member 1,
+and under trace pruning a quadric screen of forms that vanish on every pool
+line, u^T X B^T X v (u in coker B, v in ker B) and tr(BX^2), each gated in
+code on its field-size bound.  Most lines fail one of them and are rejected
+from the run's values alone, charged 1 evaluation, without building X or a
+member; a run whose lines all fail is charged inside the enumeration and
+never leaves it.  Only the lines that pass every form are built and
+tested member by member.  The bases share the budget: each one in
 turn gets an equal share of what is left, so a base's unused share flows on
 to the later ones and the first base cannot starve the rest.
 """
@@ -35,8 +37,10 @@ from __future__ import annotations
 
 import logging
 import random
+import sys
 import time
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import reduction
@@ -179,48 +183,93 @@ def _line_count(p: int, dim: int) -> int:
     return (p**dim - 1) // (p - 1)
 
 
+def _field_bits(p: int) -> int:
+    """The w of every packed vector mod p in this module: entries of w + 1
+    bits, each holding one residue or the sum s <= 2p - 2 of two.  With
+    K = 2^w - p, s - ((s + K) >> w & 1) p reduces such a sum: s + K stays
+    below 2^(w+1) and has bit w set exactly when s >= p.  All of this
+    needs only p <= 2^w, so w is the bits of p - 1."""
+    return (p - 1).bit_length()
+
+
+@dataclass(slots=True)
+class _Charges:
+    """What a pool build has charged so far: ``used`` of ``limit``
+    evaluations, and the lines rejected on the trace invariants at member 1
+    and on the quadric screen."""
+
+    limit: int
+    used: int = 0
+    at_invariants: int = 0
+    at_screen: int = 0
+
+
+_Coefficients = tuple[list[int], list[list[int]]]
+
+
 def _kernel_lines(
     kernel: Sequence[tuple[int, ...]],
-    forms: Sequence[tuple[list[int], list[list[int]]]],
+    forms: Sequence[_Coefficients],
+    exact: Sequence[_Coefficients],
     p: int,
-    classify: Callable[[tuple], Any],
+    classify: Callable[[tuple], tuple],
+    charges: _Charges,
 ) -> Iterator[tuple]:
-    """The lines of the span of ``kernel`` (flattened n x n matrices), one
-    item per run of the last coefficient: (classify(polys), size, lead,
-    coefficients).
+    """The runs of lines of the span of ``kernel`` (flattened n x n
+    matrices) that the caller must test line by line, one item per run:
+    (keep, classify(polys), lead, coefficients, exact polys).
 
     Lines have lead coefficient 1 and later coefficients free, the last one
-    fastest.  A run is the ``size`` = p lines x0 + a*v, a = 0..p-1, v the
-    last basis vector and x0 = u_lead + sum_l coefficients[l] u_(lead+1+l);
-    the last lead has one line, x0 = v, and size 1.  ``coefficients`` is the
+    fastest.  A run is the p lines x0 + a*v, a = 0..p-1, v the last basis
+    vector and x0 = u_lead + sum_l coefficients[l] u_(lead+1+l); the last
+    lead has one line, x0 = v, a run of its own.  ``coefficients`` is the
     odometer's own list: read it before asking for the next item.
 
-    Each form (lam, M) of ``forms`` is phi(c) = sum_j lam_j c_j +
-    sum_ij M_ij c_i c_j on the coordinates c over ``kernel``, and ``polys``
-    holds, per form, (phi(x0), b, M_vv) with phi(x0 + a v) = phi(x0) + a b +
-    a^2 M_vv.  ``classify`` runs once per distinct ``polys``; its result is
-    reused.
+    Each form (lam, M) of ``forms`` and ``exact`` is phi(c) = sum_j lam_j
+    c_j + sum_ij M_ij c_i c_j on the coordinates c over ``kernel``, and its
+    polys on a run are (phi(x0), b, M_vv) with phi(x0 + a v) = phi(x0) + a
+    b + a^2 M_vv.  ``classify`` maps the polys of ``forms`` to a tuple that
+    starts (keep, passed, n_passed): bit a of ``passed`` is set when line a
+    passes the trace invariants, n_passed such bits, and bit a of ``keep``
+    when it passes every form of ``forms``.  It runs once per distinct
+    polys, and its result is reused.  The forms of ``exact`` stay out of
+    that memo's key, which each would multiply up to p^2-fold: a run whose
+    ``keep`` is nonzero clears the bits where one of them is nonzero,
+    through the root masks of its own polys.
+
+    Charges.  A run of p lines none of which keeps its bit is charged here
+    and not yielded, when the ``charges.limit - charges.used`` evaluations
+    left hold the whole run: p evaluations, the lines of ``passed`` on the
+    screen and the others on the invariants, as the caller would have
+    charged them one by one.  Every other run is yielded with ``charges`` up
+    to date, and the caller charges its lines there before asking for the
+    next item.
 
     An odometer over the middle coefficients keeps a stack of packed
-    states: per form, phi(x) and the differences D_j = phi(x + u_j) - phi(x),
-    one field of w + 1 bits each, w the bits of 2p - 2, reduced as the
-    packed vectors of ``_line_graph`` are.  Adding u_j adds D_j to phi and
-    S_ij = M_ij + M_ji to every D_i: one shift, mask and add, and one packed
-    reduction mod p, however many forms there are.  The
-    low two blocks, phi(x0) and D_v, are the run's key; the partial-sum
-    vector x0 is never built here."""
+    states: per form, phi(x) and the differences D_j = phi(x + u_j) -
+    phi(x), one field of w + 1 bits each (``_field_bits``).  Adding u_j
+    adds D_j to phi and S_ij = M_ij + M_ji to every D_i: one shift, mask and
+    add, and one packed reduction mod p, however many forms there are.  The
+    innermost coefficient runs in a loop of its own.  The fields of
+    ``forms`` in the low two blocks, phi(x0) and D_v, are the memo's key;
+    the partial-sum vector x0 is never built here."""
+    if not kernel:
+        return
     d = len(kernel)
     last = d - 1
-    w = (2 * p - 2).bit_length()
+    every = [*forms, *exact]
+    w = _field_bits(p)
     width = w + 1
-    block = len(forms) * width  # block 0: phi; block d - j: D_j
+    block = len(every) * width  # block 0: phi; block d - j: D_j
     low = (1 << w) - 1
-    ones = sum(1 << (k * width) for k in range(len(forms) * (d + 1)))
+    ones = sum(1 << (k * width) for k in range(len(every) * (d + 1)))
     k_const = ones * ((1 << w) - p)
     values = (1 << block) - 1
-    key_mask = (1 << 2 * block) - 1
-    sym = [[[(g[i][j] + g[j][i]) % p for j in range(d)] for i in range(d)] for _, g in forms]
-    curv = [g[last][last] % p for _, g in forms]
+    carried = (1 << len(forms) * width) - 1
+    key_mask = carried | carried << block
+    sym = [[[(g[i][j] + g[j][i]) % p for j in range(d)] for i in range(d)] for _, g in every]
+    curv = [g[last][last] % p for _, g in every]
+    roots = _root_lookup(p)
 
     def pack(phi, diffs):  # per form: phi, and D_i for i = 0..d-1
         return sum(
@@ -229,36 +278,67 @@ def _kernel_lines(
         )
 
     def start(lead):  # the state at x = u_lead
-        return pack([lam[lead] + g[lead][lead] for lam, g in forms], [
-            [lam[i] + s[lead][i] + g[i][i] for (lam, g), s in zip(forms, sym)]
+        return pack([lam[lead] + g[lead][lead] for lam, g in every], [
+            [lam[i] + s[lead][i] + g[i][i] for (lam, g), s in zip(every, sym)]
             for i in range(d)
         ])
 
-    incs = [pack([0] * len(forms), [[s[i][j] for s in sym] for i in range(d)]) for j in range(d)]
-    shifts = [(d - j) * block for j in range(d)]
-    memo: dict[int, Any] = {}
+    def polys(s, fields):  # phi(x0) in block 0, D_v = b + M_vv in block 1
+        return tuple([
+            (s >> at0 & low, ((s >> at1 & low) - c2) % p, c2) for at0, at1, c2 in fields
+        ])
 
-    def classified(key):  # phi(x0) in block 0, D_v = b + M_vv in block 1
-        got = memo[key] = classify(tuple(
-            (key >> (f * width) & low, ((key >> (block + f * width) & low) - c) % p, c)
-            for f, c in enumerate(curv)
-        ))
-        return got
+    incs = [pack([0] * len(every), [[s[i][j] for s in sym] for i in range(d)]) for j in range(d)]
+    shifts = [(d - j) * block for j in range(d)]
+    # the innermost level reads and moves only phi, D_v and its own D_j:
+    # the low three blocks, as a short int
+    inner = (1 << 3 * block) - 1
+    inner_shift, inner_inc = shifts[last - 1], incs[last - 1] & inner
+    inner_ones, inner_k = ones & inner, k_const & inner
+    fields = [(f * width, block + f * width, c2) for f, c2 in enumerate(curv)]
+    on_key, on_run = fields[:len(forms)], fields[len(forms):]
+    memo: dict[int, Any] = {}
+    limit = charges.limit
+    left = limit - charges.used
+    screened = 0  # lines on the screen in the runs charged since the last item
 
     for lead in range(last + 1):
-        if lead == last:
-            yield classified(start(lead) & key_mask), 1, lead, []
-            continue
         m = last - lead - 1  # odometer levels: coefficients lead + 1 .. last - 1
+        # a run is charged here when the budget holds all its p lines; the
+        # last lead's one line is always yielded
+        whole = p if m >= 0 else limit + 1
         counters = [0] * m
-        stack = [start(lead)] * (m + 1)
+        s = start(lead)
+        stack = [s] * m  # stack[k]: levels k and up at 0
+        s &= inner
         while True:
-            key = stack[m] & key_mask
-            got = memo.get(key)
-            if got is None:
-                got = classified(key)
-            yield got, p, lead, counters
-            lvl = m - 1
+            for c in range(p if m > 0 else 1):  # the innermost level
+                key = s & key_mask
+                got = memo.get(key)
+                if got is None:
+                    got = memo[key] = classify(polys(key, on_key))
+                keep = got[0]
+                run = ()
+                if keep and on_run:
+                    run = polys(s, on_run)
+                    for poly in run:
+                        keep &= roots(poly)
+                if keep or left < whole:
+                    if m > 0:
+                        counters[-1] = c
+                    charged = limit - charges.used - left
+                    charges.used += charged
+                    charges.at_screen += screened
+                    charges.at_invariants += charged - screened
+                    screened = 0
+                    yield keep, got, lead, counters, run or polys(s, on_run)
+                    left = limit - charges.used
+                else:
+                    left -= p
+                    screened += got[2]
+                s += (s >> inner_shift & values) + inner_inc
+                s -= ((s + inner_k) >> w & inner_ones) * p
+            lvl = m - 2
             while lvl >= 0:
                 counters[lvl] += 1
                 if counters[lvl] < p:
@@ -266,8 +346,9 @@ def _kernel_lines(
                     s = stack[lvl + 1]
                     s += (s >> shifts[j] & values) + incs[j]
                     s -= ((s + k_const) >> w & ones) * p
-                    for k in range(lvl + 1, m + 1):
+                    for k in range(lvl + 1, m):
                         stack[k] = s
+                    s &= inner
                     break
                 counters[lvl] = 0  # carried: the levels below restart at 0
                 lvl -= 1
@@ -288,6 +369,21 @@ def _root_mask(c0: int, c1: int, c2: int, p: int) -> int:
         return 0
     half = pow(2 * c2, -1, p)
     return 1 << ((root - c1) * half % p) | 1 << ((-root - c1) * half % p)
+
+
+def _root_lookup(p: int) -> Callable[[tuple[int, int, int]], int]:
+    """``_root_mask`` of (c0, c1, c2), remembered for one pool build; the
+    zero polynomial vanishes at every a."""
+    full = (1 << p) - 1
+    memo: dict[tuple[int, int, int], int] = {}
+
+    def roots(c):
+        got = memo.get(c)
+        if got is None:
+            got = memo[c] = _root_mask(*c, p) if any(c) else full
+        return got
+
+    return roots
 
 
 def _canonical_line(flat: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -314,14 +410,7 @@ class _LineConditions(NamedTuple):
     exact: list[_Form]  # the Q_uv when screen forms combine them; each must vanish
 
 
-def _form_value(form: _Form, x: Sequence[int], p: int) -> int:
-    linear, quadratic = form
-    return (
-        sum(c * x[k] for k, c in linear) + sum(c * x[k] * x[l] for k, l, c in quadratic)
-    ) % p
-
-
-def _on_kernel(form: _Form, kernel, p: int) -> tuple[list[int], list[list[int]]]:
+def _on_kernel(form: _Form, kernel, p: int) -> _Coefficients:
     """``form`` on the coordinates over ``kernel``: its linear coefficients
     and Gram matrix, phi(sum c_j u_j) = sum lam_j c_j + sum M_ij c_i c_j."""
     linear, quadratic = form
@@ -481,15 +570,36 @@ def build_candidate_pool(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    return _build_pool(base, r, field, pruning, budget)[0]
+    built = _build_pool(base, r, field, pruning, budget)
+    rejected = built.at_invariants + built.at_screen + built.at_member_test
+    return CandidatePool(
+        base=base,
+        candidates=tuple(ExactMatrix(field, _flat_to_rows(x, base.n_rows)) for x in built.lines),
+        complete=built.complete,
+        pruning=pruning,
+        lines_tested=rejected + len(built.lines),
+        pruned_by_rank=rejected,
+        pruned_by_trace=built.pruned_by_trace,
+        evaluations=built.evaluations,
+    )
 
 
-def _build_pool(
-    base, r, field, pruning, limit: int
-) -> tuple[CandidatePool, tuple[int, ...], int, int]:
-    """The pool of ``base`` within ``limit`` member evaluations, the free
-    columns of the kernel it enumerates, and how many of its lines the
-    trace invariants and the quadric screen rejected.
+class _Pool(NamedTuple):
+    """A pool build's lines and counts, from ``_build_pool``."""
+
+    lines: list[tuple[int, ...]]  # canonical and flattened, in increasing order
+    complete: bool
+    evaluations: int
+    at_invariants: int  # lines rejected on the trace invariants at member 1
+    at_screen: int  # on the quadric screen
+    at_member_test: int  # by the member test
+    pruned_by_trace: int  # the lines outside the enumerated kernel
+    free: tuple[int, ...]  # the free columns of the kernel basis
+
+
+def _build_pool(base, r, field, pruning, limit: int) -> _Pool:
+    """The pool of ``base`` within ``limit`` member evaluations, as flat
+    tuples, with the free columns of the kernel it enumerates.
 
     A kernel basis vector of ``_nullspace`` is 1 at its own free column, 0
     at the others and solved only at pivot columns left of it, so its free
@@ -498,12 +608,13 @@ def _build_pool(
     coordinates, on which the search builds the line graph.
 
     Member t of a line is B + t*X for its canonical representative X.  The
-    forms of ``_line_conditions`` are carried through the enumeration, and
-    the lines of each run of the last coefficient that fail one are found
-    from the run's values alone, without building X: a line fails when tr(X)
-    != 0 or tr(BX) = 0 != tr(X^2), or a screen form is nonzero.  Each such
-    line is charged 1 evaluation, as is a line whose X, built, has some
-    Q_uv(X) != 0, so a line's charge depends only on the line.  The other
+    forms of ``_line_conditions``, the exact Q_uv included, are carried
+    through the enumeration, and the lines of each run of the last
+    coefficient that fail one are found from the run's values alone,
+    without building X: a line fails when tr(X) != 0 or tr(BX) = 0 !=
+    tr(X^2), or a screen form or a Q_uv is nonzero.  Each such line is
+    charged 1 evaluation, so a line's charge depends only on the line; a
+    run whose lines all fail is charged inside ``_kernel_lines``.  The other
     lines take the rank and nilpotency test member by member and cost one
     evaluation per member tested: the first failing t, or p - 1 when the
     line passes.  A line the remaining budget cannot finish is cut and not
@@ -530,21 +641,21 @@ def _build_pool(
         kernel = [
             tuple(int(i == j) for j in range(n_entries)) for i in range(n_entries)
         ]
-    carried = [_on_kernel(f, kernel, p) for f in invariants + screen]
+    roots = _root_lookup(p)
     full = (1 << p) - 1
 
     def classify(polys):
         # bit a: the line x0 + a v of the run passes the form
-        roots = [_root_mask(c0, c1, c2, p) if c0 or c1 or c2 else full for c0, c1, c2 in polys]
+        masks = [roots(c) for c in polys]
         if pruning == "none":
-            tr_x, tr_bx, square = roots
+            tr_x, tr_bx, square = masks
             passed = tr_x & (square | full & ~tr_bx)
         else:
             # the kernel has tr(X) = 0 and, for p >= 3, tr(BX) = 0; at p = 2
             # tr(M^2) = 2s tr(BX) + s^2 tr(X^2) = s^2 tr(X^2) all the same
-            passed = roots[0]
+            passed = masks[0]
         keep = passed
-        for mask in roots[len(invariants):]:
+        for mask in masks[len(invariants):]:
             keep &= mask
         # the member test of a pruning="none" line reads tr(BX), tr(X^2)
         return keep, passed, passed.bit_count(), polys if pruning == "none" else None
@@ -556,33 +667,30 @@ def _build_pool(
     row_slices = [slice(i, i + n) for i in range(0, n_entries, n)]
     nonzeros = [[(k, y) for k, y in enumerate(u) if y] for u in kernel]
     step = kernel[-1]
+    last = len(kernel) - 1
     kept: list[tuple[int, ...]] = []
-    at_invariants = at_screen = at_member_test = 0
-    used = 0
-    # of every member-tested line under trace pruning: tr(X^2) = 0, and
-    # 2 tr(BX) = 0, by the tr(BX) row at p >= 3 and as 2 = 0 at p = 2
-    tr_bx = q = 0
+    at_member_test = 0
+    charges = _Charges(limit)
+    unpruned = pruning == "none"
     complete = True
-    for (keep, passed, n_passed, polys), size, lead, coeffs in _kernel_lines(
-        kernel, carried, p, classify
+    for keep, (_, passed, _, polys), lead, coeffs, _ in _kernel_lines(
+        kernel,
+        [_on_kernel(f, kernel, p) for f in invariants + screen],
+        [_on_kernel(f, kernel, p) for f in exact],
+        p, classify, charges,
     ):
-        if not keep and size == p and limit - used >= p:
-            used += p  # each line fails a carried form: 1 evaluation each
-            at_invariants += p - n_passed
-            at_screen += n_passed
-            continue
         x0 = None
-        for a in range(size):
-            room = limit - used
+        for a in range(p if lead < last else 1):
+            room = limit - charges.used
             if room == 0:
                 complete = False
                 break
             if not keep >> a & 1:
-                used += 1
+                charges.used += 1
                 if passed >> a & 1:
-                    at_screen += 1
+                    charges.at_screen += 1
                 else:
-                    at_invariants += 1
+                    charges.at_invariants += 1
                 continue
             if x0 is None:
                 x0 = list(kernel[lead])
@@ -590,57 +698,47 @@ def _build_pool(
                     for k, y in entries:
                         x0[k] += c * y
                 x0 = [x % p for x in x0]
-            flat = tuple((x + a * y) % p for x, y in zip(x0, step)) if a else tuple(x0)
-            if any(_form_value(f, flat, p) for f in exact):
-                used += 1
-                at_screen += 1
-                continue
-            if pruning == "none":
+            flat = tuple([(x + a * y) % p for x, y in zip(x0, step)] if a else x0)
+            if unpruned:
                 tr_bx, q = ((c0 + a * (c1 + a * c2)) % p for c0, c1, c2 in polys[1:])
             inv = pow(next(x for x in flat if x), -1, p)
             failed_at = 0
             for t in range(1, min(p, room + 1)):
                 scale = t * inv % p
                 # tr(M^2) = s (2 tr(BX) + s tr(X^2)) != 0 rules out
-                # nilpotency before the rank is eliminated; a member of
-                # rank r < p is nilpotent iff its traces vanish
-                if not scale * (2 * tr_bx + scale * q) % p:
+                # nilpotency before the rank is eliminated
+                if not (unpruned and scale * (2 * tr_bx + scale * q) % p):
                     member = [(b + scale * x) % p for b, x in zip(base_flat, flat)]
                     rows = [member[sl] for sl in row_slices]
+                    # a member here has tr(M) = 0, by the trace row or the
+                    # tr(X) invariant, and tr(M^2) = 0: under trace pruning
+                    # tr(X^2) = 0 and 2 tr(BX) = 0 (the tr(BX) row at p >= 3,
+                    # 2 = 0 at p = 2), and without it the guard above
                     if _rank(rows, p, r) == r and (
-                        _is_nilpotent_of_rank(rows, p, r) if p > r else _is_nilpotent(rows, p)
+                        _is_nilpotent_of_rank(rows, p, r, known=2) if p > r
+                        else _is_nilpotent(rows, p)
                     ):
                         continue
                 failed_at = t
                 break
             if failed_at:
-                used += failed_at
+                charges.used += failed_at
                 at_member_test += 1
             elif room < p - 1:
-                used = limit
+                charges.used = limit
                 complete = False
                 break
             else:
-                used += p - 1
+                charges.used += p - 1
                 kept.append(_canonical_line(flat, p))
         if not complete:
             break
     kept.sort()
-    rejected = at_invariants + at_screen + at_member_test
-    pool = CandidatePool(
-        base=base,
-        candidates=tuple(
-            ExactMatrix(field, _flat_to_rows(flat, n)) for flat in kept
-        ),
-        complete=complete,
-        pruning=pruning,
-        lines_tested=rejected + len(kept),
-        pruned_by_rank=rejected,
-        pruned_by_trace=pruned_by_trace,
-        evaluations=used,
+    return _Pool(
+        kept, complete, charges.used, charges.at_invariants, charges.at_screen,
+        at_member_test, pruned_by_trace,
+        tuple(max(k for k, y in enumerate(u) if y) for u in kernel),
     )
-    free = tuple(max(k for k, y in enumerate(u) if y) for u in kernel)
-    return pool, free, at_invariants, at_screen
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +754,12 @@ class _LineGraph(NamedTuple):
     packed: list[int]  # line i's coordinates, w + 1 bits an entry
     index: dict[int, int]  # every nonzero multiple of every line, packed -> the line
     p: int
-    w: int  # the bits of 2p - 2
+    w: int  # ``_field_bits(p)``
     ones: int  # 1 at the low bit of every entry
+
+
+# a lane of 1, 2, 4 or 8 bytes read as one machine word
+_WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _line_graph(coords, p) -> _LineGraph:
@@ -667,26 +769,31 @@ def _line_graph(coords, p) -> _LineGraph:
     linear bijection onto F_p^d, which maps lines and spans to lines and
     spans, so the graph is the pool's.
 
-    Packed vectors: the entries of a vector, w + 1 bits each, as one int,
-    w the bits of 2p - 2.  An entry then holds any sum s <= 2p - 2 of two
-    residues, and p <= 2^w, so with K = 2^w - p >= 0 the sum s + K stays
-    below 2^(w+1) and has its top bit set exactly when s >= p: one shift,
-    mask and multiply reduce every entry mod p at once, and one dict from
-    every multiple of every line to the line's index replaces
-    canonicalisation in ``_adjoin``.
+    Packed vectors: the entries of a vector, w + 1 bits each
+    (``_field_bits``), as one int, so one shift, mask and multiply reduce
+    every entry of a sum mod p at once, and one dict from every multiple of
+    every line to the line's index replaces canonicalisation in
+    ``_adjoin``.
 
     Edge test, one row of pairs (i, j), j > i, at a time: the vectors of the
-    lines j sit side by side in one int, a lane of whole bytes each, and x_i
-    sits in every lane of another, so one addition and one packed reduction
-    give x_i + t*x_j for every j at once.  The lanes are read off the bytes
-    of the sum and looked up in the set of the pool points' bytes; a pair
-    drops out at its first sum off the pool, and the pairs left after t =
-    p - 1 are the edges."""
+    lines j sit side by side in one int, a lane each, and x_i sits in every
+    lane of another, so one addition and one packed reduction give x_i +
+    t*x_j for every j at once.  A lane is 1, 2, 4 or 8 bytes, or whole
+    8-byte words when a vector needs more, so the bytes of the sum read as
+    machine words through ``memoryview.cast``.  At t = 1, where most pairs
+    drop out, each lane's first word is looked up in the set of the pool
+    points' first words in one ``map``; at t >= 2 only the lanes still alive
+    are.  A lane of more than one word is then looked up whole, in the index
+    of multiples.  A pair drops out at its first sum off the pool, and the
+    pairs left after t = p - 1 are the edges."""
     size = len(coords)
     d = len(coords[0]) if coords else 0
-    w = (2 * p - 2).bit_length()
+    w = _field_bits(p)
     width = w + 1
     lane = (d * width + 7) // 8
+    lane = next((b for b in _WORD_FORMATS if lane <= b), -(-lane // 8) * 8)
+    words = max(lane // 8, 1)
+    word = _WORD_FORMATS[lane // words]
     ones = sum(1 << (k * width) for k in range(d))
     k_const = ones * ((1 << w) - p)
     packed = [sum(x << (k * width) for k, x in enumerate(line)) for line in coords]
@@ -697,24 +804,36 @@ def _line_graph(coords, p) -> _LineGraph:
             index[point] = i
             s = point + x
             point = s - (((s + k_const) >> w) & ones) * p
-    points = {x.to_bytes(lane, "little") for x in index}
+    # a lane's bytes are little-endian; its words are read in the machine's
+    # order.  ``first``: each pool point's first word
+    first = {
+        int.from_bytes(x.to_bytes(lane, "little")[:lane // words], sys.byteorder) for x in index
+    }
     rows = [x.to_bytes(lane, "little") for x in packed]
-    unit = ones.to_bytes(lane, "little")
     stack = int.from_bytes(b"".join(rows), "little")  # line j in lane j
-    cuts = [slice(k * lane, (k + 1) * lane) for k in range(size)]
+    all_ones = int.from_bytes(ones.to_bytes(lane, "little") * size, "little")
+    all_k = all_ones * ((1 << w) - p)
     adjacent = [bytearray((size + 7) // 8) for _ in range(size)]
     for i in range(size - 1):
         n = size - 1 - i  # line i + 1 + k in lane k
-        y = stack >> 8 * lane * (i + 1)
-        each = int.from_bytes(unit * n, "little")
-        k_each = each * ((1 << w) - p)
+        cut = 8 * lane * (i + 1)
+        y, each, k_each = stack >> cut, all_ones >> cut, all_k >> cut
         point = int.from_bytes(rows[i] * n, "little")
         alive = range(n)
-        for _ in range(p - 1):
+        for t in range(1, p):
             s = point + y
             point = s - (((s + k_each) >> w) & each) * p
             raw = point.to_bytes(lane * n, "little")
-            alive = [k for k in alive if raw[cuts[k]] in points]
+            lanes = memoryview(raw).cast(word)
+            if t == 1:
+                alive = list(compress(alive, map(first.__contains__, lanes[::words])))
+            elif words == 1:
+                alive = [k for k in alive if lanes[k] in first]
+            if words > 1:
+                alive = [
+                    k for k in alive
+                    if int.from_bytes(raw[k * lane:(k + 1) * lane], "little") in index
+                ]
             if not alive:
                 break
         for k in alive:
@@ -809,15 +928,16 @@ def max_affine_dimension(
         # an equal share of what is left; what a base leaves flows on
         share = -(-(budget - used) // (len(bases) - i))
         clock = time.perf_counter()
-        pool, free, at_invariants, at_screen = _build_pool(base, r, field, "trace", share)
+        pool = _build_pool(base, r, field, "trace", share)
         used += pool.evaluations
         partition = jordan_partition(base)
+        rejected = pool.at_invariants + pool.at_screen + pool.at_member_test
+        cands = pool.lines
         record = {
-            "partition": partition.nonzero_parts(), "kernel_dim": len(free),
-            "lines_tested": pool.lines_tested, "at_invariants": at_invariants,
-            "at_screen": at_screen,
-            "at_member_test": pool.pruned_by_rank - at_invariants - at_screen,
-            "kept": len(pool.candidates), "evaluations": pool.evaluations,
+            "partition": partition.nonzero_parts(), "kernel_dim": len(pool.free),
+            "lines_tested": rejected + len(cands), "at_invariants": pool.at_invariants,
+            "at_screen": pool.at_screen, "at_member_test": pool.at_member_test,
+            "kept": len(cands), "evaluations": pool.evaluations,
             "pool_s": time.perf_counter() - clock, "complete": pool.complete,
             "graph_s": 0.0, "pairs": 0, "edges": 0, "mode": mode, "search_s": 0.0, "nodes": 0,
             "depth": 0,
@@ -825,13 +945,12 @@ def max_affine_dimension(
         if not pool.complete:
             fully_exhausted = False
         # a base that never tested a line adds no counts and no search
-        if pool.complete or pool.lines_tested:
+        if pool.complete or record["lines_tested"]:
             base_partitions.append(partition)
             pruned_by_trace += pool.pruned_by_trace
-            pruned_by_rank += pool.pruned_by_rank
-            cands = [tuple(x for row in c.rows for x in row) for c in pool.candidates]
+            pruned_by_rank += rejected
             clock = time.perf_counter()
-            graph = _line_graph([tuple(x[f] for f in free) for x in cands], p)
+            graph = _line_graph([tuple(x[f] for f in pool.free) for x in cands], p)
             record["graph_s"] = time.perf_counter() - clock
             record["pairs"] = len(cands) * (len(cands) - 1) // 2
             record["edges"] = sum(x.bit_count() for x in graph.neighbours) // 2

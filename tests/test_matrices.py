@@ -378,6 +378,11 @@ def test_trace_powers_need_every_power_up_to_the_rank_and_p_above_it():
     assert not _is_nilpotent(m, 7)
     assert not _is_nilpotent_of_rank(m, 7, 3)
     assert _is_nilpotent_of_rank(m, 7, 2)  # rank passed too low: misses tr(M^3)
+    # tr(M) = tr(M^2) = 0 here, so vouching for them still finds tr(M^3);
+    # vouching for a nonzero trace hides it
+    assert not _is_nilpotent_of_rank(m, 7, 3, known=2)
+    assert _is_nilpotent_of_rank(((1, 0), (0, 0)), 7, 1, known=1)
+    assert not _is_nilpotent_of_rank(((1, 0), (0, 0)), 7, 1)
     # the identity over F_2 has rank 2 = p and all its traces vanish
     assert not _is_nilpotent(((1, 0), (0, 1)), 2)
     assert _is_nilpotent_of_rank(((1, 0), (0, 1)), 2, 2)
