@@ -3,34 +3,34 @@
 The search fixes one nilpotent base point in block-shift form per similarity
 class (conjugation preserves nilpotency, the rank profile and dimension) and
 builds a pool of direction candidates whose one-parameter lines through the
-base stay nilpotent of the target rank.  The search always trace-prunes:
-a pool is enumerated only inside the kernel of linear conditions that
-every line it needs meets, the trace rows tr(B^m X) = 0 for m <= min(n -
-1, p - 2), the rank tangent and the dominance order of the bases, each
-row gated in code on its own field-size bound, so every field gets the
-rows it can afford.  B + W is valid exactly when every nonzero point of W
-lies on a pool line, so for valid W, W + c is valid iff every line of
-span(l, c), l a line of W, is a pool line: the search runs on this
-compatibility graph of the pool lines and visits each valid W once.  The
-graph is built on the lines' coordinates over the kernel basis, d of them
-where a matrix has n^2 entries, by an edge test that adds one line to all
-later lines at once in packed ints; it keeps only the neighbour sets, and
-the search recomputes the span of c with each line of W when it adjoins c.
+base stay nilpotent of the target rank.  A pool is enumerated only inside
+the kernel of linear conditions that every line it needs meets, the trace
+rows tr(B^m X) = 0 for m <= min(n - 1, p - 2), the rank tangent and the
+dominance order of the bases, each row gated in code on its own field-size
+bound, so every field gets the rows it can afford.  B + W is valid exactly
+when every nonzero point of W lies on a pool line, so for valid W, W + c is
+valid iff every line of span(l, c), l a line of W, is a pool line: the
+search runs on this compatibility graph of the pool lines and visits each
+valid W once.  The graph is built on the lines' coordinates over the kernel
+basis, d of them where a matrix has n^2 entries, by an edge test that adds
+one line to all later lines at once in packed ints; it keeps only the
+neighbour sets, and the search recomputes the span of c with each line of W
+when it adjoins c.
 
 Only the pool build evaluates members; it charges them against the budget,
 and running out of budget leaves a partial pool and downgrades the result to
 a lower bound, it never aborts.  The pool build carries quadratic forms of
 the lines X through its enumeration, a run of the last coefficient at a
-time: the trace invariants tr(X), tr(BX), tr(X^2), which decide member 1,
-and under trace pruning a quadric screen of forms that vanish on every pool
-line, u^T X B^T X v (u in coker B, v in ker B) and tr(BX^2), each gated in
-code on its field-size bound.  Most lines fail one of them and are rejected
-from the run's values alone, charged 1 evaluation, without building X or a
-member; a run whose lines all fail is charged inside the enumeration and
-never leaves it.  Only the lines that pass every form are built and
-tested member by member.  The bases share the budget: each one in
-turn gets an equal share of what is left, so a base's unused share flows on
-to the later ones and the first base cannot starve the rest.
+time: tr(X^2), which decides member 1 on that kernel, and a quadric screen
+of forms that vanish on every pool line, u^T X B^T X v (u in coker B, v in
+ker B) and tr(BX^2), each gated in code on its field-size bound.  Most lines
+fail one of them and are rejected from the run's values alone, charged 1
+evaluation, without building X or a member; a run whose lines all fail is
+charged inside the enumeration and never leaves it.  Only the lines that
+pass every form are built and tested member by member.  The bases share the
+budget: each one in turn gets an equal share of what is left, so a base's
+unused share flows on to the later ones and the first base cannot starve
+the rest.
 """
 
 from __future__ import annotations
@@ -99,14 +99,13 @@ class CandidatePool:
     nilpotent constant-rank test, one canonical representative per line.
 
     ``pruned_by_rank`` counts every tested line that was rejected, whichever
-    check rejected it: the trace invariants at member 1, the quadric screen,
-    or the member test (tr(M^2), the rank or nilpotency).
+    check rejected it: the trace invariant at member 1, the quadric screen,
+    or the member test (the rank or nilpotency).
     ``pruned_by_trace`` counts the lines outside the enumerated kernel."""
 
     base: ExactMatrix
     candidates: tuple[ExactMatrix, ...]
     complete: bool
-    pruning: str
     lines_tested: int
     pruned_by_rank: int
     pruned_by_trace: int
@@ -230,12 +229,12 @@ def _kernel_lines(
     polys on a run are (phi(x0), b, M_vv) with phi(x0 + a v) = phi(x0) + a
     b + a^2 M_vv.  ``classify`` maps the polys of ``forms`` to a tuple that
     starts (keep, passed, n_passed): bit a of ``passed`` is set when line a
-    passes the trace invariants, n_passed such bits, and bit a of ``keep``
-    when it passes every form of ``forms``.  It runs once per distinct
-    polys, and its result is reused.  The forms of ``exact`` stay out of
-    that memo's key, which each would multiply up to p^2-fold: a run whose
-    ``keep`` is nonzero clears the bits where one of them is nonzero,
-    through the root masks of its own polys.
+    passes the first form (tr(X^2) in the pool builder), n_passed such
+    bits, and bit a of ``keep`` when it passes every form of ``forms``.  It
+    runs once per distinct polys, and its result is reused.  The forms of
+    ``exact`` stay out of that memo's key, which each would multiply up to
+    p^2-fold: a run whose ``keep`` is nonzero clears the bits where one of
+    them is nonzero, through the root masks of its own polys.
 
     Charges.  A run of p lines none of which keeps its bit is charged here
     and not yielded, when the ``charges.limit - charges.used`` evaluations
@@ -405,7 +404,7 @@ class _LineConditions(NamedTuple):
     """What a line X of a pool must meet, from ``_line_conditions``."""
 
     rows: list[tuple[int, ...]]  # linear rows on X; the pool is their kernel
-    invariants: list[_Form]  # decide member 1 (the rule in _build_pool)
+    square: _Form  # tr(X^2), which decides member 1 (the rule in _build_pool)
     screen: list[_Form]  # must vanish on every pool line
     exact: list[_Form]  # the Q_uv when screen forms combine them; each must vanish
 
@@ -426,29 +425,22 @@ def _quadratic(terms: dict[tuple[int, int], int]) -> _Form:
     return (), tuple((k, l, c) for (k, l), c in terms.items() if c)
 
 
-def _line_conditions(base: ExactMatrix, r: int, p: int, pruning: str) -> _LineConditions:
+def _line_conditions(base: ExactMatrix, r: int, p: int) -> _LineConditions:
     """The conditions the pool builder puts on the lines X through the
     nilpotent ``base`` B, each gated in code on its field-size bound.
 
-    Invariants.  tr(B + sX) = s tr(X) and tr((B + sX)^2) = 2s tr(BX) +
-    s^2 tr(X^2), so member 1 fails when tr(X) != 0 or tr(BX) = 0 != tr(X^2).
-    Without pruning these are all; the pool is all of F_p^(n*n).
-
-    Rows, under trace pruning.  Trace: tr(B^m X) = 0 for m <= min(n - 1, p
-    - 2).  On a nilpotent line tr((B + sX)^(m+1)), of degree at most m + 1
-    in s, vanishes at all p values of s, so identically when p > m + 1, and
-    so does its s-coefficient (m + 1) tr(B^m X); each row m has that gate
+    Rows.  Trace: tr(B^m X) = 0 for m <= min(n - 1, p - 2).  On a nilpotent
+    line tr((B + sX)^(m+1)), of degree at most m + 1 in s, vanishes at all p
+    values of s, so identically when p > m + 1, and so does its
+    s-coefficient (m + 1) tr(B^m X); each row m has that gate
     (``reduction.linear_trace_constraints``), and m >= n adds nothing as
-    B^n = 0.  On their kernel tr(X) = 0 and, for p >= 3, tr(BX) = 0, and
-    tr(X^2) is the only invariant.  At p = 2 there is no tr(BX) row, but
-    there 2 tr(BX) = 0, so member 1 still fails exactly when tr(X^2) != 0.
-    Power tangents: u^T D_k(X) v = 0 for u in coker B^k and v in ker B^k,
-    where D_k(X) = sum_{i<k} B^i X B^(k-1-i) is the t-coefficient of (B +
-    tX)^k.  If rank((B + tX)^k) <= rank(B^k) at every t, the (rank(B^k) +
-    1)-minors of (B + tX)^k, of degree at most k (rank(B^k) + 1) in t,
-    vanish at all p points, so identically when p > k (rank(B^k) + 1), and
-    so does their t-coefficient, which is the condition; each k is gated on
-    that bound.
+    B^n = 0.  Power tangents: u^T D_k(X) v = 0 for u in coker B^k and v in
+    ker B^k, where D_k(X) = sum_{i<k} B^i X B^(k-1-i) is the t-coefficient
+    of (B + tX)^k.  If rank((B + tX)^k) <= rank(B^k) at every t, the
+    (rank(B^k) + 1)-minors of (B + tX)^k, of degree at most k (rank(B^k) +
+    1) in t, vanish at all p points, so identically when p > k (rank(B^k) +
+    1), and so does their t-coefficient, which is the condition; each k is
+    gated on that bound.
     k = 1 is the rank tangent of the rank-r matrices at B, gated on p > r +
     1.  k >= 2 is the dominance restriction, emitted only when the types of
     the canonical bases form a chain (true for every n <= 8; at n = 9,
@@ -458,7 +450,12 @@ def _line_conditions(base: ExactMatrix, r: int, p: int, pruning: str) -> _LineCo
     all powers (Gerstenhaber-Hesselink), so the space is found in the pool
     of the base of M's type.
 
-    Screen, under trace pruning, forms that vanish on every pool line:
+    Square.  tr(B + sX) = s tr(X) and tr((B + sX)^2) = 2s tr(BX) + s^2
+    tr(X^2).  On the kernel of the rows tr(X) = 0 and, for p >= 3, tr(BX) =
+    0; at p = 2 there is no tr(BX) row, but there 2 tr(BX) = 0.  So member 1
+    fails exactly when tr(X^2) != 0, on every field.
+
+    Screen, forms that vanish on every pool line:
     - Q_uv(X) = u^T X B^T X v, for the u and v of the rank tangent, when
       B B^T B = B.  With B = CD a rank factorisation, L = [D B^T; u^T] and
       R = [B^T C, v], det(L (B + sX) R) is a combination of the (r + 1)-
@@ -479,10 +476,6 @@ def _line_conditions(base: ExactMatrix, r: int, p: int, pruning: str) -> _LineCo
     b = base.rows
     support = [(i, j, b[i][j]) for i in range(n) for j in range(n) if b[i][j]]
     square = ((), tuple((i * n + k, k * n + i, 1) for i in range(n) for k in range(n)))
-    if pruning == "none":
-        trace = (tuple((i * (n + 1), 1) for i in range(n)), ())
-        base_trace = (tuple((j * n + i, c) for i, j, c in support), ())
-        return _LineConditions([], [trace, base_trace, square], [], [])
     # looked up on the module at call time, so a tracing wrapper put on
     # ``reduction.linear_trace_constraints`` sees the pool builder's call
     rows = [
@@ -544,39 +537,41 @@ def _line_conditions(base: ExactMatrix, r: int, p: int, pruning: str) -> _LineCo
         screen.append(((), tuple(
             (j * n + k, k * n + i, c) for i, j, c in support for k in range(n)
         )))
-    return _LineConditions(rows, [square], screen, exact)
+    return _LineConditions(rows, square, screen, exact)
 
 
 def build_candidate_pool(
     base: ExactMatrix,
     r: int,
     field: FieldSpec,
-    pruning: str = "none",
+    pruning: str = "trace",
     budget: int = DEFAULT_BUDGET,
 ) -> CandidatePool:
     """Enumerate one canonical representative per direction line whose whole
     line through ``base`` is nilpotent of rank exactly r.
 
-    With ``pruning="trace"`` only the common kernel of the linear rows of
-    ``_line_conditions`` is enumerated, over every F_p, since each row is
-    emitted only on the field-size bound it needs: the trace and
-    rank-tangent conditions every such line meets, and, when
-    the Jordan types of rank r form a chain in dominance order, the
-    conditions of lines whose members' types the base's type dominates.
-    Every space of the search passes through a member of its largest type,
-    so the pools of all the bases still hold every line of every space.  A
-    budget cut returns the partial pool flagged ``complete=False`` rather
-    than raising, so searches can degrade to lower bounds.
+    Only the common kernel of the linear rows of ``_line_conditions`` is
+    enumerated, over every F_p, since each row is emitted only on the
+    field-size bound it needs: the trace and rank-tangent conditions every
+    such line meets, and, when the Jordan types of rank r form a chain in
+    dominance order, the conditions of lines whose members' types the
+    base's type dominates.  Every space of the search passes through a
+    member of its largest type, so the pools of all the bases still hold
+    every line of every space.  ``pruning`` takes only "trace", the one
+    pool there is.  A budget cut returns the partial pool flagged
+    ``complete=False`` rather than raising, so searches can degrade to
+    lower bounds.
     """
+    if pruning != "trace":
+        raise ValueError(f"unknown pruning {pruning!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    built = _build_pool(base, r, field, pruning, budget)
+    built = _build_pool(base, r, field, budget)
     rejected = built.at_invariants + built.at_screen + built.at_member_test
     return CandidatePool(
         base=base,
         candidates=tuple(ExactMatrix(field, _flat_to_rows(x, base.n_rows)) for x in built.lines),
         complete=built.complete,
-        pruning=pruning,
         lines_tested=rejected + len(built.lines),
         pruned_by_rank=rejected,
         pruned_by_trace=built.pruned_by_trace,
@@ -597,7 +592,7 @@ class _Pool(NamedTuple):
     free: tuple[int, ...]  # the free columns of the kernel basis
 
 
-def _build_pool(base, r, field, pruning, limit: int) -> _Pool:
+def _build_pool(base, r, field, limit: int) -> _Pool:
     """The pool of ``base`` within ``limit`` member evaluations, as flat
     tuples, with the free columns of the kernel it enumerates.
 
@@ -611,19 +606,17 @@ def _build_pool(base, r, field, pruning, limit: int) -> _Pool:
     forms of ``_line_conditions``, the exact Q_uv included, are carried
     through the enumeration, and the lines of each run of the last
     coefficient that fail one are found from the run's values alone,
-    without building X: a line fails when tr(X) != 0 or tr(BX) = 0 !=
-    tr(X^2), or a screen form or a Q_uv is nonzero.  Each such line is
-    charged 1 evaluation, so a line's charge depends only on the line; a
-    run whose lines all fail is charged inside ``_kernel_lines``.  The other
-    lines take the rank and nilpotency test member by member and cost one
-    evaluation per member tested: the first failing t, or p - 1 when the
-    line passes.  A line the remaining budget cannot finish is cut and not
-    counted; the cut spends the budget to ``limit``.
+    without building X: a line fails when tr(X^2), a screen form or a Q_uv
+    is nonzero.  Each such line is charged 1 evaluation, so a line's charge
+    depends only on the line; a run whose lines all fail is charged inside
+    ``_kernel_lines``.  The other lines take the rank and nilpotency test
+    member by member and cost one evaluation per member tested: the first
+    failing t, or p - 1 when the line passes.  A line the remaining budget
+    cannot finish is cut and not counted; the cut spends the budget to
+    ``limit``.
     """
     if not isinstance(field, PrimeField):
         raise ValueError("candidate pools are only enumerable over finite fields")
-    if pruning not in ("none", "trace"):
-        raise ValueError(f"unknown pruning {pruning!r}")
     p = field.p
     n = base.n_rows
     if base.field != field or not base.is_square:
@@ -632,33 +625,19 @@ def _build_pool(base, r, field, pruning, limit: int) -> _Pool:
         raise ValueError("base point must be nilpotent of rank exactly r")
     n_entries = n * n
 
-    domain, invariants, screen, exact = _line_conditions(base, r, p, pruning)
-    pruned_by_trace = 0
-    if pruning == "trace":
-        kernel = _nullspace(domain, p)
-        pruned_by_trace = _line_count(p, n_entries) - _line_count(p, len(kernel))
-    else:
-        kernel = [
-            tuple(int(i == j) for j in range(n_entries)) for i in range(n_entries)
-        ]
+    domain, square, screen, exact = _line_conditions(base, r, p)
+    kernel = _nullspace(domain, p)
+    pruned_by_trace = _line_count(p, n_entries) - _line_count(p, len(kernel))
     roots = _root_lookup(p)
-    full = (1 << p) - 1
 
     def classify(polys):
-        # bit a: the line x0 + a v of the run passes the form
-        masks = [roots(c) for c in polys]
-        if pruning == "none":
-            tr_x, tr_bx, square = masks
-            passed = tr_x & (square | full & ~tr_bx)
-        else:
-            # the kernel has tr(X) = 0 and, for p >= 3, tr(BX) = 0; at p = 2
-            # tr(M^2) = 2s tr(BX) + s^2 tr(X^2) = s^2 tr(X^2) all the same
-            passed = masks[0]
+        # bit a: the line x0 + a v of the run passes the form; the first
+        # form is tr(X^2), the others the screen
+        passed, *masks = [roots(c) for c in polys]
         keep = passed
-        for mask in masks[len(invariants):]:
+        for mask in masks:
             keep &= mask
-        # the member test of a pruning="none" line reads tr(BX), tr(X^2)
-        return keep, passed, passed.bit_count(), polys if pruning == "none" else None
+        return keep, passed, passed.bit_count()
 
     # The enumerated vector X is a multiple a*X0 of the canonical X0 (lead
     # entry a), so member t, B + t*X0, is B + (t/a)*X: lines are tested as
@@ -671,11 +650,10 @@ def _build_pool(base, r, field, pruning, limit: int) -> _Pool:
     kept: list[tuple[int, ...]] = []
     at_member_test = 0
     charges = _Charges(limit)
-    unpruned = pruning == "none"
     complete = True
-    for keep, (_, passed, _, polys), lead, coeffs, _ in _kernel_lines(
+    for keep, (_, passed, _), lead, coeffs, _ in _kernel_lines(
         kernel,
-        [_on_kernel(f, kernel, p) for f in invariants + screen],
+        [_on_kernel(f, kernel, p) for f in [square, *screen]],
         [_on_kernel(f, kernel, p) for f in exact],
         p, classify, charges,
     ):
@@ -699,28 +677,21 @@ def _build_pool(base, r, field, pruning, limit: int) -> _Pool:
                         x0[k] += c * y
                 x0 = [x % p for x in x0]
             flat = tuple([(x + a * y) % p for x, y in zip(x0, step)] if a else x0)
-            if unpruned:
-                tr_bx, q = ((c0 + a * (c1 + a * c2)) % p for c0, c1, c2 in polys[1:])
             inv = pow(next(x for x in flat if x), -1, p)
             failed_at = 0
             for t in range(1, min(p, room + 1)):
                 scale = t * inv % p
-                # tr(M^2) = s (2 tr(BX) + s tr(X^2)) != 0 rules out
-                # nilpotency before the rank is eliminated
-                if not (unpruned and scale * (2 * tr_bx + scale * q) % p):
-                    member = [(b + scale * x) % p for b, x in zip(base_flat, flat)]
-                    rows = [member[sl] for sl in row_slices]
-                    # a member here has tr(M) = 0, by the trace row or the
-                    # tr(X) invariant, and tr(M^2) = 0: under trace pruning
-                    # tr(X^2) = 0 and 2 tr(BX) = 0 (the tr(BX) row at p >= 3,
-                    # 2 = 0 at p = 2), and without it the guard above
-                    if _rank(rows, p, r) == r and (
-                        _is_nilpotent_of_rank(rows, p, r, known=2) if p > r
-                        else _is_nilpotent(rows, p)
-                    ):
-                        continue
-                failed_at = t
-                break
+                member = [(b + scale * x) % p for b, x in zip(base_flat, flat)]
+                rows = [member[sl] for sl in row_slices]
+                # a member here has tr(M) = 0, by the trace row, and tr(M^2)
+                # = 0: tr(X^2) = 0 and 2 tr(BX) = 0 (the tr(BX) row at p >=
+                # 3, 2 = 0 at p = 2), so the nilpotency test skips both
+                if _rank(rows, p, r) != r or not (
+                    _is_nilpotent_of_rank(rows, p, r, known=2) if p > r
+                    else _is_nilpotent(rows, p)
+                ):
+                    failed_at = t
+                    break
             if failed_at:
                 charges.used += failed_at
                 at_member_test += 1
@@ -928,7 +899,7 @@ def max_affine_dimension(
         # an equal share of what is left; what a base leaves flows on
         share = -(-(budget - used) // (len(bases) - i))
         clock = time.perf_counter()
-        pool = _build_pool(base, r, field, "trace", share)
+        pool = _build_pool(base, r, field, share)
         used += pool.evaluations
         partition = jordan_partition(base)
         rejected = pool.at_invariants + pool.at_screen + pool.at_member_test

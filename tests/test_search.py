@@ -54,6 +54,12 @@ F3 = PrimeField(3)
 F5 = PrimeField(5)
 
 
+def _trace_ids(cases, at=3):
+    """Ids of parametrized pool cases with "trace", the pool every case
+    builds, after the first ``at`` values, so each case keeps its id."""
+    return ["-".join(map(str, (*case[:at], "trace", *case[at:]))) for case in cases]
+
+
 def test_canonical_bases_examples():
     assert canonical_bases(3, 2, F5) == [shift_matrix(3, F5)]
     bases = canonical_bases(4, 2, F5)
@@ -109,7 +115,7 @@ def test_pool_matches_brute_force_oracle_n2():
     for p, expected_nonempty in ((2, True), (3, False)):
         field = PrimeField(p)
         base = shift_matrix(2, field)
-        pool = build_candidate_pool(base, 1, field, pruning="none")
+        pool = build_candidate_pool(base, 1, field)
         got = {tuple(x for row in c.rows for x in row) for c in pool.candidates}
         oracle = _brute_force_pool(base, 1, p, 2)
         assert got == oracle
@@ -121,32 +127,20 @@ def test_pool_matches_brute_force_oracle_n2():
 
 
 def test_pool_over_f2_contains_the_counterexample_direction():
-    pool = build_candidate_pool(shift_matrix(2, F2), 1, F2, pruning="none")
+    pool = build_candidate_pool(shift_matrix(2, F2), 1, F2)
     flats = {tuple(x for row in c.rows for x in row) for c in pool.candidates}
     assert (0, 1, 1, 0) in flats  # the non-nilpotent direction of the exception
 
 
 def test_pool_excludes_nonzero_lower_corner():
-    pool = build_candidate_pool(shift_matrix(3, F5), 2, F5, pruning="trace")
+    pool = build_candidate_pool(shift_matrix(3, F5), 2, F5)
     assert pool.complete
     for c in pool.candidates:
         assert c[2, 0] == 0
 
 
-def test_trace_pruning_keeps_the_full_pool():
-    base = shift_matrix(3, F5)
-    unpruned = build_candidate_pool(base, 2, F5, pruning="none")
-    pruned = build_candidate_pool(base, 2, F5, pruning="trace")
-    assert unpruned.complete and pruned.complete
-    set_none = {c.rows for c in unpruned.candidates}
-    set_trace = {c.rows for c in pruned.candidates}
-    assert set_none == set_trace
-    assert pruned.lines_tested < unpruned.lines_tested
-    assert pruned.pruned_by_trace > 0 and unpruned.pruned_by_trace == 0
-
-
 def test_pool_budget_cut_is_flagged():
-    pool = build_candidate_pool(shift_matrix(3, F5), 2, F5, pruning="none", budget=50)
+    pool = build_candidate_pool(shift_matrix(3, F5), 2, F5, budget=50)
     assert not pool.complete
     assert pool.evaluations <= 50
 
@@ -234,17 +228,17 @@ def _matmul_rows(a, b, p):
     )
 
 
-def _reference_screen(base, r, p, pruning):
+def _reference_screen(base, r, p):
     """Oracle for the quadric screen: X -> whether some screen form is
-    nonzero, from the matrices.  Under trace pruning: u^T X B^T X v for u,
-    v kernel vectors of B^T and B, when p > r + 1 and B B^T B = B; tr(BX^2)
-    when r >= 3 and p >= 5."""
+    nonzero, from the matrices: u^T X B^T X v for u, v kernel vectors of
+    B^T and B, when p > r + 1 and B B^T B = B; tr(BX^2) when r >= 3 and
+    p >= 5."""
     b = base.rows
     bt = tuple(zip(*b))
     pairs = []
-    if pruning == "trace" and p > r + 1 and _matmul_rows(_matmul_rows(b, bt, p), b, p) == b:
+    if p > r + 1 and _matmul_rows(_matmul_rows(b, bt, p), b, p) == b:
         pairs = [(u, v) for u in _nullspace_mod_p(bt, p) for v in _nullspace_mod_p(b, p)]
-    power = pruning == "trace" and r >= 3 and p >= 5
+    power = r >= 3 and p >= 5
 
     def screened(x):
         if pairs:
@@ -262,7 +256,7 @@ def _reference_screen(base, r, p, pruning):
     return screened
 
 
-def _reference_pool(base, r, field, pruning, budget, lead_starts=None):
+def _reference_pool(base, r, field, budget, lead_starts=None):
     """Oracle for the pool builder: walks the lines of the reference domain
     in order and canonicalises each one.  A line that fails the quadric
     screen is charged one evaluation; every other line is charged one
@@ -271,14 +265,10 @@ def _reference_pool(base, r, field, pruning, budget, lead_starts=None):
     gets the evaluations spent before the first line of each lead
     coefficient."""
     p, n = field.p, base.n_rows
-    screened = _reference_screen(base, r, p, pruning)
+    screened = _reference_screen(base, r, p)
     n_entries = n * n
-    if pruning == "trace":
-        kernel = _nullspace_mod_p(_reference_domain_rows(base, r, p), p)
-        pruned_by_trace = (p**n_entries - p ** len(kernel)) // (p - 1)
-    else:
-        kernel = [tuple(int(i == j) for j in range(n_entries)) for i in range(n_entries)]
-        pruned_by_trace = 0
+    kernel = _nullspace_mod_p(_reference_domain_rows(base, r, p), p)
+    pruned_by_trace = (p**n_entries - p ** len(kernel)) // (p - 1)
     base_flat = tuple(x for row in base.rows for x in row)
     kept, tested, rejected, used = [], 0, 0, 0
 
@@ -298,7 +288,7 @@ def _reference_pool(base, r, field, pruning, budget, lead_starts=None):
     def pool(complete):
         return CandidatePool(
             base, tuple(ExactMatrix(field, _rows(flat, n)) for flat in sorted(kept)),
-            complete, pruning, tested, rejected, pruned_by_trace, used,
+            complete, tested, rejected, pruned_by_trace, used,
         )
 
     for raw in lines():
@@ -338,7 +328,7 @@ def _rows(flat, n):
 
 def _trace_kernel(base, r, p):
     """The kernel a trace-pruned pool of ``base`` enumerates."""
-    return _nullspace_mod_p(_line_conditions(base, r, p, "trace").rows, p)
+    return _nullspace_mod_p(_line_conditions(base, r, p).rows, p)
 
 
 def _reference_extension_lines(zs, lines, cand, pool, p):
@@ -395,18 +385,17 @@ def _reference_dfs(cands, pool, zero, p, initial_best: int):
     return state
 
 
-@pytest.mark.parametrize("n, r, p, pruning", [
-    # (2, 1, 5): lines with tr(X) = 0 != tr(BX) take the member test
-    (2, 1, 2, "none"), (2, 1, 3, "none"), (2, 1, 5, "none"),
-    (3, 1, 3, "none"), (3, 2, 3, "none"), (3, 1, 5, "trace"), (3, 2, 5, "trace"),
-    (3, 1, 7, "trace"), (4, 1, 5, "trace"), (4, 2, 5, "trace"),
+_MEMBER_CASES = [
+    (2, 1, 5), (3, 1, 5), (3, 2, 5), (3, 1, 7), (4, 1, 5), (4, 2, 5),
     # p = r: traces of powers do not decide nilpotency, e.g. diag(1, 1, 0)
-    (3, 2, 2, "none"),
+    (3, 2, 2),
     # p < n + 1: the trace rows m <= p - 2 only; at p = 2 just tr(X) = 0
-    (2, 1, 2, "trace"), (3, 1, 2, "trace"), (3, 2, 2, "trace"),
-    (3, 1, 3, "trace"), (3, 2, 3, "trace"), (4, 1, 3, "trace"),
-])
-def test_pool_builder_matches_the_member_by_member_reference(n, r, p, pruning):
+    (2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (3, 2, 3), (4, 1, 3),
+]
+
+
+@pytest.mark.parametrize("n, r, p", _MEMBER_CASES, ids=_trace_ids(_MEMBER_CASES))
+def test_pool_builder_matches_the_member_by_member_reference(n, r, p):
     # same pool, counters and budget charges at every budget, including
     # cuts inside a line, inside and at both edges of the first runs of
     # the last coefficient, around the first line of each lead
@@ -415,15 +404,15 @@ def test_pool_builder_matches_the_member_by_member_reference(n, r, p, pruning):
     for base in canonical_bases(n, r, field):
         budgets = {50, 997, *range(1, 3 * p + 2)}
         # the complete pools here cost at most 19604 evaluations
-        full = build_candidate_pool(base, r, field, pruning=pruning, budget=20_000)
+        full = build_candidate_pool(base, r, field, budget=20_000)
         if full.complete:
             budgets |= {full.evaluations, full.evaluations - 1}
         lead_starts = []
-        _reference_pool(base, r, field, pruning, 20_000, lead_starts)
+        _reference_pool(base, r, field, 20_000, lead_starts)
         budgets |= {b + k for b in lead_starts[1:] for k in (0, 1)}
         for budget in sorted(b for b in budgets if b >= 1):
-            got = build_candidate_pool(base, r, field, pruning=pruning, budget=budget)
-            want = _reference_pool(base, r, field, pruning, budget)
+            got = build_candidate_pool(base, r, field, budget=budget)
+            want = _reference_pool(base, r, field, budget)
             assert got == want, (jordan_partition(base).parts, budget)
 
 
@@ -481,8 +470,8 @@ def _traces(b, m, p):
 
 
 def _enumeration_cases():
-    # the pool kernels of n <= 3 under both prunings (unpruned n = 3 only
-    # for p <= 3: it has (p^9 - 1)/(p - 1) lines), then seeded random
+    # the unit basis of F_p^(n*n) (n = 3 only for p <= 3: it has (p^9 -
+    # 1)/(p - 1) lines) and the pool kernels of n <= 3, then seeded random
     # spanning sets with a random (not necessarily nilpotent) B
     for p in (2, 3, 5, 7):
         field = PrimeField(p)
@@ -516,13 +505,18 @@ def test_kernel_lines_match_the_odometer_reference_and_carry_the_traces():
     rng = random.Random(11)
     for p, n, base_flat, kernel in _enumeration_cases():
         d = len(kernel)
-        base = ExactMatrix(PrimeField(p), _rows(base_flat, n))
 
         def random_form():
             return ([rng.randrange(p) for _ in range(d)],
                     [[rng.randrange(p) for _ in range(d)] for _ in range(d)])
 
-        forms = [_on_kernel(f, kernel, p) for f in _line_conditions(base, 1, p, "none").invariants]
+        # tr(X), tr(BX) = sum B[i, j] X[j, i] and tr(X^2), as forms on X
+        traces = [
+            (tuple((i * (n + 1), 1) for i in range(n)), ()),
+            (tuple((j * n + i, base_flat[i * n + j]) for i in range(n) for j in range(n)), ()),
+            ((), tuple((i * n + k, k * n + i, 1) for i in range(n) for k in range(n))),
+        ]
+        forms = [_on_kernel(f, kernel, p) for f in traces]
         forms.append(random_form())
         exact = [random_form(), random_form()]
         # the reference runs in the odometer's order: (lead, middle
@@ -595,23 +589,20 @@ def test_kernel_lines_match_the_odometer_reference_and_carry_the_traces():
                 assert charges == want
 
 
-@pytest.mark.parametrize("n, r, p, pruning", [
-    (2, 1, 5, "none"), (3, 2, 3, "none"), (3, 1, 5, "trace"), (3, 2, 7, "trace"),
-    (3, 2, 3, "trace"),
-])
-def test_complete_pools_reject_on_the_invariants_exactly_the_failing_lines(n, r, p, pruning):
+_INVARIANT_CASES = [(2, 1, 5), (3, 1, 5), (3, 2, 7), (3, 2, 3)]
+
+
+@pytest.mark.parametrize("n, r, p", _INVARIANT_CASES, ids=_trace_ids(_INVARIANT_CASES))
+def test_complete_pools_reject_on_the_invariants_exactly_the_failing_lines(n, r, p):
     # the lines with tr(X) != 0, or tr(BX) = 0 != tr(X^2), and no others
     field = PrimeField(p)
     for base in canonical_bases(n, r, field):
-        if pruning == "trace":
-            kernel = _trace_kernel(base, r, p)
-        else:
-            kernel = [tuple(int(i == j) for j in range(n * n)) for i in range(n * n)]
+        kernel = _trace_kernel(base, r, p)
         want = 0
         for x in _iter_canonical_kernel(kernel, p):
             tr_x, tr_bx, q = _traces(base.rows, _rows(x, n), p)
             want += bool(tr_x or (q and not tr_bx))
-        pool = _build_pool(base, r, field, pruning, 10**6)
+        pool = _build_pool(base, r, field, 10**6)
         # each basis vector is 1 at its own free column and 0 at the others,
         # so a kernel vector's entries there are its kernel coordinates
         assert [tuple(u[f] for f in pool.free) for u in kernel] == [
@@ -659,18 +650,21 @@ def _numpy_pool(base, r, p):
 
 
 @pytest.mark.parametrize("n, r, p", [
-    (2, 1, 5), (2, 1, 7), (3, 1, 5), (3, 2, 5), (3, 1, 7), (3, 2, 7),
+    (n, r, p) for p in (2, 3, 5, 7) for n, r in ((2, 1), (3, 1), (3, 2))
 ])
 def test_trace_pools_equal_the_complete_unpruned_pools(n, r, p):
-    # the rank-tangent and dominance rows drop no line: each n <= 3 instance
-    # has one base, whose trace pool is every valid line of F_p^(n*n)
+    # the trace, rank-tangent and dominance rows drop no line, each on its
+    # own field-size gate: each n <= 3 instance has one base, whose pool is
+    # every valid line of F_p^(n*n)
     field = PrimeField(p)
     (base,) = canonical_bases(n, r, field)
-    pool = build_candidate_pool(base, r, field, pruning="trace")
+    pool = build_candidate_pool(base, r, field)
     assert pool.complete
     assert _pool_lines(pool) == _numpy_pool(base, r, p)
-    # every line outside the constraint kernel counts as pruned by trace
+    # every line outside the constraint kernel counts as pruned by trace,
+    # and the tr(X) row alone leaves some out
     assert pool.pruned_by_trace + pool.lines_tested == (p ** (n * n) - 1) // (p - 1)
+    assert pool.pruned_by_trace > 0
 
 
 def test_dominance_restricted_pool_keeps_the_square_zero_lines():
@@ -707,7 +701,7 @@ def test_dominance_restricted_pool_keeps_the_square_zero_lines():
                 lines.add(line)
         families.append(lines)
     assert families[0] == families[1] and len(families[0]) == 56
-    pool = build_candidate_pool(base, 2, field, pruning="trace", budget=200_000)
+    pool = build_candidate_pool(base, 2, field, budget=200_000)
     assert pool.complete
     assert (pool.lines_tested, len(pool.candidates)) == (97_656, 806)
     assert families[0] <= set(_pool_lines(pool))
@@ -726,7 +720,7 @@ def test_dominance_rows_need_a_chain_of_types():
 
             trace = [tuple(x for row in c.rows for x in row)
                      for c in linear_trace_constraints(base, n - 1)]
-            rows = _line_conditions(base, r, p, "trace").rows
+            rows = _line_conditions(base, r, p).rows
             assert rows[:len(trace)] == trace
             tangent = [
                 tuple(u[a] * v[b] % p for a in range(n) for b in range(n))
@@ -740,7 +734,7 @@ def test_dominance_rows_need_a_chain_of_types():
     # implied by the others on every base tried (n <= 8), so the rows, not
     # their kernel, show the gate
     for base in canonical_bases(8, 5, PrimeField(11)):
-        assert _line_conditions(base, 5, 11, "trace").rows == _reference_domain_rows(base, 5, 11)
+        assert _line_conditions(base, 5, 11).rows == _reference_domain_rows(base, 5, 11)
 
 
 def test_rank_one_maximum_one_size_past_n3():
@@ -797,10 +791,10 @@ def test_screened_pools_equal_the_pools_without_the_screen(n, r, p, monkeypatch)
     # rejected, and a screened line costs no more than its failing member
     field = PrimeField(p)
     bases = canonical_bases(n, r, field)
-    screened = [_build_pool(base, r, field, "trace", 10**8) for base in bases]
+    screened = [_build_pool(base, r, field, 10**8) for base in bases]
     _unscreened(monkeypatch)
     for base, pool in zip(bases, screened):
-        plain = _build_pool(base, r, field, "trace", 10**8)
+        plain = _build_pool(base, r, field, 10**8)
         assert pool.complete and plain.complete and plain.at_screen == 0
         assert pool.lines == plain.lines
         assert pool.at_screen + pool.at_member_test == plain.at_member_test
@@ -816,7 +810,7 @@ def test_screened_j4_pool_prefixes_equal_the_pools_without_the_screen(monkeypatc
     (base,) = canonical_bases(4, 3, F5)
     kernel = _trace_kernel(base, 3, 5)
     screened = [
-        build_candidate_pool(base, 3, F5, pruning="trace", budget=budget)
+        build_candidate_pool(base, 3, F5, budget=budget)
         for budget in (2000, 20_000, 200_000)
     ]
     _unscreened(monkeypatch)
@@ -826,7 +820,7 @@ def test_screened_j4_pool_prefixes_equal_the_pools_without_the_screen(monkeypatc
         budget = pool.evaluations
         while True:
             budget *= 2
-            plain = build_candidate_pool(base, 3, F5, pruning="trace", budget=budget)
+            plain = build_candidate_pool(base, 3, F5, budget=budget)
             if plain.lines_tested >= pool.lines_tested:
                 break
         first = {
@@ -872,7 +866,7 @@ def test_q_forms_vanish_exactly_when_the_minors_lose_their_s2_term():
     samples = vanishing = 0
     for n, r in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2)):
         for base in canonical_bases(n, r, field):
-            forms = _line_conditions(base, r, p, "trace")
+            forms = _line_conditions(base, r, p)
             q_forms = forms.exact or forms.screen[:1]  # one Q_uv when r = n - 1
             b = base.rows
             bt = tuple(zip(*b))
@@ -913,7 +907,7 @@ def test_q_screen_gates():
     for n, r, ps in ((2, 1, (2, 3)), (3, 2, (3, 5)), (5, 4, (5, 7))):
         for p in ps:
             (base,) = canonical_bases(n, r, PrimeField(p))
-            rows, _, screen, exact = _line_conditions(base, r, p, "trace")
+            rows, _, screen, exact = _line_conditions(base, r, p)
             trace = [tuple(x for row in c.rows for x in row)
                      for c in linear_trace_constraints(base, min(n - 1, p - 2))]
             (u,) = _nullspace_mod_p(base.transpose().rows, p)
@@ -924,20 +918,18 @@ def test_q_screen_gates():
                 assert rows == trace and len(screen) == (r >= 3)
             else:
                 assert rows[len(trace)] == tangent and len(screen) == 1 + (r >= 3)
-    unpruned = _line_conditions(shift_matrix(3, F5), 2, 5, "none")
-    assert unpruned.rows == unpruned.screen == unpruned.exact == []
-    # a conjugate of the shift has no Q screen (C C^T C != C) and the
-    # conjugate pool
+    # a conjugate of the shift has no Q screen (C C^T C != C), the same
+    # square form tr(X^2), and the conjugate pool
     base = shift_matrix(3, F5)
     g = ExactMatrix(F5, ((1, 2, 0), (0, 1, 3), (1, 0, 1)))
     conj = g @ base @ inverse(g)
     assert conj @ conj.transpose() @ conj != conj
-    assert _line_conditions(conj, 2, 5, "trace")[1:] == ([unpruned.invariants[2]], [], [])
-    pool = _build_pool(conj, 2, F5, "trace", 10**6)
+    assert _line_conditions(conj, 2, 5)[1:] == (_line_conditions(base, 2, 5).square, [], [])
+    pool = _build_pool(conj, 2, F5, 10**6)
     assert pool.complete and pool.at_screen == 0
     image = sorted(
         _canonical_line(tuple(x for row in (g @ c @ inverse(g)).rows for x in row), 5)
-        for c in build_candidate_pool(base, 2, F5, pruning="trace").candidates
+        for c in build_candidate_pool(base, 2, F5).candidates
     )
     assert pool.lines == image
 
@@ -987,7 +979,7 @@ def _reference_greedy(cands, pool, zero, p, rng, restarts: int):
 def test_greedy_search_matches_the_reference():
     # same scores, same picks and the same random draws, restart by restart
     for p, (cands, coords) in (
-        (3, _differential_pools(3, 2, 3, "none", 10**7)[0]),
+        (3, _differential_pools(3, 2, 3, 10**7)[0]),
         # a line set is its own coordinates
         (3, (_line_set(3, 4, 0.75, 0),) * 2),
         (5, (_line_set(5, 3, 1.0, 0),) * 2),
@@ -1008,9 +1000,9 @@ def test_bases_share_the_budget():
     first, second = canonical_bases(4, 2, F5)
     for budget in (7, 2001):
         rep = max_affine_dimension(4, 2, F5, budget=budget)
-        pool1 = build_candidate_pool(first, 2, F5, pruning="trace", budget=(budget + 1) // 2)
+        pool1 = build_candidate_pool(first, 2, F5, budget=(budget + 1) // 2)
         pool2 = build_candidate_pool(
-            second, 2, F5, pruning="trace", budget=budget - pool1.evaluations
+            second, 2, F5, budget=budget - pool1.evaluations
         )
         assert rep.evaluations == pool1.evaluations + pool2.evaluations == budget
         assert rep.pruned_by_rank == pool1.pruned_by_rank + pool2.pruned_by_rank
@@ -1020,8 +1012,8 @@ def test_untried_base_adds_no_counters_and_no_search():
     # at budget 7 the (3,1) base gets 4 evaluations and tests one line; the
     # (2,2) base gets the 3 left, fewer than its first line needs
     first, second = canonical_bases(4, 2, F5)
-    assert build_candidate_pool(second, 2, F5, pruning="trace", budget=3).lines_tested == 0
-    pool = build_candidate_pool(first, 2, F5, pruning="trace", budget=4)
+    assert build_candidate_pool(second, 2, F5, budget=3).lines_tested == 0
+    pool = build_candidate_pool(first, 2, F5, budget=4)
     assert pool.lines_tested == 1
     rep = max_affine_dimension(4, 2, F5, budget=7)
     assert [part.parts for part in rep.base_points_tried] == [(3, 1, 0, 0)]
@@ -1081,7 +1073,7 @@ def test_search_logs_one_record_per_base_that_adds_up_to_the_report(
         assert rec["pairs"] == (rec["kept"] * (rec["kept"] - 1) // 2 if searched else 0)
         assert rec["edges"] <= rec["pairs"]
         if rec["complete"]:  # the whole pool, so its graph can be rebuilt
-            pool = build_candidate_pool(base, r, field, pruning=rep.pruning)
+            pool = build_candidate_pool(base, r, field)
             graph = _line_graph(_pool_lines(pool), p)
             assert rec["edges"] == sum(
                 graph.neighbours[i] >> j & 1
@@ -1119,17 +1111,17 @@ def test_search_logs_the_witness_reverification_last(p, methods, caplog):
     assert 0 <= args["reverify_s"] <= rep.wall_time
     assert records[-1].getMessage().startswith("re-verification ")
 
-@pytest.mark.parametrize("p, pruning, counts", [
-    (3, "none", (37, 666, 54)),  # maximal dimension 2: some pairs extend
-    (5, "trace", (26, 325, 0)),  # maximal dimension 1: none do
-])
-def test_pool_lookups_decide_extensions_like_the_verifiers(p, pruning, counts):
+@pytest.mark.parametrize("p, counts", [
+    (3, (37, 666, 54)),  # maximal dimension 2: some pairs extend
+    (5, (26, 325, 0)),  # maximal dimension 1: none do
+], ids=["3-trace-counts0", "5-trace-counts1"])
+def test_pool_lookups_decide_extensions_like_the_verifiers(p, counts):
     # lines c1 and c2 are adjacent exactly when B + span(c1, c2) is valid,
     # which the verifiers decide member by member; the edge holds the p + 1
     # lines of the span
     field = PrimeField(p)
     base = shift_matrix(3, field)
-    pool = build_candidate_pool(base, 2, field, pruning=pruning)
+    pool = build_candidate_pool(base, 2, field)
     assert pool.complete
     cands = _pool_lines(pool)
     graph = _line_graph(cands, p)
@@ -1164,12 +1156,12 @@ def _pool_lines(pool):
 
 
 @functools.cache
-def _differential_pools(n, r, p, pruning, budget):
+def _differential_pools(n, r, p, budget):
     """Per base, the pool lines and their kernel coordinates."""
     field = PrimeField(p)
     out = []
     for base in canonical_bases(n, r, field):
-        pool = _build_pool(base, r, field, pruning, budget)
+        pool = _build_pool(base, r, field, budget)
         out.append((pool.lines, [tuple(x[f] for f in pool.free) for x in pool.lines]))
     return out
 
@@ -1203,17 +1195,17 @@ def _reference_line_graph(cands, p):
     return [sum(1 << j for j in s) for s in spans], spans
 
 
-@pytest.mark.parametrize("n, r, p, pruning, budget", [
-    (2, 1, 2, "none", None), (2, 1, 3, "none", None), (2, 1, 5, "none", None),
-    (3, 1, 3, "none", None), (3, 2, 3, "none", None),
-    (3, 1, 5, "none", None), (3, 2, 5, "none", None),
-    (3, 1, 5, "trace", None), (3, 2, 5, "trace", None),
-    (3, 1, 7, "trace", None), (3, 2, 7, "trace", None),
-    *((4, r, p, "none" if p == 3 else "trace", budget)
-      for r in (1, 2, 3) for p in (3, 5) for budget in (3000, 30_000)),
-])
-def test_packed_line_graph_matches_the_tuple_reference_on_pools(n, r, p, pruning, budget):
-    for cands, coords in _differential_pools(n, r, p, pruning, budget or 10**7):
+_GRAPH_CASES = [
+    (2, 1, 2, None), (2, 1, 3, None), (2, 1, 5, None),
+    (3, 1, 3, None), (3, 2, 3, None), (3, 1, 5, None), (3, 2, 5, None),
+    (3, 1, 7, None), (3, 2, 7, None),
+    *((4, r, p, budget) for r in (1, 2, 3) for p in (3, 5) for budget in (3000, 30_000)),
+]
+
+
+@pytest.mark.parametrize("n, r, p, budget", _GRAPH_CASES, ids=_trace_ids(_GRAPH_CASES))
+def test_packed_line_graph_matches_the_tuple_reference_on_pools(n, r, p, budget):
+    for cands, coords in _differential_pools(n, r, p, budget or 10**7):
         graph = _line_graph(coords, p)
         assert (graph.neighbours, _spans(graph)) == _reference_line_graph(cands, p)
 
@@ -1277,7 +1269,7 @@ def test_line_graph_on_kernel_coordinates_matches_the_reference_on_full_vectors(
     # small enough for the reference
     field = PrimeField(7)
     (base,) = canonical_bases(5, 1, field)
-    pool = _build_pool(base, 1, field, "trace", 10**7)
+    pool = _build_pool(base, 1, field, 10**7)
     assert pool.complete and len(pool.free) == 8
     cands = pool.lines
     coords = [tuple(x[f] for f in pool.free) for x in cands]
@@ -1311,23 +1303,22 @@ def test_line_graph_memory_stays_below_the_stored_spans():
     assert peak < 1e6
 
 
-@pytest.mark.parametrize("n, r, p, pruning, budget, nodes", [
-    # the six search-n3 instances, with the pruning the search picks, and
-    # the canonical DFS's node count from an empty start
-    (3, 1, 3, "trace", None, 4), (3, 2, 3, "trace", None, 27),
-    (3, 1, 5, "trace", None, 6), (3, 2, 5, "trace", None, 22),
-    (3, 1, 7, "trace", None, 8), (3, 2, 7, "trace", None, 44),
-    # unpruned n=3 pools
-    (3, 1, 3, "none", None, 4), (3, 2, 3, "none", None, 27),
-    (3, 1, 5, "none", None, 6), (3, 2, 5, "none", None, 22),
-    # partial n=4 pools
-    *((4, r, p, "none" if p == 3 else "trace", budget, None)
-      for r in (1, 2, 3) for p in (3, 5) for budget in (3000, 30_000)),
-])
-def test_canonical_dfs_matches_the_ordered_extension_reference(n, r, p, pruning, budget, nodes):
+_DFS_CASES = [
+    # the six search-n3 instances and the canonical DFS's node count from
+    # an empty start
+    (3, 1, 3, None, 4), (3, 2, 3, None, 27),
+    (3, 1, 5, None, 6), (3, 2, 5, None, 22),
+    (3, 1, 7, None, 8), (3, 2, 7, None, 44),
+    # n=4 pools, most of them partial
+    *((4, r, p, budget, None) for r in (1, 2, 3) for p in (3, 5) for budget in (3000, 30_000)),
+]
+
+
+@pytest.mark.parametrize("n, r, p, budget, nodes", _DFS_CASES, ids=_trace_ids(_DFS_CASES))
+def test_canonical_dfs_matches_the_ordered_extension_reference(n, r, p, budget, nodes):
     # same maximum and witness as the DFS over every increasing basis of
     # point lists, in no more nodes, whatever best the search starts from
-    for cands, coords in _differential_pools(n, r, p, pruning, budget or 10**7):
+    for cands, coords in _differential_pools(n, r, p, budget or 10**7):
         graph = _line_graph(coords, p)
         for initial_best in (0, 1):
             want = _reference_dfs(cands, set(cands), (0,) * (n * n), p, initial_best)
@@ -1393,7 +1384,7 @@ def test_max_dimension_small_instances():
     assert rep.status == "EXHAUSTIVE"
     assert rep.base_points_tried == (jordan_partition(shift_matrix(3, F5)),)
     # only the pool build evaluates members; the search over it does lookups
-    pool = build_candidate_pool(shift_matrix(3, F5), 2, F5, pruning="trace")
+    pool = build_candidate_pool(shift_matrix(3, F5), 2, F5)
     assert rep.evaluations == pool.evaluations == 4038
 
     rep = max_affine_dimension(3, 1, F5)
@@ -1421,21 +1412,6 @@ def test_search_witness_reverifies():
     assert w.d == rep.max_dim_found
     assert verify_all_nilpotent(w).status == "PROVED"
     assert verify_constant_rank(w, 2).status == "PROVED"
-
-
-def test_pruning_disabled_gives_identical_results():
-    # the search is a function of the sorted pool lines, so equal pools
-    # give equal searches whichever pruning built them; at p = 2, 3 each
-    # row of the trace pool is gated on its own field size
-    for p in (2, 3, 5, 7):
-        field = PrimeField(p)
-        for n in (2, 3):
-            for r in range(1, n):
-                for base in canonical_bases(n, r, field):
-                    slow = build_candidate_pool(base, r, field, pruning="none")
-                    fast = build_candidate_pool(base, r, field, pruning="trace")
-                    assert slow.complete and fast.complete
-                    assert slow.candidates == fast.candidates, (n, r, p)
 
 
 def test_budget_monotonicity_and_downgrade():
@@ -1495,12 +1471,22 @@ def test_search_input_validation():
         max_affine_dimension(3, 2, F5, mode="sideways")
     with pytest.raises(ValueError, match="budget"):
         max_affine_dimension(3, 2, F5, budget=0)
-    with pytest.raises(ValueError, match="unknown pruning 'sideways'"):
-        build_candidate_pool(shift_matrix(3, F5), 2, F5, pruning="sideways")
+    with pytest.raises(ValueError, match="unknown pruning 'none'"):
+        build_candidate_pool(shift_matrix(3, F5), 2, F5, pruning="none")
     from nilspace import RATIONALS
 
     with pytest.raises(ValueError):
         max_affine_dimension(3, 2, RATIONALS)
+
+
+def test_pool_api_takes_the_report_pruning_as_a_keyword():
+    # as the benchmark's pool probe calls it: the report's pruning, by keyword
+    rep = max_affine_dimension(3, 2, F5)
+    (base,) = canonical_bases(3, 2, F5)
+    pool = build_candidate_pool(base, 2, F5, pruning=rep.pruning, budget=rep.evaluations)
+    assert pool == build_candidate_pool(base, 2, F5, budget=rep.evaluations)
+    assert pool.complete and pool.evaluations == rep.evaluations
+    assert pool.lines_tested == len(pool.candidates) + pool.pruned_by_rank
 
 
 def test_conjecture_consistent_small():
