@@ -139,6 +139,17 @@ def test_pool_excludes_nonzero_lower_corner():
         assert c[2, 0] == 0
 
 
+def test_trace_pruning_keeps_the_full_pool():
+    # the trace pool of the shift base holds every line of the full unpruned
+    # pool, enumerated in numpy, while testing fewer lines than F_5^9 has
+    base = shift_matrix(3, F5)
+    pool = build_candidate_pool(base, 2, F5, pruning="trace")
+    assert pool.complete
+    assert sorted(_pool_lines(pool)) == _numpy_pool(base, 2, 5)
+    assert pool.lines_tested < (5**9 - 1) // 4
+    assert pool.pruned_by_trace > 0
+
+
 def test_pool_budget_cut_is_flagged():
     pool = build_candidate_pool(shift_matrix(3, F5), 2, F5, budget=50)
     assert not pool.complete
