@@ -1037,6 +1037,13 @@ def test_untried_base_adds_no_counters_and_no_search():
 # per base: lines tested; rejected on the invariants, on the screen, by the
 # member test; kept; evaluations
 _PINNED_RECORDS = {
+    # cut searches: at budget 7 the (3,1) base rejects one line in its 4
+    # evaluations and the (2,2) base finishes no line in its 3
+    (4, 2, 5, "exhaustive", 7): [(1, 0, 0, 1, 0, 4), (0, 0, 0, 0, 0, 3)],
+    (4, 2, 5, "exhaustive", 2001): [
+        (917, 732, 157, 6, 22, 1001),
+        (650, 520, 4, 25, 101, 1000),
+    ],
     # the benchmark's conjecture-n4 search: both pools are cut mid-enumeration
     (4, 2, 5, "exhaustive", 100_000): [
         (49_295, 39_685, 9_320, 122, 168, 50_000),
