@@ -18,19 +18,32 @@ MAX_PRIME = 2**63
 RawScalar = Union[int, Fraction]
 
 
+# the primes up to 37: as Miller-Rabin bases they leave no strong
+# pseudoprime below 3.18 * 10^23 (Sorenson and Webster 2015), past MAX_PRIME
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
-    """Trial-division primality test."""
+    """Deterministic Miller-Rabin primality test, exact for p < 3.18 * 10^23."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0  # p - 1 = d * 2^s, d odd
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -25,12 +25,11 @@ time: tr(X^2), which decides member 1 on that kernel, and a quadric screen
 of forms that vanish on every pool line, u^T X B^T X v (u in coker B, v in
 ker B) and tr(BX^2), each gated in code on its field-size bound.  Most lines
 fail one of them and are rejected from the run's values alone, charged 1
-evaluation, without building X or a member; a run whose lines all fail is
-charged inside the enumeration and never leaves it.  Only the lines that
-pass every form are built and tested member by member.  The bases share the
-budget: each one in turn gets an equal share of what is left, so a base's
-unused share flows on to the later ones and the first base cannot starve
-the rest.
+evaluation by the enumeration itself, without building X or a member; only
+the lines that pass every form leave it, to be tested member by member.
+The bases share the budget: each one in turn gets an equal share of what is
+left, so a base's unused share flows on to the later ones and the first
+base cannot starve the rest.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import compress
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import reduction
 from .catalog import conjecture_bound, witness_conjecture
@@ -194,13 +193,14 @@ def _field_bits(p: int) -> int:
 @dataclass(slots=True)
 class _Charges:
     """What a pool build has charged so far: ``used`` of ``limit``
-    evaluations, and the lines rejected on the trace invariants at member 1
-    and on the quadric screen."""
+    evaluations, the lines rejected on the trace invariants at member 1 and
+    on the quadric screen, and whether the budget cut the build short."""
 
     limit: int
     used: int = 0
     at_invariants: int = 0
     at_screen: int = 0
+    cut: bool = False
 
 
 _Coefficients = tuple[list[int], list[list[int]]]
@@ -211,47 +211,43 @@ def _kernel_lines(
     forms: Sequence[_Coefficients],
     exact: Sequence[_Coefficients],
     p: int,
-    classify: Callable[[tuple], tuple],
     charges: _Charges,
-) -> Iterator[tuple]:
-    """The runs of lines of the span of ``kernel`` (flattened n x n
-    matrices) that the caller must test line by line, one item per run:
-    (keep, classify(polys), lead, coefficients, exact polys).
+) -> Iterator[tuple[int, ...]]:
+    """The lines of the span of ``kernel`` (flattened n x n matrices) on
+    which every form of ``forms`` and ``exact`` vanishes, in enumeration
+    order, each as its flat vector; the only place that charges a line that
+    fails a form.
 
     Lines have lead coefficient 1 and later coefficients free, the last one
     fastest.  A run is the p lines x0 + a*v, a = 0..p-1, v the last basis
-    vector and x0 = u_lead + sum_l coefficients[l] u_(lead+1+l); the last
-    lead has one line, x0 = v, a run of its own.  ``coefficients`` is the
-    odometer's own list: read it before asking for the next item.
+    vector and x0 = u_lead + sum_l c_l u_(lead+1+l) over the middle
+    coefficients c; the last lead has one line, x0 = v, a run of its own.
 
-    Each form (lam, M) of ``forms`` and ``exact`` is phi(c) = sum_j lam_j
-    c_j + sum_ij M_ij c_i c_j on the coordinates c over ``kernel``, and its
-    polys on a run are (phi(x0), b, M_vv) with phi(x0 + a v) = phi(x0) + a
-    b + a^2 M_vv.  ``classify`` maps the polys of ``forms`` to a tuple that
-    starts (keep, passed, n_passed): bit a of ``passed`` is set when line a
-    passes the first form (tr(X^2) in the pool builder), n_passed such
-    bits, and bit a of ``keep`` when it passes every form of ``forms``.  It
-    runs once per distinct polys, and its result is reused.  The forms of
-    ``exact`` stay out of that memo's key, which each would multiply up to
-    p^2-fold: a run whose ``keep`` is nonzero clears the bits where one of
-    them is nonzero, through the root masks of its own polys.
+    Each form (lam, M) is phi(c) = sum_j lam_j c_j + sum_ij M_ij c_i c_j on
+    the coordinates c over ``kernel``, and on a run phi(x0 + a v) = phi(x0)
+    + a b + a^2 M_vv: a polynomial in a whose roots are the run's lines that
+    pass the form (``_root_lookup``).  The root masks of ``forms`` are
+    remembered per distinct polys; the forms of ``exact`` stay out of that
+    memo's key, which each would multiply up to p^2-fold, and are decided
+    only on the runs where every form of ``forms`` passes some line.
 
-    Charges.  A run of p lines none of which keeps its bit is charged here
-    and not yielded, when the ``charges.limit - charges.used`` evaluations
-    left hold the whole run: p evaluations, the lines of ``passed`` on the
-    screen and the others on the invariants, as the caller would have
-    charged them one by one.  Every other run is yielded with ``charges`` up
-    to date, and the caller charges its lines there before asking for the
-    next item.
+    Charges.  Each line that fails a form costs 1 evaluation, on
+    ``charges.at_screen`` when it passes the first form (tr(X^2) in the pool
+    builder) and on ``charges.at_invariants`` otherwise, charged as it is
+    passed over: at each yield ``charges`` holds every failing line before
+    the yielded one, and the caller charges the yielded line there, before
+    asking for the next.  When the budget left cannot pay for the next
+    failing line, this sets ``charges.cut`` and stops.  A run with no
+    passing line that the budget covers is charged at once, and x0 is built
+    only for a run that holds a passing line.
 
     An odometer over the middle coefficients keeps a stack of packed
     states: per form, phi(x) and the differences D_j = phi(x + u_j) -
     phi(x), one field of w + 1 bits each (``_field_bits``).  Adding u_j
     adds D_j to phi and S_ij = M_ij + M_ji to every D_i: one shift, mask and
     add, and one packed reduction mod p, however many forms there are.  The
-    innermost coefficient runs in a loop of its own.  The fields of
-    ``forms`` in the low two blocks, phi(x0) and D_v, are the memo's key;
-    the partial-sum vector x0 is never built here."""
+    innermost middle coefficient runs in a loop of its own.  The fields of
+    ``forms`` in the low two blocks, phi(x0) and D_v, are the memo's key."""
     if not kernel:
         return
     d = len(kernel)
@@ -269,6 +265,8 @@ def _kernel_lines(
     sym = [[[(g[i][j] + g[j][i]) % p for j in range(d)] for i in range(d)] for _, g in every]
     curv = [g[last][last] % p for _, g in every]
     roots = _root_lookup(p)
+    nonzeros = [[(k, y) for k, y in enumerate(u) if y] for u in kernel]
+    step = kernel[last]
 
     def pack(phi, diffs):  # per form: phi, and D_i for i = 0..d-1
         return sum(
@@ -282,10 +280,10 @@ def _kernel_lines(
             for i in range(d)
         ])
 
-    def polys(s, fields):  # phi(x0) in block 0, D_v = b + M_vv in block 1
-        return tuple([
-            (s >> at0 & low, ((s >> at1 & low) - c2) % p, c2) for at0, at1, c2 in fields
-        ])
+    def masks(s, fields):  # phi(x0) in block 0, D_v = b + M_vv in block 1
+        return [
+            roots((s >> at0 & low, ((s >> at1 & low) - c2) % p, c2)) for at0, at1, c2 in fields
+        ]
 
     incs = [pack([0] * len(every), [[s[i][j] for s in sym] for i in range(d)]) for j in range(d)]
     shifts = [(d - j) * block for j in range(d)]
@@ -296,16 +294,16 @@ def _kernel_lines(
     inner_ones, inner_k = ones & inner, k_const & inner
     fields = [(f * width, block + f * width, c2) for f, c2 in enumerate(curv)]
     on_key, on_run = fields[:len(forms)], fields[len(forms):]
-    memo: dict[int, Any] = {}
-    limit = charges.limit
-    left = limit - charges.used
-    screened = 0  # lines on the screen in the runs charged since the last item
+    # per run size, key -> (keep, passed, n_passed): bit a of keep set when
+    # line a of the run passes every form of ``forms``, of passed when it
+    # passes the first, n_passed of them
+    memos: dict[int, dict[int, tuple[int, int, int]]] = {}
 
     for lead in range(last + 1):
         m = last - lead - 1  # odometer levels: coefficients lead + 1 .. last - 1
-        # a run is charged here when the budget holds all its p lines; the
-        # last lead's one line is always yielded
-        whole = p if m >= 0 else limit + 1
+        size = p if m >= 0 else 1  # the lines of each run of this lead
+        run_mask = (1 << size) - 1
+        memo = memos.setdefault(size, {})
         counters = [0] * m
         s = start(lead)
         stack = [s] * m  # stack[k]: levels k and up at 0
@@ -315,26 +313,42 @@ def _kernel_lines(
                 key = s & key_mask
                 got = memo.get(key)
                 if got is None:
-                    got = memo[key] = classify(polys(key, on_key))
-                keep = got[0]
-                run = ()
+                    passed, *rest = masks(key, on_key)
+                    passed &= run_mask
+                    keep = passed
+                    for mask in rest:
+                        keep &= mask
+                    got = memo[key] = keep, passed, passed.bit_count()
+                keep, passed, n_passed = got
                 if keep and on_run:
-                    run = polys(s, on_run)
-                    for poly in run:
-                        keep &= roots(poly)
-                if keep or left < whole:
+                    for mask in masks(s, on_run):
+                        keep &= mask
+                if not keep and charges.limit - charges.used >= size:
+                    charges.used += size
+                    charges.at_screen += n_passed
+                    charges.at_invariants += size - n_passed
+                else:
                     if m > 0:
                         counters[-1] = c
-                    charged = limit - charges.used - left
-                    charges.used += charged
-                    charges.at_screen += screened
-                    charges.at_invariants += charged - screened
-                    screened = 0
-                    yield keep, got, lead, counters, run or polys(s, on_run)
-                    left = limit - charges.used
-                else:
-                    left -= p
-                    screened += got[2]
+                    x0 = None
+                    for a in range(size):
+                        if keep >> a & 1:
+                            if x0 is None:
+                                x0 = list(kernel[lead])
+                                for coeff, entries in zip(counters, nonzeros[lead + 1:]):
+                                    for k, y in entries:
+                                        x0[k] += coeff * y
+                                x0 = [x % p for x in x0]
+                            yield tuple([(x + a * y) % p for x, y in zip(x0, step)] if a else x0)
+                        elif charges.used == charges.limit:
+                            charges.cut = True
+                            return
+                        else:
+                            charges.used += 1
+                            if passed >> a & 1:
+                                charges.at_screen += 1
+                            else:
+                                charges.at_invariants += 1
                 s += (s >> inner_shift & values) + inner_inc
                 s -= ((s + inner_k) >> w & inner_ones) * p
             lvl = m - 2
@@ -602,18 +616,16 @@ def _build_pool(base, r, field, limit: int) -> _Pool:
     columns are therefore its coordinates over the basis: its kernel
     coordinates, on which the search builds the line graph.
 
-    Member t of a line is B + t*X for its canonical representative X.  The
-    forms of ``_line_conditions``, the exact Q_uv included, are carried
-    through the enumeration, and the lines of each run of the last
-    coefficient that fail one are found from the run's values alone,
-    without building X: a line fails when tr(X^2), a screen form or a Q_uv
-    is nonzero.  Each such line is charged 1 evaluation, so a line's charge
-    depends only on the line; a run whose lines all fail is charged inside
-    ``_kernel_lines``.  The other lines take the rank and nilpotency test
-    member by member and cost one evaluation per member tested: the first
-    failing t, or p - 1 when the line passes.  A line the remaining budget
-    cannot finish is cut and not counted; the cut spends the budget to
-    ``limit``.
+    Member t of a line is B + t*X for its canonical representative X.
+    ``_kernel_lines`` carries the forms of ``_line_conditions``, the exact
+    Q_uv included, and charges each line on which tr(X^2), a screen form or
+    a Q_uv is nonzero 1 evaluation, so a line's charge depends only on the
+    line.  It yields the other lines, and only those take the rank and
+    nilpotency test here, member by member, at one evaluation per member
+    tested: the first failing t, or p - 1 when the line passes.  A line the
+    remaining budget cannot finish is cut and not counted; the cut spends
+    the budget to ``limit``.  The pool is complete unless a cut, here or in
+    ``_kernel_lines``, stopped the enumeration.
     """
     if not isinstance(field, PrimeField):
         raise ValueError("candidate pools are only enumerable over finite fields")
@@ -628,85 +640,50 @@ def _build_pool(base, r, field, limit: int) -> _Pool:
     domain, square, screen, exact = _line_conditions(base, r, p)
     kernel = _nullspace(domain, p)
     pruned_by_trace = _line_count(p, n_entries) - _line_count(p, len(kernel))
-    roots = _root_lookup(p)
-
-    def classify(polys):
-        # bit a: the line x0 + a v of the run passes the form; the first
-        # form is tr(X^2), the others the screen
-        passed, *masks = [roots(c) for c in polys]
-        keep = passed
-        for mask in masks:
-            keep &= mask
-        return keep, passed, passed.bit_count()
 
     # The enumerated vector X is a multiple a*X0 of the canonical X0 (lead
     # entry a), so member t, B + t*X0, is B + (t/a)*X: lines are tested as
     # enumerated and only kept ones are canonicalised.
     base_flat = tuple(x for row in base.rows for x in row)
     row_slices = [slice(i, i + n) for i in range(0, n_entries, n)]
-    nonzeros = [[(k, y) for k, y in enumerate(u) if y] for u in kernel]
-    step = kernel[-1]
-    last = len(kernel) - 1
     kept: list[tuple[int, ...]] = []
     at_member_test = 0
     charges = _Charges(limit)
-    complete = True
-    for keep, (_, passed, _), lead, coeffs, _ in _kernel_lines(
+    for flat in _kernel_lines(
         kernel,
         [_on_kernel(f, kernel, p) for f in [square, *screen]],
         [_on_kernel(f, kernel, p) for f in exact],
-        p, classify, charges,
+        p, charges,
     ):
-        x0 = None
-        for a in range(p if lead < last else 1):
-            room = limit - charges.used
-            if room == 0:
-                complete = False
+        room = limit - charges.used
+        inv = pow(next(x for x in flat if x), -1, p)
+        failed_at = 0
+        for t in range(1, min(p, room + 1)):
+            scale = t * inv % p
+            member = [(b + scale * x) % p for b, x in zip(base_flat, flat)]
+            rows = [member[sl] for sl in row_slices]
+            # a member here has tr(M) = 0, by the trace row, and tr(M^2)
+            # = 0: tr(X^2) = 0 and 2 tr(BX) = 0 (the tr(BX) row at p >=
+            # 3, 2 = 0 at p = 2), so the nilpotency test skips both
+            if _rank(rows, p, r) != r or not (
+                _is_nilpotent_of_rank(rows, p, r, known=2) if p > r
+                else _is_nilpotent(rows, p)
+            ):
+                failed_at = t
                 break
-            if not keep >> a & 1:
-                charges.used += 1
-                if passed >> a & 1:
-                    charges.at_screen += 1
-                else:
-                    charges.at_invariants += 1
-                continue
-            if x0 is None:
-                x0 = list(kernel[lead])
-                for c, entries in zip(coeffs, nonzeros[lead + 1:]):
-                    for k, y in entries:
-                        x0[k] += c * y
-                x0 = [x % p for x in x0]
-            flat = tuple([(x + a * y) % p for x, y in zip(x0, step)] if a else x0)
-            inv = pow(next(x for x in flat if x), -1, p)
-            failed_at = 0
-            for t in range(1, min(p, room + 1)):
-                scale = t * inv % p
-                member = [(b + scale * x) % p for b, x in zip(base_flat, flat)]
-                rows = [member[sl] for sl in row_slices]
-                # a member here has tr(M) = 0, by the trace row, and tr(M^2)
-                # = 0: tr(X^2) = 0 and 2 tr(BX) = 0 (the tr(BX) row at p >=
-                # 3, 2 = 0 at p = 2), so the nilpotency test skips both
-                if _rank(rows, p, r) != r or not (
-                    _is_nilpotent_of_rank(rows, p, r, known=2) if p > r
-                    else _is_nilpotent(rows, p)
-                ):
-                    failed_at = t
-                    break
-            if failed_at:
-                charges.used += failed_at
-                at_member_test += 1
-            elif room < p - 1:
-                charges.used = limit
-                complete = False
-                break
-            else:
-                charges.used += p - 1
-                kept.append(_canonical_line(flat, p))
-        if not complete:
+        if failed_at:
+            charges.used += failed_at
+            at_member_test += 1
+        elif room < p - 1:
+            charges.used = limit
+            charges.cut = True
             break
+        else:
+            charges.used += p - 1
+            kept.append(_canonical_line(flat, p))
     kept.sort()
     return _Pool(
-        kept, complete, charges.used, charges.at_invariants, charges.at_screen,
+        kept, not charges.cut, charges.used, charges.at_invariants, charges.at_screen,
         at_member_test, pruned_by_trace,
         tuple(max(k for k, y in enumerate(u) if y) for u in kernel),
     )

@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,11 +9,27 @@ from nilspace import PrimeField, RATIONALS
 
 
 def test_prime_field_rejects_composites():
-    for bad in (0, 1, 4, 6, 9, 91):
+    # 3215031751 and 3825123056546413051 are strong pseudoprimes to the
+    # prime bases up to 7 and up to 23; 2^61 + 1 is divisible by 3
+    for bad in (0, 1, 4, 6, 9, 91, 3_215_031_751, 3_825_123_056_546_413_051, 2**61 + 1):
         with pytest.raises(ValueError):
             PrimeField(bad)
-    for good in (2, 3, 5, 7, 65537):
+    # trial division did not finish on 2^61 - 1 within 60 s (2-core machine)
+    start = time.perf_counter()
+    for good in (2, 3, 5, 7, 65537, 2**61 - 1):
         assert PrimeField(good).p == good
+    assert time.perf_counter() - start < 1.0
+
+
+def test_is_prime_agrees_with_trial_division_below_100000():
+    from nilspace.fields import is_prime
+
+    def trial_division(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(100_000) if is_prime(n)] == [
+        n for n in range(100_000) if trial_division(n)
+    ]
 
 
 def test_prime_field_cardinality_and_equality():

@@ -505,35 +505,47 @@ def _enumeration_cases():
 
 
 def test_kernel_lines_match_the_odometer_reference_and_carry_the_traces():
-    # same lines in the same order, since the order decides where a budget
-    # cuts.  Each run's polys give, at every a, tr(X), tr(BX), tr(X^2) and a
-    # seeded random form, carried, and two seeded random forms, exact.  A
-    # run of p lines that all fail (tr(X) != 0, or a random form nonzero)
-    # is charged in the odometer when the budget holds it: p evaluations,
-    # split on tr(X) as the caller splits them.  The first pass charges
-    # nothing, so every run is yielded; the others charge each yielded line
-    # 1 evaluation, with a cut halfway and without one
+    # the yielded vectors are the odometer reference's lines on which every
+    # form vanishes, in its order, since the order decides where a budget
+    # cuts.  The forms are tr(X^2) first, as in the pool builder, then
+    # tr(X), tr(BX) and a seeded random form, carried, and two seeded random
+    # forms, exact.  Each line that fails one is charged 1 evaluation before
+    # the next yield, on the screen when it passes tr(X^2); a budget that
+    # cannot pay for the next failing line cuts there.  The caller charges
+    # each yielded line 0 or 1 evaluations and stops when nothing is left.
+    # Budgets: none, the whole cost, one more, and cuts at the first and
+    # last failing line of each kind of run (one with a passing line, one
+    # without, the last lead's one line) and at a seeded random failing line
     rng = random.Random(11)
+    cut_kinds = set()
     for p, n, base_flat, kernel in _enumeration_cases():
         d = len(kernel)
 
         def random_form():
-            return ([rng.randrange(p) for _ in range(d)],
-                    [[rng.randrange(p) for _ in range(d)] for _ in range(d)])
+            # a product of two linear forms (which vanishes on about 2/p of
+            # the lines, so that some lines pass every form), plus at times
+            # a quadratic or a linear part
+            left, right = ([rng.randrange(p) for _ in range(d)] for _ in range(2))
+            extra = rng.choice(("none", "linear", "quadratic"))
+            lam = [rng.randrange(p) if extra == "linear" else 0 for _ in range(d)]
+            return lam, [
+                [(left[i] * right[j] + (rng.randrange(p) if extra == "quadratic" else 0)) % p
+                 for j in range(d)]
+                for i in range(d)
+            ]
 
-        # tr(X), tr(BX) = sum B[i, j] X[j, i] and tr(X^2), as forms on X
+        # tr(X^2), tr(X) and tr(BX) = sum B[i, j] X[j, i], as forms on X
         traces = [
+            ((), tuple((i * n + k, k * n + i, 1) for i in range(n) for k in range(n))),
             (tuple((i * (n + 1), 1) for i in range(n)), ()),
             (tuple((j * n + i, base_flat[i * n + j]) for i in range(n) for j in range(n)), ()),
-            ((), tuple((i * n + k, k * n + i, 1) for i in range(n) for k in range(n))),
         ]
         forms = [_on_kernel(f, kernel, p) for f in traces]
         forms.append(random_form())
         exact = [random_form(), random_form()]
-        # the reference runs in the odometer's order: (lead, middle
-        # coefficients, each line's form values), each line's vector checked
-        # against the odometer reference on the way
-        runs = []
+        # the reference in the odometer's order: per line its vector, whether
+        # it passes every form and tr(X^2), and the kind of its run
+        lines = []
         want_lines = iter(_iter_canonical_kernel(kernel, p))
         for lead in range(d):
             for middle in itertools.product(range(p), repeat=max(d - 2 - lead, 0)):
@@ -547,57 +559,56 @@ def test_kernel_lines_match_the_odometer_reference_and_carry_the_traces():
                          + sum(m[i][j] * c[i] * c[j] for i in range(d) for j in range(d))) % p
                         for lam, m in forms + exact
                     ]
-                    assert values[:3] == list(_traces(_rows(base_flat, n), _rows(x, n), p))
-                    run.append(values)
-                runs.append((lead, middle, run))
+                    tr_x, tr_bx, q = _traces(_rows(base_flat, n), _rows(x, n), p)
+                    assert values[:3] == [q, tr_x, tr_bx]
+                    run.append((x, not any(values), not values[0]))
+                kind = (
+                    "last lead" if lead == d - 1
+                    else "passing run" if any(ok for _, ok, _ in run) else "failing run"
+                )
+                lines += [(x, ok, square, kind) for x, ok, square in run]
         assert next(want_lines, None) is None
-        total = (p**d - 1) // (p - 1)
-        assert sum(len(run) for _, _, run in runs) == total
+        assert len(lines) == (p**d - 1) // (p - 1)
+        failing = [i for i, (_, ok, _, _) in enumerate(lines) if not ok]
+        at_cut = {rng.choice(failing)} if failing else set()
+        for kind in ("passing run", "failing run", "last lead"):
+            of_kind = [i for i in failing if lines[i][3] == kind]
+            at_cut |= {of_kind[0], of_kind[-1]} if of_kind else set()
 
-        def classify(polys):
-            zero = [
-                sum(1 << a for a in range(p) if not (c0 + a * (c1 + a * c2)) % p)
-                for c0, c1, c2 in polys
-            ]
-            return zero[0] & zero[3], zero[0], zero[0].bit_count(), polys
-
-        for budget, charging in ((0, False), (total // 2, True), (total + p, True)):
-            charges = search._Charges(budget)
-            want = search._Charges(budget)
-            got_runs = _kernel_lines(kernel, forms, exact, p, classify, charges)
-            for lead, middle, run in runs:
-                passed = sum(1 << a for a, v in enumerate(run) if not v[0])
-                keep = sum(1 << a for a, v in enumerate(run) if not (v[0] or v[3] or v[4] or v[5]))
-                if not keep and len(run) == p and budget - want.used >= p:
-                    want.used += p
-                    want.at_screen += passed.bit_count()
-                    want.at_invariants += p - passed.bit_count()
-                    continue
-                got_keep, got, got_lead, coeffs, exact_polys = next(got_runs)
-                assert charges == want
-                assert (got_lead, tuple(coeffs)) == (lead, middle)
-                assert got_keep & (1 << len(run)) - 1 == keep
-                for a, values in enumerate(run):
-                    assert [
-                        (c0 + a * c1 + a * a * c2) % p for c0, c1, c2 in got[3] + exact_polys
-                    ] == values
-                if not charging:
-                    continue
-                for a in range(len(run)):  # the caller's charges
-                    if want.used == budget:
+        for charge in (0, 1):
+            # what the lines before line i cost: their failing lines and the
+            # caller's charge on each passing one
+            cost = list(itertools.accumulate(
+                (charge if ok else 1 for _, ok, _, _ in lines), initial=0,
+            ))
+            for budget in sorted({0, cost[-1], cost[-1] + 1, *(cost[i] for i in at_cut)}):
+                charges = search._Charges(budget)
+                want = search._Charges(budget)
+                got = _kernel_lines(kernel, forms, exact, p, charges)
+                for x, ok, square, kind in lines:
+                    if ok:
+                        assert next(got) == x
+                        assert charges == want
+                        if want.used == budget and charge:
+                            break  # the caller stops
+                        charges.used += charge
+                        want.used += charge
+                    elif want.used == budget:
+                        want.cut = True
+                        cut_kinds.add(kind)
+                        assert next(got, None) is None
+                        assert charges == want
                         break
-                    for tally in (charges, want):
-                        tally.used += 1
-                        if not keep >> a & 1:
-                            if passed >> a & 1:
-                                tally.at_screen += 1
-                            else:
-                                tally.at_invariants += 1
-                if want.used == budget:
-                    break
-            else:
-                assert next(got_runs, None) is None
-                assert charges == want
+                    else:
+                        want.used += 1
+                        if square:
+                            want.at_screen += 1
+                        else:
+                            want.at_invariants += 1
+                else:
+                    assert next(got, None) is None
+                    assert charges == want
+    assert cut_kinds == {"passing run", "failing run", "last lead"}
 
 
 _INVARIANT_CASES = [(2, 1, 5), (3, 1, 5), (3, 2, 7), (3, 2, 3)]
@@ -1456,7 +1467,7 @@ def test_large_prime_search_is_bounded_by_its_budget():
 
 def test_run_polynomials_are_classified_without_evaluating_them_at_every_value():
     # evaluating each nonzero run polynomial at all p values of a took 3.3 s
-    # here, nearly all of it in one classify call (2-core machine)
+    # here, nearly all of it on one run's polynomials (2-core machine)
     start = time.perf_counter()
     rep = max_affine_dimension(3, 2, PrimeField(16_777_259), budget=10)
     assert time.perf_counter() - start < 0.5
