@@ -162,6 +162,15 @@ def test_sampling_never_proves():
     assert out.status == "SAMPLED_PASS"
 
 
+def test_sampled_points_are_pinned_per_seed():
+    # the same seed must draw the same points, so a sampled outcome is
+    # reproducible across releases
+    from nilspace.spaces import _sample_points
+
+    assert list(_sample_points(F7, 3, 3, 0)) == [(6, 3, 6), (3, 0, 2), (4, 3, 3)]
+    assert list(_sample_points(RATIONALS, 2, 2, 0)) == [(770880, -192083), (589545, 866976)]
+
+
 @pytest.mark.parametrize("call, expected", [
     # r = 0 on the zero space: the grid proves the upper bound and the
     # lower bound needs no samples
