@@ -279,7 +279,7 @@ def trace_condition_verify(
         )
 
     return _scan_grid(
-        field, zero_rows, basis_rows, list(range(m_max + 1)), "grid", fails,
+        field, zero_rows, basis_rows, range(m_max + 1), "grid", fails,
         check_point, batch,
     )
 

@@ -226,20 +226,23 @@ def _kernel_lines(
     Each form (lam, M) is phi(c) = sum_j lam_j c_j + sum_ij M_ij c_i c_j on
     the coordinates c over ``kernel``, and on a run phi(x0 + a v) = phi(x0)
     + a b + a^2 M_vv: a polynomial in a whose roots are the run's lines that
-    pass the form (``_root_lookup``).  The root masks of ``forms`` are
-    remembered per distinct polys; the forms of ``exact`` stay out of that
-    memo's key, which each would multiply up to p^2-fold, and are decided
-    only on the runs where every form of ``forms`` passes some line.
+    pass the form (``_root_lookup``).  A root mask has ``reach`` bits, not
+    p: the lines a <= ``charges.limit`` of a run, the only ones the budget
+    can reach.  The root masks of ``forms`` are remembered per distinct
+    polys; the forms of ``exact`` stay out of that memo's key, which each
+    would multiply up to p^2-fold, and are decided only on the runs where
+    every form of ``forms`` passes some line.
 
     Charges.  Each line that fails a form costs 1 evaluation, on
     ``charges.at_screen`` when it passes the first form (tr(X^2) in the pool
     builder) and on ``charges.at_invariants`` otherwise, charged as it is
     passed over: at each yield ``charges`` holds every failing line before
-    the yielded one, and the caller charges the yielded line there, before
-    asking for the next.  When the budget left cannot pay for the next
-    failing line, this sets ``charges.cut`` and stops.  A run with no
-    passing line that the budget covers is charged at once, and x0 is built
-    only for a run that holds a passing line.
+    the yielded one, and the caller charges the yielded line there, at
+    least 1 evaluation or stopping, before asking for the next.  When the
+    budget left cannot pay for the next failing line, this sets
+    ``charges.cut`` and stops.  A run with no passing line that the budget
+    covers is charged at once, and x0 is built only for a run that holds a
+    passing line.
 
     An odometer over the middle coefficients keeps a stack of packed
     states: per form, phi(x) and the differences D_j = phi(x + u_j) -
@@ -264,7 +267,10 @@ def _kernel_lines(
     key_mask = carried | carried << block
     sym = [[[(g[i][j] + g[j][i]) % p for j in range(d)] for i in range(d)] for _, g in every]
     curv = [g[last][last] % p for _, g in every]
-    roots = _root_lookup(p)
+    # line a of a run is reached only after the run has paid a evaluations,
+    # so bits a > charges.limit are never read: masks stay small at large p
+    reach = min(p, charges.limit + 1)
+    roots = _root_lookup(p, reach)
     nonzeros = [[(k, y) for k, y in enumerate(u) if y] for u in kernel]
     step = kernel[last]
 
@@ -302,7 +308,7 @@ def _kernel_lines(
     for lead in range(last + 1):
         m = last - lead - 1  # odometer levels: coefficients lead + 1 .. last - 1
         size = p if m >= 0 else 1  # the lines of each run of this lead
-        run_mask = (1 << size) - 1
+        run_mask = (1 << min(size, reach)) - 1
         memo = memos.setdefault(size, {})
         counters = [0] * m
         s = start(lead)
@@ -369,31 +375,31 @@ def _kernel_lines(
                 break
 
 
-def _root_mask(c0: int, c1: int, c2: int, p: int) -> int:
-    """The bits a of the roots in F_p of the nonzero polynomial c0 + c1 a +
-    c2 a^2, coefficients in [0, p): at most two, found in O(1) field
-    operations rather than by evaluating at all p values of a."""
+def _roots(c0: int, c1: int, c2: int, p: int) -> tuple[int, ...]:
+    """The roots in F_p of the nonzero polynomial c0 + c1 a + c2 a^2,
+    coefficients in [0, p): at most two, found in O(1) field operations
+    rather than by evaluating at all p values of a."""
     if p == 2:
-        return sum(1 << a for a in (0, 1) if not (c0 + a * (c1 + a * c2)) % 2)
+        return tuple(a for a in (0, 1) if not (c0 + a * (c1 + a * c2)) % 2)
     if not c2:
-        return 1 << (-c0 * pow(c1, -1, p) % p) if c1 else 0
+        return (-c0 * pow(c1, -1, p) % p,) if c1 else ()
     root = _sqrt_mod(c1 * c1 - 4 * c0 * c2, p)
     if root is None:
-        return 0
+        return ()
     half = pow(2 * c2, -1, p)
-    return 1 << ((root - c1) * half % p) | 1 << ((-root - c1) * half % p)
+    return (root - c1) * half % p, (-root - c1) * half % p
 
 
-def _root_lookup(p: int) -> Callable[[tuple[int, int, int]], int]:
-    """``_root_mask`` of (c0, c1, c2), remembered for one pool build; the
-    zero polynomial vanishes at every a."""
-    full = (1 << p) - 1
+def _root_lookup(p: int, reach: int) -> Callable[[tuple[int, int, int]], int]:
+    """The bits a < ``reach`` of the ``_roots`` of (c0, c1, c2), remembered
+    for one pool build; the zero polynomial vanishes at every a."""
+    full = (1 << reach) - 1
     memo: dict[tuple[int, int, int], int] = {}
 
     def roots(c):
         got = memo.get(c)
         if got is None:
-            got = memo[c] = _root_mask(*c, p) if any(c) else full
+            got = memo[c] = sum({1 << a for a in _roots(*c, p) if a < reach}) if any(c) else full
         return got
 
     return roots

@@ -19,8 +19,9 @@ Members are tested with the exact kernels of :mod:`nilspace.matrices`,
 alike.  There is one path from points to an outcome for each way of
 choosing them, shared with ``reduction.trace_condition_verify``:
 ``_scan_grid`` scans a grid or the whole field and returns PROVED or
-REFUTED, and ``_run_sampling`` is the one seeded sampling loop.  Both hand
-a failing point and member to a caller's witness builder, which re-checks
+REFUTED, and ``_run_sampling`` scans seeded random points.  Both run the
+one pure member loop, ``_scan``, on an iterable of points, and hand a
+failing point and member to a caller's witness builder, which re-checks
 it with the pure predicate.
 
 Rational scans run on integer members: ``_scan_rows`` scales the rows
@@ -45,8 +46,7 @@ over Q is the largest rank mod a prime and a member is nilpotent over Q
 iff it is nilpotent mod every prime.  ``_exact`` states that rule,
 ``_scan_numpy`` and ``_sample_numpy`` assert it, and a scan whose bound
 outruns the list runs pure.  The batched scans give the same first
-failing point and check count as the pure ones, ``_scan`` and the
-sampling loop's own.
+failing point and check count as the pure one, ``_scan``.
 
 A batch of members is one (n, n, B) array, batch axis last, so each
 elementwise step runs over B contiguous values.  Its dtype holds every sum
@@ -62,13 +62,14 @@ up to 22 x 22.
 
 from __future__ import annotations
 
+import operator
 import random
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import isqrt, lcm, prod
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -202,7 +203,7 @@ def _combine_rows(base_rows, dir_rows_list, coeffs, p):
 
 
 def _scan_rows(field, base_rows, dir_rows_list):
-    """The rows a scan or sampling loop tests, and ``rebuild(t, rows)``,
+    """The rows a grid or sample scan tests, and ``rebuild(t, rows)``,
     which turns a failing scanned point and member into the exact ones.
 
     Over F_p the rows are the space's own and ``rebuild`` is the identity.
@@ -231,34 +232,19 @@ def _scan_rows(field, base_rows, dir_rows_list):
     return scaled(base_rows), [scaled(rows) for rows in dir_rows_list], rebuild
 
 
-def _iter_members(base_rows, dir_rows_list, values, field) -> Iterator[tuple[tuple, tuple]]:
-    """Yield (t, member_rows) over the grid ``values^d`` in product order,
-    accumulating partial sums so each step costs one scaled addition."""
-    d = len(dir_rows_list)
-    if d == 0:
-        yield (), base_rows
-        return
+def _scan(base_rows, dir_rows_list, points, field, fails) -> tuple[Optional[tuple], Optional[tuple], int]:
+    """(t, member_rows, checks) for the first point t of the iterable
+    ``points`` whose member base + sum t_i dir_i ``fails`` flags, else
+    (None, None, checks): the one pure member loop.  Each member is the
+    previous one plus sum (t - prev)_i dir_i, and ``_combine_rows`` skips
+    zero steps, so most steps of a product-order grid cost one addition."""
     p = _modulus(field)
-    prefix: list = []
-
-    def rec(level, partial):
-        if level == d:
-            yield tuple(prefix), partial
-            return
-        drows = [dir_rows_list[level]]
-        for v in values:
-            prefix.append(v)
-            yield from rec(level + 1, _combine_rows(partial, drows, (v,), p))
-            prefix.pop()
-
-    yield from rec(0, base_rows)
-
-
-def _scan(base_rows, dir_rows_list, values, field, fails) -> tuple[Optional[tuple], Optional[tuple], int]:
-    """Return (t, member_rows, checks) for the first violating point, or
-    (None, None, total_checked) when the whole grid passes."""
+    rows, prev = base_rows, (0,) * len(dir_rows_list)
     checked = 0
-    for t, rows in _iter_members(base_rows, dir_rows_list, values, field):
+    for t in points:
+        # map, not a list: the pure scans build a member per point
+        rows = _combine_rows(rows, dir_rows_list, map(operator.sub, t, prev), p)
+        prev = t
         checked += 1
         if fails(rows):
             return t, rows, checked
@@ -378,24 +364,26 @@ def _combined_verdicts(batch, members_mod):
 
 def _scan_grid(field, base_rows, dir_rows_list, values, method, fails, witness,
                batch) -> VerificationOutcome:
-    """Scan the members ``base + sum t_i dir_i`` over the grid ``values^d``:
-    REFUTED at the first member ``fails`` flags, with ``witness(t, rows)``
-    as its witness, else PROVED; both labelled ``method``.  This is the one
-    path from a grid or exhaustive scan to an outcome.
+    """Scan the members ``base + sum t_i dir_i`` over the grid ``values^d``,
+    ``values`` a range from 0: REFUTED at the first member ``fails`` flags,
+    with ``witness(t, rows)`` as its witness, else PROVED; both labelled
+    ``method``.  This is the one path from a grid or exhaustive scan to an
+    outcome.
 
     It runs on the members of ``_scan_rows``, batched by ``_scan_numpy``
     with ``batch``, the batch form of ``fails`` (or None), when
-    ``_batch_moduli`` allows.
+    ``_batch_moduli`` allows, else by ``_scan`` in product order.
     """
     d = len(dir_rows_list)
     scan_base, scan_dirs, rebuild = _scan_rows(field, base_rows, dir_rows_list)
-    plan = _batch_moduli(field, batch, scan_base, scan_dirs, max(values), len(values) ** d)
+    # values[-1], not max(values): O(1) on a range of p values
+    plan = _batch_moduli(field, batch, scan_base, scan_dirs, values[-1], len(values) ** d)
     if plan is not None:
         moduli, bound = plan
         t, rows, checked = _scan_numpy(scan_base, scan_dirs, values, moduli,
                                        len(base_rows), batch, bound)
     else:
-        t, rows, checked = _scan(scan_base, scan_dirs, values, field, fails)
+        t, rows, checked = _scan(scan_base, scan_dirs, product(values, repeat=d), field, fails)
     if t is None:
         return VerificationOutcome(status=PROVED, method=method, checks_performed=checked)
     return VerificationOutcome(
@@ -471,10 +459,9 @@ def _scan_numpy(base_rows, dir_rows_list, values, moduli, n, batch, bound=None):
 
 
 def _sample_numpy(points, base_rows, dir_rows_list, moduli, n, batch, bound=None):
-    """Batched sampling: (t, checks) for the first point t of the iterable
-    ``points`` whose member base + sum t_i dir_i fails ``batch``, checks
-    counting the points up to it, else None.  Chunks are taken as
-    ``_scan_numpy``'s; ``moduli`` and ``bound`` are as there."""
+    """Batched ``_scan`` of the iterable ``points``: the same (t,
+    member_rows, checks) triple.  Chunks are taken as ``_scan_numpy``'s;
+    ``moduli`` and ``bound`` are as there."""
     dtype = _batch_dtype(moduli, batch, bound)
     d = len(dir_rows_list)
     states = [
@@ -496,14 +483,16 @@ def _sample_numpy(points, base_rows, dir_rows_list, moduli, n, batch, bound=None
     while True:
         chunk = list(islice(points, size))
         if not chunk:
-            return None
+            return None, None, start
         # sampled coordinates fit int64: |t| <= _Q_SAMPLE_TOP over Q, t < p
         # over F_p, whose p passed _int_dtype
         coords = np.array(chunk, dtype=np.int64).reshape(len(chunk), d).T
         bad = np.flatnonzero(_combined_verdicts(batch, members(coords)))
         if bad.size:
             first = int(bad[0])
-            return chunk[first], start + first + 1
+            t = chunk[first]
+            rows = _combine_rows(base_rows, dir_rows_list, t, moduli[0] if bound is None else None)
+            return t, rows, start + first + 1
         start += len(chunk)
         size = min(2 * size, _NUMPY_CHUNK)
 
@@ -611,49 +600,39 @@ def _sample_points(field: FieldSpec, d: int, sample_count: int, seed: int):
     """``sample_count`` seeded random coefficient vectors of length ``d``;
     over Q integers in [-_Q_SAMPLE_TOP, _Q_SAMPLE_TOP]."""
     rng = random.Random(seed)
-    if isinstance(field, PrimeField):
-        p = field.p
-        for _ in range(sample_count):
-            yield tuple(rng.randrange(p) for _ in range(d))
-    else:
-        for _ in range(sample_count):
-            # randint(a, b) is randrange(a, b + 1), one call fewer
-            yield tuple(rng.randrange(-_Q_SAMPLE_TOP, _Q_SAMPLE_TOP + 1) for _ in range(d))
+    # randrange(0, p) draws as randrange(p), randint(a, b) as randrange(a, b + 1)
+    lo, hi = (0, field.p) if isinstance(field, PrimeField) else (-_Q_SAMPLE_TOP, _Q_SAMPLE_TOP + 1)
+    for _ in range(sample_count):
+        yield tuple(rng.randrange(lo, hi) for _ in range(d))
 
 
 def _run_sampling(field, base_rows, dir_rows_list, fails, witness, sample_count,
                   seed, notes, batch) -> VerificationOutcome:
     """Seeded random sampling of the members ``base + sum t_i dir_i``:
     REFUTED at the first member ``fails`` flags, with ``witness(t, rows)``
-    as its witness, else SAMPLED_PASS.  This is the one sampling loop; over
-    Q it tests the integer members of ``_scan_rows`` at integer samples.
-    It runs batched by ``_sample_numpy`` with ``batch``, the batch form of
-    ``fails`` (or None), when ``_batch_moduli`` allows.
+    as its witness, else SAMPLED_PASS.  This is the one path from samples
+    to an outcome; over Q it tests the integer members of ``_scan_rows`` at
+    integer samples.  It runs batched by ``_sample_numpy`` with ``batch``,
+    the batch form of ``fails`` (or None), when ``_batch_moduli`` allows,
+    else by ``_scan``.
     """
     scan_base, scan_dirs, rebuild = _scan_rows(field, base_rows, dir_rows_list)
-    p = _modulus(field)
     points = _sample_points(field, len(dir_rows_list), sample_count, seed)
     plan = _batch_moduli(field, batch, scan_base, scan_dirs, _Q_SAMPLE_TOP, sample_count)
-    failed = None
     if plan is not None:
         moduli, bound = plan
-        failed = _sample_numpy(points, scan_base, scan_dirs, moduli, len(base_rows),
-                               batch, bound)
+        t, rows, checked = _sample_numpy(points, scan_base, scan_dirs, moduli, len(base_rows),
+                                         batch, bound)
     else:
-        for checked, t in enumerate(points, 1):
-            if fails(_combine_rows(scan_base, scan_dirs, t, p)):
-                failed = t, checked
-                break
-    if failed is not None:
-        t, checked = failed
-        rows = _combine_rows(scan_base, scan_dirs, t, p)
+        t, rows, checked = _scan(scan_base, scan_dirs, points, field, fails)
+    if t is not None:
         return VerificationOutcome(
             status=REFUTED, method="random", checks_performed=checked,
             witness=witness(*rebuild(t, rows)), sample_count=sample_count,
             seed=seed, notes=tuple(notes),
         )
     return VerificationOutcome(
-        status=SAMPLED_PASS, method="random", checks_performed=sample_count,
+        status=SAMPLED_PASS, method="random", checks_performed=checked,
         sample_count=sample_count, seed=seed, notes=tuple(notes),
     )
 
@@ -698,13 +677,6 @@ def combine_outcomes(*outcomes: VerificationOutcome) -> VerificationOutcome:
 # ---------------------------------------------------------------------------
 # verification oracles
 
-def _field_values(p: int, d: int) -> list[int]:
-    """The coordinate values of an exhaustive scan of F_p^d.  A space with
-    d = 0 has its base as its one member, so no list of p values is built
-    for it."""
-    return list(range(p)) if d else [0]
-
-
 def _choose_points(space: AffineMatrixSpace, degree: int, method: str):
     """Pick evaluation values and the method label they justify.
 
@@ -715,14 +687,14 @@ def _choose_points(space: AffineMatrixSpace, degree: int, method: str):
     if isinstance(field, PrimeField):
         p = field.p
         if method == "exhaustive" or (method == "auto" and p <= degree + 1):
-            return _field_values(p, space.d), "exhaustive"
+            return range(p), "exhaustive"
         if p < degree + 1:
             raise ValueError(
                 f"a grid certificate needs {degree + 1} distinct values; |K| = {p}"
             )
     elif method == "exhaustive":
         raise ValueError("cannot enumerate the rationals exhaustively")
-    return list(range(degree + 1)), "grid"
+    return range(degree + 1), "grid"
 
 
 def verify_all_nilpotent(
@@ -794,7 +766,7 @@ def verify_constant_rank(
     exact_batch = _rank_batch(n, lambda ranks: ranks != r)
     if isinstance(field, PrimeField) and field.p ** space.d <= budget:
         return _scan_space(
-            space, _field_values(field.p, space.d), "exhaustive", fails_exact, exact_batch,
+            space, range(field.p), "exhaustive", fails_exact, exact_batch,
         )
 
     # budget rules out exhaustion (always the case over the rationals); the
@@ -813,7 +785,7 @@ def verify_constant_rank(
             return _rank(rows, p, r) > r
 
         upper = _scan_space(
-            space, list(range(n + 1)), "grid", fails_upper,
+            space, range(n + 1), "grid", fails_upper,
             _rank_batch(n, lambda ranks: ranks > r),
         )
         if upper.refuted:

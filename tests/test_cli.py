@@ -158,6 +158,14 @@ def test_cli_search_budget_exhaustion_exit_code(capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert json.loads(captured.out)["status"] == "LOWER_BOUND_ONLY"
+    # near MAX_PRIME the budget, not p, bounds the search: it used to raise
+    # MemoryError, which exits 1 like "refuted"
+    code = main([
+        "search", "--n", "3", "--r", "2", "--field", str(2**61 - 1), "--budget", "10",
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["evaluations"] == 10
 
 
 def test_cli_conjecture_exit_codes(capsys):

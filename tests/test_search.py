@@ -1456,13 +1456,15 @@ def test_budget_monotonicity_and_downgrade():
 
 def test_large_prime_search_is_bounded_by_its_budget():
     # a run polynomial that is identically zero passes every line of its run;
-    # its root mask is built in O(p) bits, not by summing p shifted ints,
-    # which took 20-30 s at p = 1 000 003 on a 2-core machine
-    start = time.perf_counter()
-    rep = max_affine_dimension(3, 2, PrimeField(1_000_003), budget=10)
-    assert time.perf_counter() - start < 5.0
-    assert rep.pruning == "trace" and rep.evaluations == 10
-    assert rep.status == "LOWER_BOUND_ONLY"
+    # its root mask has reach = min(p, budget + 1) bits: summing p shifted
+    # ints took 20-30 s at p = 1 000 003 on a 2-core machine, and a p-bit
+    # mask at p = 2^61 - 1 raised MemoryError
+    for p in (1_000_003, 2**61 - 1):
+        start = time.perf_counter()
+        rep = max_affine_dimension(3, 2, PrimeField(p), budget=10)
+        assert time.perf_counter() - start < 1.0
+        assert rep.pruning == "trace" and rep.evaluations == 10
+        assert rep.status == "LOWER_BOUND_ONLY"
 
 
 def test_run_polynomials_are_classified_without_evaluating_them_at_every_value():
@@ -1476,13 +1478,13 @@ def test_run_polynomials_are_classified_without_evaluating_them_at_every_value()
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_root_masks_equal_evaluation_at_every_value(p):
-    from nilspace.search import _root_mask
+    from nilspace.search import _roots
 
     for c0, c1, c2 in itertools.product(range(p), repeat=3):
         if c0 or c1 or c2:
-            assert _root_mask(c0, c1, c2, p) == sum(
-                1 << a for a in range(p) if not (c0 + a * (c1 + a * c2)) % p
-            )
+            assert set(_roots(c0, c1, c2, p)) == {
+                a for a in range(p) if not (c0 + a * (c1 + a * c2)) % p
+            }
 
 
 def test_greedy_mode_reaches_known_lower_bound():

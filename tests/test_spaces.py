@@ -294,7 +294,8 @@ def test_batched_and_pure_nilpotency_scans_agree():
     dir_rows = [m.rows for m in w.directions]
     values = list(range(5))
     batch = _nilpotency_batch(4)
-    pure = _scan(w.base.rows, dir_rows, values, F7, _fails_nilpotency(F7))
+    pure = _scan(w.base.rows, dir_rows, itertools.product(values, repeat=len(dir_rows)),
+                 F7, _fails_nilpotency(F7))
     batched = _scan_numpy(w.base.rows, dir_rows, values, (7,), 4, batch)
     assert pure == batched  # both PROVED with identical point counts
 
@@ -303,10 +304,60 @@ def test_batched_and_pure_nilpotency_scans_agree():
         [unit_matrix(0, 2, 4, F7), unit_matrix(3, 0, 4, F7)],
     )
     dir_rows = [m.rows for m in bad.directions]
-    pure = _scan(bad.base.rows, dir_rows, values, F7, _fails_nilpotency(F7))
+    pure = _scan(bad.base.rows, dir_rows, itertools.product(values, repeat=len(dir_rows)),
+                 F7, _fails_nilpotency(F7))
     batched = _scan_numpy(bad.base.rows, dir_rows, values, (7,), 4, batch)
     assert pure == batched  # same first witness, same check count
     assert pure[0] is not None
+
+
+_MEMBER_POINTS = {
+    # product order over values that are not consecutive: each carry steps
+    # a coordinate back by -5
+    "grid": list(itertools.product((1, 4, 6), repeat=3)),
+    "repeated and negative": [(0, 0, 0), (2, -1, 3), (2, -1, 3), (-3, 5, 0), (0, 0, 0),
+                              (6, -7, -2), (-3, 5, 0)],
+    "d = 0": [(), (), ()],
+}
+
+
+@pytest.mark.parametrize("field", [F7, RATIONALS], ids=["F_7", "Q"])
+@pytest.mark.parametrize("case", list(_MEMBER_POINTS))
+def test_pure_scan_members_equal_the_members_built_from_scratch(field, case):
+    # _scan builds each member from the previous one; every member it tests
+    # must be base + sum t_i dir_i, and the first failing point and the
+    # check count those of the points in order.  Over Q the scan runs on
+    # integer rows (_scan_rows), here with negative entries.
+    from nilspace.spaces import _scan
+
+    rng = random.Random(20)
+    p = field.p if isinstance(field, PrimeField) else None
+    points = _MEMBER_POINTS[case]
+    d = len(points[0])
+
+    def random_rows():
+        return tuple(tuple(rng.randrange(p) if p else rng.randrange(-9, 10) for _ in range(3))
+                     for _ in range(3))
+
+    base, dirs = random_rows(), [random_rows() for _ in range(d)]
+
+    def from_scratch(t):
+        rows = tuple(tuple(x + sum(c * m[i][j] for c, m in zip(t, dirs)) for j, x in enumerate(row))
+                     for i, row in enumerate(base))
+        return tuple(tuple(x % p for x in row) for row in rows) if p else rows
+
+    for target in [None, *range(len(points))]:
+        # fail at the member of points[target], first met at its first copy
+        want = None if target is None else from_scratch(points[target])
+        seen = []
+        got = _scan(base, dirs, iter(points), field,
+                    lambda rows: seen.append(rows) or rows == want)
+        assert seen == [from_scratch(t) for t in points[:len(seen)]]
+        first = next((i for i, t in enumerate(points) if from_scratch(t) == want), None)
+        if first is None:
+            assert got == (None, None, len(points))
+        else:
+            assert got == (points[first], want, first + 1)
 
 
 def _largest_prime_for(dtype, terms):
@@ -418,7 +469,8 @@ def test_batched_and_pure_scans_agree(predicate, case, monkeypatch):
     }[predicate]
     assert batch.terms == {"nilpotency": 4, "trace": 16}.get(predicate, 2)
     values = list(range(5))
-    pure = _scan(base.rows, dir_rows, values, F7, pure_fails)
+    pure = _scan(base.rows, dir_rows, itertools.product(values, repeat=len(dir_rows)),
+                 F7, pure_fails)
     for chunk_cap in (spaces._NUMPY_CHUNK, 1536):  # doubling, then capped
         monkeypatch.setattr(spaces, "_NUMPY_CHUNK", chunk_cap)
         batched = _scan_numpy(base.rows, dir_rows, values, (7,), 4, batch)
@@ -461,7 +513,8 @@ def test_batched_scan_keeps_product_order_across_block_and_chunk_edges(
     }[predicate]
     assert batch.terms == {"nilpotency": 5, "trace": 25}.get(predicate, 2)
     values = list(range(7))
-    pure = _scan(base.rows, dir_rows, values, F7, pure_fails)
+    pure = _scan(base.rows, dir_rows, itertools.product(values, repeat=len(dir_rows)),
+                 F7, pure_fails)
     assert pure[0] == tuple(int(i == slot) for i in range(6)) and pure[2] == checks
     # 1536 is no power of 7; at 5 one coordinate spans more than a chunk,
     # which takes 3000-odd chunks, and seconds, to reach point 16808
@@ -522,7 +575,8 @@ def test_trace_scan_at_the_int16_boundary_matches_the_pure_scan(p, dtype, refute
     seen = []
     batch = _trace_batch(basis, 2)
     assert batch.terms == n * n
-    pure = _scan(zero, dir_rows, values, field, _pure_trace_fails(basis, 2, p))
+    pure = _scan(zero, dir_rows, itertools.product(values, repeat=len(dir_rows)),
+                 field, _pure_trace_fails(basis, 2, p))
     batched = _scan_numpy(zero, dir_rows, values, (p,), n, batch._replace(
         statistic=lambda members, q: seen.append(members.dtype) or batch.statistic(members, q)))
     assert batched == pure
