@@ -24,7 +24,7 @@ from .errors import (
     PreconditionUnmetError,
     SingularMatrixError,
 )
-from .fields import RATIONALS, FieldSpec, PrimeField, RationalField, Scalar
+from .fields import RATIONALS, FieldSpec, PrimeField, RationalField
 from .matrices import (
     ExactMatrix,
     identity_matrix,

@@ -1,9 +1,10 @@
-"""Exact scalar arithmetic over prime fields F_p and the rationals.
+"""The coefficient fields: prime fields F_p and the rationals.
 
-Field objects act on *raw* canonical representatives: integers in ``[0, p)``
-for F_p, reduced :class:`fractions.Fraction` values for the rationals.  The
-:class:`Scalar` wrapper pairs a representative with its field and supports
-the usual operators; matrix code works on raw representatives for speed.
+A field element is a *raw* canonical representative: an int in ``[0, p)``
+for F_p, a reduced :class:`fractions.Fraction` for the rationals.  Code
+computes on plain ints and Fractions and maps each result into its field
+with ``FieldSpec.normalize``, the one entry point from Python numbers to a
+field; the matrix kernels take the field as its prime, or None for Q.
 """
 
 from __future__ import annotations
@@ -76,9 +77,11 @@ def _sqrt_mod(x: int, p: int) -> Optional[int]:
 class FieldSpec:
     """A coefficient field: F_p for a prime p, or the rationals.
 
-    Subclasses implement exact arithmetic on canonical raw representatives.
-    Every operation returns a canonical representative; division by zero
-    raises ``ZeroDivisionError``.
+    A field describes its elements and computes nothing: arithmetic runs on
+    plain ints and Fractions, and ``normalize`` maps an int, a Fraction or
+    a string ('a/b' only over Q) to its canonical representative, so a
+    result is brought into the field by normalizing it.  ``is_canonical``
+    tells whether a value already is one.
     """
 
     @property
@@ -91,24 +94,6 @@ class FieldSpec:
     def is_canonical(self, x) -> bool:
         raise NotImplementedError
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     @property
     def zero(self) -> RawScalar:
         raise NotImplementedError
@@ -116,9 +101,6 @@ class FieldSpec:
     @property
     def one(self) -> RawScalar:
         raise NotImplementedError
-
-    def scalar(self, x) -> "Scalar":
-        return Scalar(self.normalize(x), self)
 
 
 class PrimeField(FieldSpec):
@@ -138,14 +120,12 @@ class PrimeField(FieldSpec):
         return self.p
 
     def normalize(self, x) -> int:
-        if isinstance(x, Scalar):
-            if x.field != self:
-                raise ValueError("scalar belongs to a different field")
-            return x.value
+        """The residue of x in [0, p); a Fraction a/b maps to a * b^-1, and
+        raises ``ZeroDivisionError`` when p divides b."""
         if isinstance(x, Fraction):
-            if x.denominator != 1:
-                return self.div(x.numerator % self.p, x.denominator % self.p)
-            x = x.numerator
+            if x.denominator % self.p == 0:
+                raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
         if isinstance(x, str):
             x = int(x)
         if not isinstance(x, int):
@@ -154,23 +134,6 @@ class PrimeField(FieldSpec):
 
     def is_canonical(self, x) -> bool:
         return type(x) is int and 0 <= x < self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
-        return pow(a, -1, self.p)
 
     @property
     def zero(self) -> int:
@@ -200,33 +163,12 @@ class RationalField(FieldSpec):
         return math.inf
 
     def normalize(self, x) -> Fraction:
-        if isinstance(x, Scalar):
-            if x.field != self:
-                raise ValueError("scalar belongs to a different field")
-            return x.value
         if isinstance(x, float):
             raise TypeError("floating-point values are not exact; use int, str or Fraction")
         return Fraction(x)
 
     def is_canonical(self, x) -> bool:
         return type(x) is Fraction
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
 
     @property
     def zero(self) -> Fraction:
@@ -248,65 +190,3 @@ class RationalField(FieldSpec):
 
 #: Shared instance of the rational field.
 RATIONALS = RationalField()
-
-
-class Scalar:
-    """A field element: canonical representative plus its field."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value, field: FieldSpec):
-        object.__setattr__(self, "value", field.normalize(value))
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("Scalar is immutable")
-
-    def _coerce(self, other) -> RawScalar:
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise ValueError("scalars from different fields")
-            return other.value
-        return self.field.normalize(other)
-
-    def __add__(self, other):
-        return Scalar(self.field.add(self.value, self._coerce(other)), self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Scalar(self.field.sub(self.value, self._coerce(other)), self.field)
-
-    def __rsub__(self, other):
-        return Scalar(self.field.sub(self._coerce(other), self.value), self.field)
-
-    def __mul__(self, other):
-        return Scalar(self.field.mul(self.value, self._coerce(other)), self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Scalar(self.field.div(self.value, self._coerce(other)), self.field)
-
-    def __rtruediv__(self, other):
-        return Scalar(self.field.div(self._coerce(other), self.value), self.field)
-
-    def __neg__(self):
-        return Scalar(self.field.neg(self.value), self.field)
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
-        try:
-            return self.value == self.field.normalize(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.field))
-
-    def __bool__(self):
-        return self.value != self.field.zero
-
-    def __repr__(self):
-        return f"Scalar({self.value!r}, {self.field!r})"

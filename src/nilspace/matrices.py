@@ -27,7 +27,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import NotNilpotentError, SingularMatrixError
-from .fields import FieldSpec, PrimeField, RawScalar, Scalar
+from .fields import FieldSpec, PrimeField, RawScalar
 from .partitions import Partition
 
 Rows = tuple[tuple[RawScalar, ...], ...]
@@ -241,8 +241,9 @@ class ExactMatrix:
 
     @classmethod
     def from_rows(cls, field: FieldSpec, data) -> "ExactMatrix":
-        """Build from any nested sequence; entries may be ints, Fractions,
-        'a/b' strings, or Scalars of the same field."""
+        """Build from any nested sequence of ints, Fractions or strings,
+        each mapped by ``field.normalize``; 'a/b' strings are read only over
+        Q (over F_p, ``int()`` rejects them)."""
         norm = field.normalize
         return cls(field, tuple(tuple(norm(x) for x in row) for row in data))
 
@@ -269,9 +270,6 @@ class ExactMatrix:
         i, j = ij
         return self.rows[i][j]
 
-    def scalar(self, i: int, j: int) -> Scalar:
-        return Scalar(self.rows[i][j], self.field)
-
     # arithmetic -------------------------------------------------------
 
     def _check_same_shape(self, other: "ExactMatrix"):
@@ -282,34 +280,22 @@ class ExactMatrix:
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_same_shape(other)
-        add = self.field.add
-        return ExactMatrix(
-            self.field,
-            tuple(
-                tuple(add(x, y) for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            ),
-        )
+        return ExactMatrix.from_rows(self.field, [
+            [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
+        ])
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_same_shape(other)
-        sub = self.field.sub
-        return ExactMatrix(
-            self.field,
-            tuple(
-                tuple(sub(x, y) for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            ),
-        )
+        return ExactMatrix.from_rows(self.field, [
+            [x - y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
+        ])
 
     def __neg__(self) -> "ExactMatrix":
-        neg = self.field.neg
-        return ExactMatrix(self.field, tuple(tuple(neg(x) for x in r) for r in self.rows))
+        return self.scale(-1)
 
     def scale(self, c) -> "ExactMatrix":
         c = self.field.normalize(c)
-        mul = self.field.mul
-        return ExactMatrix(self.field, tuple(tuple(mul(c, x) for x in r) for r in self.rows))
+        return ExactMatrix.from_rows(self.field, [[c * x for x in r] for r in self.rows])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.field != other.field:
@@ -326,16 +312,10 @@ class ExactMatrix:
     def trace(self) -> RawScalar:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        acc = self.field.zero
-        for i in range(self.n_rows):
-            acc = self.field.add(acc, self.rows[i][i])
-        return acc
+        return self.field.normalize(sum(row[i] for i, row in enumerate(self.rows)))
 
     def is_zero(self) -> bool:
         return _rows_is_zero(self.rows)
-
-    def to_lists(self) -> list[list[RawScalar]]:
-        return [list(r) for r in self.rows]
 
     def __repr__(self):
         return f"ExactMatrix({self.field!r}, {self.rows!r})"
@@ -478,5 +458,4 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     if not work[n - 1][n - 1]:
         raise SingularMatrixError("matrix is singular")
     kernel = _back_substitute(work, n, 2 * n, p)
-    neg = field.neg
-    return ExactMatrix(field, tuple(tuple(neg(v[i]) for v in kernel) for i in range(n)))
+    return ExactMatrix.from_rows(field, [[-v[i] for v in kernel] for i in range(n)])

@@ -12,6 +12,7 @@ for the search engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -130,14 +131,13 @@ def clear_first_column(a: ExactMatrix, pivot_row: int) -> tuple[ShiftPolynomial,
         raise PreconditionUnmetError("pivot entry of the first column is zero")
     if any(col[i] != zero for i in range(pivot_row + 1, n)):
         raise PreconditionUnmetError("entries below the pivot row must be zero")
+    norm = field.normalize
     coeffs = [zero] * (n - 1)
-    inv_pivot = field.inv(col[pivot_row])
+    inv_pivot = norm(Fraction(1, col[pivot_row]))
     for s in range(1, pivot_row + 1):
         i = pivot_row - s
-        val = col[i]
-        for k in range(1, s):
-            val = field.add(val, field.mul(coeffs[k - 1], col[i + k]))
-        coeffs[s - 1] = field.neg(field.mul(val, inv_pivot))
+        val = col[i] + sum(coeffs[k - 1] * col[i + k] for k in range(1, s))
+        coeffs[s - 1] = norm(-val * inv_pivot)
     sp = ShiftPolynomial(field, n, tuple(coeffs))
     return sp, conjugate_by_shift(a, sp, "C_A_C_inv")
 

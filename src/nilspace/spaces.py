@@ -323,8 +323,6 @@ def _batch_moduli(field, batch, base_rows, dir_rows_list, top: int, points: int)
     (p,) and the bound is None: the residues are the field's own elements.
     Over Q the bound is ``batch.bound`` at the largest |entry| of any
     member with every |t_i| <= top."""
-    if batch is None:
-        return None
     if isinstance(field, PrimeField):
         plan = ((field.p,), None) if points >= _NUMPY_MIN_POINTS else None
     else:
@@ -371,8 +369,8 @@ def _scan_grid(field, base_rows, dir_rows_list, values, method, fails, witness,
     outcome.
 
     It runs on the members of ``_scan_rows``, batched by ``_scan_numpy``
-    with ``batch``, the batch form of ``fails`` (or None), when
-    ``_batch_moduli`` allows, else by ``_scan`` in product order.
+    with ``batch``, the batch form of ``fails``, when ``_batch_moduli``
+    allows, else by ``_scan`` in product order.
     """
     d = len(dir_rows_list)
     scan_base, scan_dirs, rebuild = _scan_rows(field, base_rows, dir_rows_list)
@@ -613,8 +611,8 @@ def _run_sampling(field, base_rows, dir_rows_list, fails, witness, sample_count,
     as its witness, else SAMPLED_PASS.  This is the one path from samples
     to an outcome; over Q it tests the integer members of ``_scan_rows`` at
     integer samples.  It runs batched by ``_sample_numpy`` with ``batch``,
-    the batch form of ``fails`` (or None), when ``_batch_moduli`` allows,
-    else by ``_scan``.
+    the batch form of ``fails``, when ``_batch_moduli`` allows, else by
+    ``_scan``.
     """
     scan_base, scan_dirs, rebuild = _scan_rows(field, base_rows, dir_rows_list)
     points = _sample_points(field, len(dir_rows_list), sample_count, seed)

@@ -155,6 +155,37 @@ def test_inverse_round_trip_and_singular():
 
 
 @st.composite
+def _matrix_pairs(draw):
+    # two n x n matrices over F_5, F_7 or Q, given as the raw entries that
+    # from_rows normalizes, and a scale factor of the same kind
+    field = draw(st.sampled_from([F5, F7, RATIONALS]))
+    n = draw(st.integers(1, 4))
+    if field is RATIONALS:
+        entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    else:
+        entry = st.integers(-20, 20)
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return field, draw(square), draw(square), draw(entry)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_matrix_pairs())
+def test_matrix_arithmetic_is_normalized_number_arithmetic(case):
+    field, a, b, c = case
+    norm = field.normalize
+    ma, mb = ExactMatrix.from_rows(field, a), ExactMatrix.from_rows(field, b)
+    pairs = [list(zip(ra, rb)) for ra, rb in zip(a, b)]
+    assert (ma + mb).rows == tuple(tuple(norm(x + y) for x, y in row) for row in pairs)
+    assert (ma - mb).rows == tuple(tuple(norm(x - y) for x, y in row) for row in pairs)
+    assert (-ma).rows == tuple(tuple(norm(-x) for x in row) for row in a)
+    assert ma.scale(c).rows == tuple(tuple(norm(c * x) for x in row) for row in a)
+    assert ma.trace() == norm(sum(row[i] for i, row in enumerate(a)))
+    assert field.is_canonical(ma.trace())
+    if rank(ma) == ma.n_rows:
+        assert ma @ inverse(ma) == identity_matrix(ma.n_rows, field)
+
+
+@st.composite
 def _square_matrices(draw):
     n = draw(st.integers(2, 4))
     rows = draw(

@@ -512,7 +512,10 @@ def test_kernel_lines_match_the_odometer_reference_and_carry_the_traces():
     # forms, exact.  Each line that fails one is charged 1 evaluation before
     # the next yield, on the screen when it passes tr(X^2); a budget that
     # cannot pay for the next failing line cuts there.  The caller charges
-    # each yielded line 0 or 1 evaluations and stops when nothing is left.
+    # each yielded line 1 or p - 1 evaluations, as many as are left, and
+    # stops when it could not pay in full, as the pool builder cuts a line
+    # whose p - 1 members the budget cannot pay for; the charge is at least
+    # 1, since a line's root masks reach only budget + 1 lines into a run.
     # Budgets: none, the whole cost, one more, and cuts at the first and
     # last failing line of each kind of run (one with a passing line, one
     # without, the last lead's one line) and at a seeded random failing line
@@ -575,7 +578,7 @@ def test_kernel_lines_match_the_odometer_reference_and_carry_the_traces():
             of_kind = [i for i in failing if lines[i][3] == kind]
             at_cut |= {of_kind[0], of_kind[-1]} if of_kind else set()
 
-        for charge in (0, 1):
+        for charge in (1, p - 1):
             # what the lines before line i cost: their failing lines and the
             # caller's charge on each passing one
             cost = list(itertools.accumulate(
@@ -589,10 +592,11 @@ def test_kernel_lines_match_the_odometer_reference_and_carry_the_traces():
                     if ok:
                         assert next(got) == x
                         assert charges == want
-                        if want.used == budget and charge:
+                        paid = min(charge, budget - want.used)
+                        charges.used += paid
+                        want.used += paid
+                        if paid < charge:
                             break  # the caller stops
-                        charges.used += charge
-                        want.used += charge
                     elif want.used == budget:
                         want.cut = True
                         cut_kinds.add(kind)
