@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     BudgetExceededError,
     FieldTooSmallError,
@@ -192,6 +190,8 @@ def _trace_batch(basis_rows, m_max: int) -> _BatchTest:
     b_max = max(abs(v) for nonzero in entries for _, _, v in nonzero) if any(entries) else 0
 
     def statistic(members, q):
+        import numpy as np
+
         scalar = members.dtype.type
         bad = np.zeros(members.shape[-1], dtype=bool)
         power = members

@@ -31,7 +31,10 @@ contract every predicate obeys.
 
 Both loops run batched in numpy (``_scan_numpy``, ``_sample_numpy``) when
 ``_batch_moduli`` allows: over F_p for at least ``_NUMPY_MIN_POINTS``
-points, over Q whenever the multi-modular rule below covers the scan.  A
+points, over Q whenever the multi-modular rule below covers the scan.
+``_batch_moduli`` decides before any array exists, and numpy is imported
+by the batched kernels themselves, at the first batched scan; a process
+whose scans all run pure never loads it.  A
 predicate's batch form, a ``_BatchTest``, computes an integer statistic of
 each member mod a prime q, nilpotency by repeated squaring, rank by
 fraction-free elimination, and the trace predicate of
@@ -70,8 +73,6 @@ from fractions import Fraction
 from itertools import islice, product
 from math import isqrt, lcm, prod
 from typing import Callable, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from .errors import BudgetExceededError, DependentDirectionsError, PreconditionUnmetError
 from .fields import FieldSpec, PrimeField, RawScalar
@@ -251,21 +252,20 @@ def _scan(base_rows, dir_rows_list, points, field, fails) -> tuple[Optional[tupl
     return None, None, checked
 
 
-# the scan dtypes, narrowest first, and their largest values; the kernels
-# read them per call, so np.iinfo is not asked each time
-_INT_MAX = {np.dtype(name): int(np.iinfo(name).max) for name in ("int16", "int32", "int64")}
+# the scan dtypes by name, narrowest first, and their largest values
+_INT_MAX = {"int16": 2**15 - 1, "int32": 2**31 - 1, "int64": 2**63 - 1}
 
 
 def _terms_held(dtype, q: int) -> int:
     """How many products of residues mod ``q``, plus one residue, a sum in
-    ``dtype`` holds: the largest ``terms`` with ``terms * (q - 1)**2 +
-    (q - 1) <= max(dtype)``."""
-    return (_INT_MAX[dtype] - (q - 1)) // (q - 1) ** 2
+    ``dtype``, a name or a numpy dtype, holds: the largest ``terms`` with
+    ``terms * (q - 1)**2 + (q - 1) <= max(dtype)``."""
+    return (_INT_MAX[str(dtype)] - (q - 1)) // (q - 1) ** 2
 
 
 def _int_dtype(p: int, terms: int):
-    """The narrowest of int16, int32 and int64 that holds a sum of ``terms``
-    products of residues mod ``p`` plus one residue, or None."""
+    """The name of the narrowest of int16, int32 and int64 that holds a sum
+    of ``terms`` products of residues mod ``p`` plus one residue, or None."""
     for dtype in _INT_MAX:
         if _terms_held(dtype, p) >= terms:
             return dtype
@@ -347,12 +347,16 @@ def _batch_dtype(moduli, batch, bound):
 
 
 def _residues(rows, q: int, dtype):
+    import numpy as np
+
     return np.array([[x % q for x in row] for row in rows], dtype=dtype)
 
 
 def _combined_verdicts(batch, members_mod):
     """``batch.fails`` of the largest statistic over the moduli, where
     ``members_mod`` yields (members, q) per modulus."""
+    import numpy as np
+
     stat = None
     for members, q in members_mod:
         value = batch.statistic(members, q)
@@ -402,6 +406,8 @@ def _scan_numpy(base_rows, dir_rows_list, values, moduli, n, batch, bound=None):
     coordinates, mod q; j is the smallest with a block as large as the
     chunk, as long as d and the chunk cap allow.
     """
+    import numpy as np
+
     dtype = _batch_dtype(moduli, batch, bound)
     d, k = len(dir_rows_list), len(values)
     total = k**d
@@ -460,6 +466,8 @@ def _sample_numpy(points, base_rows, dir_rows_list, moduli, n, batch, bound=None
     """Batched ``_scan`` of the iterable ``points``: the same (t,
     member_rows, checks) triple.  Chunks are taken as ``_scan_numpy``'s;
     ``moduli`` and ``bound`` are as there."""
+    import numpy as np
+
     dtype = _batch_dtype(moduli, batch, bound)
     d = len(dir_rows_list)
     states = [
@@ -509,6 +517,8 @@ def _reduce(a, p: int):
 def _matmul_batch(a, b, p: int):
     """The products mod p of two (n, n, B) batches, batch axis last: each
     output row is n multiply-adds of (n, B) planes."""
+    import numpy as np
+
     n = a.shape[0]
     out = np.empty_like(a)
     term = np.empty_like(b[0])
@@ -532,6 +542,8 @@ def _rank_mod_p_batch(a, p: int):
     further part.  Only the columns right of the pivot column are updated,
     since later steps read no column left of them.
     """
+    import numpy as np
+
     a = a.copy()
     m, k, n_batch = a.shape
     one = a.dtype.type(1)

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -252,6 +254,36 @@ def test_cli_emitted_witness_reloads_identically(tmp_path, capsys):
     space = serialize.space_from_obj(doc["space"])
     assert space == counterexample_f2()
     assert verify_all_nilpotent(space).status == "PROVED"
+
+
+_NUMPY_FREE_SCRIPT = """
+import contextlib, io, sys
+import nilspace
+from nilspace.cli import main
+
+for argv in (
+    ["search", "--n", "3", "--r", "2", "--field", "5"],
+    ["conjecture", "--n", "4", "--r", "2", "--field", "5", "--budget", "1000"],
+    ["witness", "--type", "rank-full", "--n", "4", "--field", "5"],
+    ["bounds", "--n", "4", "--r", "2"],
+):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+    assert "numpy" not in sys.modules, argv
+outcome = nilspace.verify_all_nilpotent(nilspace.witness_rank_full(5, nilspace.PrimeField(7)))
+assert "numpy" in sys.modules
+print(outcome.status, outcome.method, outcome.checks_performed)
+"""
+
+
+def test_small_cli_runs_never_import_numpy_and_a_batched_scan_does():
+    # pure scans never load numpy; the 6**6-point grid of rank-full(5, F_7)
+    # runs batched, so it imports numpy and still proves nilpotency
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", _NUMPY_FREE_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["PROVED", "grid", "46656"]
 
 
 # ---------------------------------------------------------------------------

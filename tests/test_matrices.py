@@ -186,6 +186,38 @@ def test_matrix_arithmetic_is_normalized_number_arithmetic(case):
 
 
 @st.composite
+def _rectangular_products(draw):
+    # an h x m and an m x w matrix of residues mod 2, 5 or 7, or of Fractions
+    p = draw(st.sampled_from([2, 5, 7, None]))
+    h, m, w = (draw(st.integers(1, 5)) for _ in range(3))
+    if p:
+        entry = st.integers(0, p - 1)
+    else:
+        entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    a = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=h, max_size=h))
+    b = draw(st.lists(st.lists(entry, min_size=w, max_size=w), min_size=m, max_size=m))
+    return p, a, b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rectangular_products())
+def test_matmul_matches_the_triple_loop(case):
+    from nilspace.matrices import _matmul
+
+    p, a, b = case
+    expected = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            total = 0
+            for k in range(len(b)):
+                total += a[i][k] * b[k][j]
+            row.append(total % p if p else total)
+        expected.append(tuple(row))
+    assert _matmul(a, b, p) == tuple(expected)
+
+
+@st.composite
 def _square_matrices(draw):
     n = draw(st.integers(2, 4))
     rows = draw(

@@ -547,6 +547,18 @@ def test_scans_run_in_the_narrowest_dtype_that_holds_the_bound(terms):
         assert (_largest_prime_for("int16", 16), _next_prime(43)) == (43, 47)
 
 
+def test_hand_written_dtype_limits_are_numpy_limits():
+    import numpy as np
+
+    from nilspace.spaces import _INT_MAX, _Q_MODULI, _terms_held
+
+    assert list(_INT_MAX) == ["int16", "int32", "int64"]
+    for name in _INT_MAX:
+        assert _INT_MAX[name] == np.iinfo(name).max
+        for q in (*_Q_MODULI, 7, 43):
+            assert _terms_held(name, q) == _terms_held(np.dtype(name), q)
+
+
 @pytest.mark.parametrize("p, dtype", [(43, "int16"), (47, "int32")])
 @pytest.mark.parametrize("refuted", [False, True])
 def test_trace_scan_at_the_int16_boundary_matches_the_pure_scan(p, dtype, refuted):
