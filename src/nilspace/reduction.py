@@ -184,25 +184,27 @@ def _trace_batch(basis_rows, m_max: int) -> _BatchTest:
     """The batch form of ``trace_condition_verify``'s predicate, some
     tr(A^m B) != 0 for a basis element B of ``basis_rows`` (integer or
     residue rows).  For entries of A at most e, the entries of A^m are at
-    most n^(m - 1) e^m, so |tr(A^m B)| <= n^(m + 1) e^m max|B|."""
+    most n^(m - 1) e^m, so |tr(A^m B)| <= n^(m + 1) e^m max|B|.
+
+    Each power's traces are one contraction of the power's entries at the
+    positions some B reads, ``used``, with the (basis, position) matrix of
+    the B[b][a] that tr(A^m B) = sum A^m[a][b] B[b][a] multiplies them by."""
     n = len(basis_rows[0])
-    entries = [_nonzero_entries(rows) for rows in basis_rows]
-    b_max = max(abs(v) for nonzero in entries for _, _, v in nonzero) if any(entries) else 0
+    used = sorted({a * n + b for rows in basis_rows for b, a, _ in _nonzero_entries(rows)})
+    weights = [[rows[z % n][z // n] for z in used] for rows in basis_rows]
+    b_max = max((abs(v) for row in weights for v in row), default=0)
 
     def statistic(members, q):
         import numpy as np
 
-        scalar = members.dtype.type
         bad = np.zeros(members.shape[-1], dtype=bool)
-        power = members
+        w = np.array([[v % q for v in row] for row in weights], dtype=members.dtype)
+        power, spare = members, np.empty((2, *members.shape), dtype=members.dtype)
         for m in range(1, m_max + 1):
             if m > 1:
-                power = _matmul_batch(power, members, q)
-            for nonzero in entries:
-                trace = np.zeros_like(bad, dtype=members.dtype)
-                for b, a, v in nonzero:
-                    trace += power[a, b] * scalar(v % q)
-                bad |= _reduce(trace, q) != 0
+                power = _matmul_batch(power, members, q, out=spare[m % 2])
+            traces = np.einsum("kz,zx->kx", w, power.reshape(n * n, -1)[used])
+            bad |= _reduce(traces, q).any(axis=0)
         return bad
 
     return _BatchTest(statistic, lambda nonzero: nonzero, n * n,

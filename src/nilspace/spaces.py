@@ -34,7 +34,11 @@ Both loops run batched in numpy (``_scan_numpy``, ``_sample_numpy``) when
 points, over Q whenever the multi-modular rule below covers the scan.
 ``_batch_moduli`` decides before any array exists, and numpy is imported
 by the batched kernels themselves, at the first batched scan; a process
-whose scans all run pure never loads it.  A
+whose scans all run pure never loads it.  A batched scan runs in chunks of
+at most ``_chunk_points`` members, the most whose working set fits
+``_CHUNK_BYTES``, 2 MiB: ``_CHUNK_ARRAYS`` (n, n, B) arrays per modulus
+hold the members, the statistic's temporaries and the suffix grids.  So a
+scan's arrays stay within about 2 MiB however many points it covers.  A
 predicate's batch form, a ``_BatchTest``, computes an integer statistic of
 each member mod a prime q, nilpotency by repeated squaring, rank by
 fraction-free elimination, and the trace predicate of
@@ -90,11 +94,16 @@ SAMPLED_PASS = "SAMPLED_PASS"
 _METHOD_STRENGTH = {"random": 0, "grid": 1, "exhaustive": 2}
 
 # numpy batching pays off only for large point sets and word-size moduli;
-# chunks start small and double up to the cap, so an early violation costs
-# one small chunk
+# chunks start small and double up to the cap of _chunk_points, so an early
+# violation costs one small chunk
 _NUMPY_MIN_POINTS = 4096
 _NUMPY_FIRST_CHUNK = _NUMPY_MIN_POINTS // 4
-_NUMPY_CHUNK = 1 << 17
+# the cap's byte budget, and the (n, n, B) arrays a chunk holds per modulus:
+# 2 MiB, one core's L2 cache, was the fastest budget of a sweep from 256 KiB
+# to 4 MiB on a 2-core Xeon, and the trace scan, the largest, traced 5.6
+# arrays per point of its chunks
+_CHUNK_BYTES = 1 << 21
+_CHUNK_ARRAYS = 6
 
 # rational samples draw each coordinate from [-_Q_SAMPLE_TOP, _Q_SAMPLE_TOP]
 _Q_SAMPLE_TOP = 10**6
@@ -346,6 +355,15 @@ def _batch_dtype(moduli, batch, bound):
     return dtype
 
 
+def _chunk_points(n: int, dtype, moduli) -> int:
+    """The cap on a batched chunk's points: the most whose working set fits
+    ``_CHUNK_BYTES``, at least one."""
+    import numpy as np
+
+    point = len(moduli) * _CHUNK_ARRAYS * n * n * np.dtype(dtype).itemsize
+    return max(1, _CHUNK_BYTES // point)
+
+
 def _residues(rows, q: int, dtype):
     import numpy as np
 
@@ -399,66 +417,71 @@ def _scan_numpy(base_rows, dir_rows_list, values, moduli, n, batch, bound=None):
 
     The scan runs on ``moduli`` with ``batch`` as its predicate, ``bound``
     None over F_p and over Q the bound of ``_batch_moduli``.  Chunks run in
-    product order, from ``_NUMPY_FIRST_CHUNK`` points doubling up to
-    ``_NUMPY_CHUNK``.  Each lies in one block of k**j consecutive points
-    that share their first d - j coordinates, so its members are the member
-    at that prefix plus a slice of the cached suffix grid over the last j
-    coordinates, mod q; j is the smallest with a block as large as the
-    chunk, as long as d and the chunk cap allow.
+    product order, from ``_NUMPY_FIRST_CHUNK`` points doubling up to the
+    cap of ``_chunk_points``.  The points split into blocks of k**j
+    consecutive points that share their first d - j coordinates, j the
+    smallest with a block as large as the chunk, as long as d and the cap
+    allow.  A chunk is a slice of one block, or whole blocks when a block
+    is smaller than the chunk; its members are the member at each block's
+    prefix plus the suffix grid over the last j coordinates, mod q.  The
+    grids, at most the cap's points each, are built once per modulus and
+    freed at return; every chunk's members are written to one buffer.
     """
     import numpy as np
 
     dtype = _batch_dtype(moduli, batch, bound)
+    cap = _chunk_points(n, dtype, moduli)
     d, k = len(dir_rows_list), len(values)
     total = k**d
-    shape = (k,) * d
     states = [
         (q, np.array([v % q for v in values], dtype=dtype), _residues(base_rows, q, dtype),
          np.array([_residues(rows, q, dtype) for rows in dir_rows_list], dtype=dtype)
-         .reshape(d, n, n))
+         .reshape(d, n, n),
+         [np.zeros((n, n, 1), dtype=dtype)])
         for q in moduli
     ]
-    # the grids, per modulus, live in the closure of the recursive suffix,
-    # so they outlast the scan until the cyclic collector runs: freed at
-    # return, they made the next F_p scan of verify-witness 12-18 % slower
-    grids = {q: {0: np.zeros((n, n, 1), dtype=dtype)} for q in moduli}
+    buffers = np.empty((2, n * n * cap), dtype=dtype)
 
-    def suffix(state, j, lo, hi):
-        """Columns lo:hi of the (n, n, k**j) grid of sum t_i dir_i over the
-        last j coordinates mod q, in product order."""
-        q, vals, _, dirs = state
-        if j == 1:  # k alone may exceed the chunk cap, so it is not cached
-            return _reduce(dirs[-1][:, :, None] * vals[lo:hi], q)
-        if j not in grids[q]:
-            lead = dirs[d - j][:, :, None, None] * vals[:, None]
-            grid = lead + suffix(state, j - 1, 0, k ** (j - 1))[:, :, None, :]
-            grids[q][j] = _reduce(grid, q).reshape(n, n, k**j)
-        return grids[q][j][:, :, lo:hi]
+    def members(first, count, j, lo, hi):
+        """Columns lo:hi of blocks first .. first + count - 1, mod each
+        modulus in turn, each array valid until the next is made."""
+        out, scratch = buffers[:, :n * n * count * (hi - lo)].reshape(2, n, n, count, hi - lo)
+        digits = np.unravel_index(np.arange(first, first + count), (k,) * (d - j)) if j < d else ()
+        for q, vals, base, dirs, grids in states:
+            prefix = np.repeat(base[:, :, None], count, axis=2)
+            for i, digit in enumerate(digits):
+                prefix += dirs[i][:, :, None] * vals[digit]
+                _reduce(prefix, q)
+            if k**j > cap:  # only at j = 1: a block of k points has no grid
+                np.multiply(dirs[-1][:, :, None, None], vals[lo:hi], out=out)
+                out += prefix[:, :, :, None]
+            else:
+                while len(grids) <= j:  # the grid over the last i coordinates
+                    i = len(grids)
+                    grid = dirs[d - i][:, :, None, None] * vals[:, None] + grids[-1][:, :, None, :]
+                    grids.append(_reduce(grid, q).reshape(n, n, k**i))
+                np.add(prefix[:, :, :, None], grids[j][:, :, None, lo:hi], out=out)
+            yield _reduce(out, q, scratch).reshape(n, n, -1), q
 
-    def members(prefix, j, lo, hi):
-        for state in states:
-            q, vals, member, dirs = state
-            for i, digit in enumerate(np.unravel_index(prefix, (k,) * (d - j))):
-                member = _reduce(member + vals[digit] * dirs[i], q)
-            yield _reduce(member[:, :, None] + suffix(state, j, lo, hi), q), q
-
-    start, size = 0, _NUMPY_FIRST_CHUNK
+    start, size = 0, min(_NUMPY_FIRST_CHUNK, cap)
     while start < total:
         j = min(d, 1)
-        while j < d and k**j < size and k ** (j + 1) <= _NUMPY_CHUNK:
+        while j < d and k**j < size and k ** (j + 1) <= cap:
             j += 1
-        prefix, offset = divmod(start, k**j)
-        stop = min(start + size, start - offset + k**j)
-        bad = np.flatnonzero(
-            _combined_verdicts(batch, members(prefix, j, offset, offset + stop - start)))
+        block, offset = divmod(start, k**j)
+        if offset or k**j >= size:
+            count, lo, hi = 1, offset, min(offset + size, k**j)
+        else:
+            count, lo, hi = min(size // k**j, k ** (d - j) - block), 0, k**j
+        bad = np.flatnonzero(_combined_verdicts(batch, members(block, count, j, lo, hi)))
         if bad.size:
             first = int(bad[0])
-            t = tuple(values[i] for i in np.unravel_index(start + first, shape))
+            t = tuple(values[i] for i in np.unravel_index(start + first, (k,) * d))
             # the integer member over Q, the residues over F_p
             rows = _combine_rows(base_rows, dir_rows_list, t, moduli[0] if bound is None else None)
             return t, rows, start + first + 1
-        start = stop
-        size = min(2 * size, _NUMPY_CHUNK)
+        start += count * (hi - lo)
+        size = min(2 * size, cap)
     return None, None, total
 
 
@@ -469,23 +492,28 @@ def _sample_numpy(points, base_rows, dir_rows_list, moduli, n, batch, bound=None
     import numpy as np
 
     dtype = _batch_dtype(moduli, batch, bound)
+    cap = _chunk_points(n, dtype, moduli)
     d = len(dir_rows_list)
     states = [
         (q, _residues(base_rows, q, dtype), [_residues(rows, q, dtype) for rows in dir_rows_list])
         for q in moduli
     ]
     points = iter(points)
+    buffers = np.empty((2, n * n * cap), dtype=dtype)
 
     def members(coords):
+        """The chunk's members mod each modulus, each valid until the next."""
+        out, scratch = buffers[:, :n * n * coords.shape[1]].reshape(2, n, n, -1)
         for q, base, dirs in states:
             residues = (coords % q).astype(dtype)
-            member = np.repeat(base[:, :, None], coords.shape[1], axis=2)
+            out[...] = base[:, :, None]
             for i in range(d):
-                member += dirs[i][:, :, None] * residues[i]
-                _reduce(member, q)
-            yield member, q
+                np.multiply(dirs[i][:, :, None], residues[i], out=scratch)
+                out += scratch
+                _reduce(out, q, scratch)
+            yield out, q
 
-    start, size = 0, _NUMPY_FIRST_CHUNK
+    start, size = 0, min(_NUMPY_FIRST_CHUNK, cap)
     while True:
         chunk = list(islice(points, size))
         if not chunk:
@@ -500,35 +528,30 @@ def _sample_numpy(points, base_rows, dir_rows_list, moduli, n, batch, bound=None
             rows = _combine_rows(base_rows, dir_rows_list, t, moduli[0] if bound is None else None)
             return t, rows, start + first + 1
         start += len(chunk)
-        size = min(2 * size, _NUMPY_CHUNK)
+        size = min(2 * size, cap)
 
 
-def _reduce(a, p: int):
-    """``a`` mod p, in place.  a - p * (a // p) is the remainder; numpy
-    vectorises integer floor division by a scalar but not the remainder,
-    which takes 3 to 12 times as long."""
+def _reduce(a, p: int, scratch=None):
+    """``a`` mod p, in place; ``scratch``, when given, an array of a's shape
+    and dtype that takes the quotient.  a - p * (a // p) is the remainder;
+    numpy vectorises integer floor division by a scalar but not the
+    remainder, which takes 3 to 12 times as long."""
+    import numpy as np
+
     mod = a.dtype.type(p)
-    quotient = a // mod
+    quotient = np.floor_divide(a, mod, out=scratch)
     quotient *= mod
     a -= quotient
     return a
 
 
-def _matmul_batch(a, b, p: int):
-    """The products mod p of two (n, n, B) batches, batch axis last: each
-    output row is n multiply-adds of (n, B) planes."""
+def _matmul_batch(a, b, p: int, out=None):
+    """The products mod p of two (n, n, B) batches, batch axis last, by one
+    contraction over the middle index; into ``out`` when given, which must
+    not share memory with ``a`` or ``b``."""
     import numpy as np
 
-    n = a.shape[0]
-    out = np.empty_like(a)
-    term = np.empty_like(b[0])
-    for i in range(n):
-        row = out[i]
-        np.multiply(b[0], a[i, 0], out=row)
-        for m in range(1, n):
-            np.multiply(b[m], a[i, m], out=term)
-            row += term
-    return _reduce(out, p)
+    return _reduce(np.einsum("imx,mjx->ijx", a, b, out=out), p)
 
 
 def _rank_mod_p_batch(a, p: int):
@@ -540,11 +563,13 @@ def _rank_mod_p_batch(a, p: int):
     becomes ``row * pivot - entry * pivot_row`` mod p, so no inverse is
     needed and no row is swapped: the pivot row becomes 0 and takes no
     further part.  Only the columns right of the pivot column are updated,
-    since later steps read no column left of them.
+    since later steps read no column left of them.  One scratch array of
+    a's size takes every step's products and quotients.
     """
     import numpy as np
 
     a = a.copy()
+    work = np.empty_like(a)
     m, k, n_batch = a.shape
     one = a.dtype.type(1)
     rank = np.zeros(n_batch, dtype=np.int64)
@@ -554,15 +579,15 @@ def _rank_mod_p_batch(a, p: int):
         has = nonzero.any(axis=0)
         if not has.any():
             continue
-        piv = np.zeros(n_batch, dtype=np.intp)
-        for i in range(m - 1, -1, -1):
-            piv[nonzero[i]] = i
-        prow = np.take_along_axis(a[:, col:, :], piv[None, None, :], axis=0)[0]
+        prow = a[m - 1, col:].copy()
+        for i in range(m - 2, -1, -1):
+            np.copyto(prow, a[i, col:], where=nonzero[i])
         np.copyto(prow[0], one, where=~has)  # a zero column: every row stays
-        rest = a[:, col + 1:, :]
+        rest, product = a[:, col + 1:, :], work[:, col + 1:, :]
         rest *= prow[0]
-        rest -= column[:, None, :] * prow[None, 1:, :]
-        _reduce(rest, p)
+        np.multiply(column[:, None, :], prow[None, 1:, :], out=product)
+        rest -= product
+        _reduce(rest, p, product)
         rank += has
         if (rank == m).all():
             break
@@ -581,9 +606,11 @@ def _nilpotency_batch(n: int) -> _BatchTest:
     squarings = (n - 1).bit_length()
 
     def statistic(members, q):
-        power = members
-        for _ in range(squarings):
-            power = _matmul_batch(power, power, q)
+        import numpy as np
+
+        power, spare = members, np.empty((2, *members.shape), dtype=members.dtype)
+        for s in range(squarings):
+            power = _matmul_batch(power, power, q, out=spare[s % 2])
         return power.reshape(n * n, -1).any(axis=0)
 
     power = 1 << squarings
@@ -609,11 +636,20 @@ def _witness(space: AffineMatrixSpace, t, rows, fails) -> Witness:
 def _sample_points(field: FieldSpec, d: int, sample_count: int, seed: int):
     """``sample_count`` seeded random coefficient vectors of length ``d``;
     over Q integers in [-_Q_SAMPLE_TOP, _Q_SAMPLE_TOP]."""
-    rng = random.Random(seed)
-    # randrange(0, p) draws as randrange(p), randint(a, b) as randrange(a, b + 1)
+    bits = random.Random(seed).getrandbits
     lo, hi = (0, field.p) if isinstance(field, PrimeField) else (-_Q_SAMPLE_TOP, _Q_SAMPLE_TOP + 1)
+    # randrange(lo, hi)'s own draw, without its per-call checks: lo plus the
+    # first getrandbits(k) below hi - lo, k the bit length of hi - lo
+    width = hi - lo
+    k = width.bit_length()
     for _ in range(sample_count):
-        yield tuple(rng.randrange(lo, hi) for _ in range(d))
+        t = []
+        for _ in range(d):
+            r = bits(k)
+            while r >= width:
+                r = bits(k)
+            t.append(lo + r)
+        yield tuple(t)
 
 
 def _run_sampling(field, base_rows, dir_rows_list, fails, witness, sample_count,

@@ -417,6 +417,20 @@ def test_batched_rank_matches_pure_rank(batch):
     assert [int(x) for x in ranks] == [_rank_mod_p(m, p) for m in mats]
 
 
+def _cap_chunks(monkeypatch, points, n, moduli=(7,), dtype="int16"):
+    """Set the byte budget of batched chunks to ``points`` members of the
+    scan of n x n ``dtype`` residues mod ``moduli``, or leave the default
+    when ``points`` is None."""
+    import numpy as np
+
+    from nilspace import spaces
+
+    if points is not None:
+        point = len(moduli) * spaces._CHUNK_ARRAYS * n * n * np.dtype(dtype).itemsize
+        monkeypatch.setattr(spaces, "_CHUNK_BYTES", points * point)
+        assert spaces._chunk_points(n, dtype, moduli) == points
+
+
 def _pure_trace_fails(basis_rows, m_max, p):
     from nilspace.matrices import _matmul as _matmul_mod_p
 
@@ -435,9 +449,12 @@ def _pure_trace_fails(basis_rows, m_max, p):
 
 
 # F_7, n = 4, grid values 0..4, directions the six strictly upper units.  On
-# the shift base the 15625 points pass every predicate (five chunks); on
-# shift + E30 the first point fails; with E30 as second direction the first
-# failure is point 3126, inside the third chunk (points 3073..7168).
+# the shift base the 15625 points pass every predicate; on shift + E30 the
+# first point fails; with E30 as second direction the first failure is
+# point 3126, the first of block 1 of 5**5 points.  It starts the fourth
+# chunk both at the default budget (chunks 1..1024, ..3072, ..3125, ..9375)
+# and at a cap of 1536 points (1..625, ..1875, ..3125, ..4375); it was in
+# the third when chunks doubled up to 2**17 points.
 _UPPER = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _SCAN_CASES = {  # base, directions, checks, refuted
     "proved": ("shift", _UPPER, 15625, False),
@@ -471,8 +488,10 @@ def test_batched_and_pure_scans_agree(predicate, case, monkeypatch):
     values = list(range(5))
     pure = _scan(base.rows, dir_rows, itertools.product(values, repeat=len(dir_rows)),
                  F7, pure_fails)
-    for chunk_cap in (spaces._NUMPY_CHUNK, 1536):  # doubling, then capped
-        monkeypatch.setattr(spaces, "_NUMPY_CHUNK", chunk_cap)
+    # the default budget, then a cap of 1536 points: chunks of one and then
+    # two whole blocks of 5**4 points
+    for chunk_cap in (None, 1536):
+        _cap_chunks(monkeypatch, chunk_cap, 4)
         batched = _scan_numpy(base.rows, dir_rows, values, (7,), 4, batch)
         assert batched == pure
     assert pure[2] == checks
@@ -516,10 +535,11 @@ def test_batched_scan_keeps_product_order_across_block_and_chunk_edges(
     pure = _scan(base.rows, dir_rows, itertools.product(values, repeat=len(dir_rows)),
                  F7, pure_fails)
     assert pure[0] == tuple(int(i == slot) for i in range(6)) and pure[2] == checks
-    # 1536 is no power of 7; at 5 one coordinate spans more than a chunk,
-    # which takes 3000-odd chunks, and seconds, to reach point 16808
-    for chunk_cap in (spaces._NUMPY_CHUNK, 1536) + ((5,) if slot else ()):
-        monkeypatch.setattr(spaces, "_NUMPY_CHUNK", chunk_cap)
+    # 1536 is no power of 7, so chunks are 2 and then 4 whole blocks of
+    # 7**3 points; at 5 one coordinate spans more than a chunk, which takes
+    # 3000-odd chunks, and seconds, to reach point 16808
+    for chunk_cap in (None, 1536) + ((5,) if slot else ()):
+        _cap_chunks(monkeypatch, chunk_cap, 5)
         assert _scan_numpy(base.rows, dir_rows, values, (7,), 5, batch) == pure
 
 
@@ -596,21 +616,52 @@ def test_trace_scan_at_the_int16_boundary_matches_the_pure_scan(p, dtype, refute
     assert set(seen) == {np.dtype(dtype)}
 
 
-def test_constant_rank_scan_memory_stays_below_the_int64_layout():
-    # the exhaustive rank scan of witness_rank_full(5, F_7) over 117 649
-    # members traced a 37.6-39.4 MB peak in the (B, n, n) int64 layout;
-    # batch-last int16 members and suffix grids keep it near 18 MB
+def _traced_peak(call):
+    """The outcome of ``call()`` and the peak of the memory it traced."""
     import tracemalloc
 
-    space = witness_rank_full(5, F7)
+    import numpy  # noqa: F401  (its import is no part of a scan)
+
     tracemalloc.start()
     try:
-        out = verify_constant_rank(space, 4)
+        out = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def test_constant_rank_scan_memory_stays_below_the_int64_layout():
+    # the exhaustive rank scan of witness_rank_full(5, F_7) over 117 649
+    # members traced a 37.6-39.4 MB peak in the (B, n, n) int64 layout and
+    # 17.4 MB in int16 chunks of up to 2**17 points; chunks sized to the
+    # byte budget keep it near 1.6 MB
+    out, peak = _traced_peak(lambda: verify_constant_rank(witness_rank_full(5, F7), 4))
     assert (out.status, out.method, out.checks_performed) == ("PROVED", "exhaustive", 7**6)
-    assert peak < 25e6
+    assert peak < 2.5e6
+
+
+@pytest.mark.parametrize("scan, outcome", [
+    ("trace", ("PROVED", "grid", 5**7)),
+    ("nilpotency", ("PROVED", "grid", 6**6)),
+    ("rational nilpotency", ("PROVED", "grid", 8**5)),
+])
+def test_batched_scan_memory_stays_within_the_chunk_budget(scan, outcome):
+    # chunks of up to 2**17 points traced peaks of 11.9, 6.2 and 56.0 MB;
+    # chunks sized to the 2 MiB budget trace 2.0, 1.8 and 0.9 MB
+    from nilspace import trace_condition_verify
+
+    full = witness_rank_full(5, F7)
+    j7 = shift_matrix(7, RATIONALS)
+    upper = [unit_matrix(0, j, 7, RATIONALS) for j in range(2, 7)]
+    call = {
+        "trace": lambda: trace_condition_verify([full.base, *full.directions], 4, F7),
+        "nilpotency": lambda: verify_all_nilpotent(full),
+        "rational nilpotency": lambda: verify_all_nilpotent(_space(RATIONALS, 7, j7, upper)),
+    }[scan]
+    out, peak = _traced_peak(call)
+    assert (out.status, out.method, out.checks_performed) == outcome
+    assert peak < 3e6
 
 
 def test_zero_dimensional_space_scans_its_one_member_over_a_large_field():
