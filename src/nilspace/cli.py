@@ -49,6 +49,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--format", choices=("json", "text", "csv"), default="json")
     sub.add_argument("--output", type=Path, default=None, help="write to a file instead of stdout")
@@ -75,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check trace conditions on the span of base and directions")
     p.add_argument("--method", choices=("auto", "exhaustive", "grid", "random"), default="auto")
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_nonnegative_int, default=DEFAULT_SAMPLES,
+                   help="seeded random points a sampled check tests; 0 disables sampling")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_verify)

@@ -84,7 +84,9 @@ def space_to_obj(space: AffineMatrixSpace) -> dict:
 def space_from_obj(obj: dict, field: FieldSpec | None = None) -> AffineMatrixSpace:
     if field is None:
         field = field_from_obj(obj["field"])
-    n = int(obj["n"])
+    n = obj["n"]
+    if type(n) is not int:  # no float, string or bool, which int() would coerce
+        raise ValueError(f"n must be a JSON integer, got {n!r}")
     base = ExactMatrix.from_rows(field, obj["base"])
     dirs = tuple(ExactMatrix.from_rows(field, rows) for rows in obj.get("directions", []))
     return AffineMatrixSpace(field, n, base, dirs)

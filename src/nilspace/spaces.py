@@ -29,19 +29,23 @@ once, by the lcm of all their denominators, and rebuilds a failing point
 and member as Fractions.  Its docstring states the scale-invariance
 contract every predicate obeys.
 
-Both loops run batched in numpy (``_scan_numpy``, ``_sample_numpy``) when
-``_batch_moduli`` allows: over F_p for at least ``_NUMPY_MIN_POINTS``
-points, over Q whenever the multi-modular rule below covers the scan.
-``_batch_moduli`` decides before any array exists, and numpy is imported
-by the batched kernels themselves, at the first batched scan; a process
-whose scans all run pure never loads it.  A batched scan runs in chunks of
-at most ``_chunk_points`` members, the most whose working set fits
-``_CHUNK_BYTES``, 2 MiB: ``_CHUNK_ARRAYS`` (n, n, B) arrays per modulus
-hold the members, the statistic's temporaries and the suffix grids.  So a
-scan's arrays stay within about 2 MiB however many points it covers.  A
-predicate's batch form, a ``_BatchTest``, computes an integer statistic of
-each member mod a prime q, nilpotency by repeated squaring, rank by
-fraction-free elimination, and the trace predicate of
+Both paths run batched in numpy when ``_batch_moduli`` allows: over F_p for at
+least ``_NUMPY_MIN_POINTS`` points, over Q whenever the multi-modular rule
+below covers the scan.  ``_batch_moduli`` decides before any array exists,
+and numpy is imported by the batched kernels themselves, at the first
+batched scan; a process whose scans all run pure never loads it.  The one
+batched loop, ``_scan_numpy``, serves grids and samples alike: its points
+are prefixes times a suffix grid, the prefixes an iterable of the first
+d - j coordinates and the suffix the grid over the last j.  A grid fixes
+j once, the largest whose suffix grid fits a chunk; samples have j = 0.
+It runs in chunks of whole blocks of at most ``_chunk_points`` members,
+the most whose working set fits ``_CHUNK_BYTES``, 2 MiB:
+``_CHUNK_ARRAYS`` (n, n, B) arrays per modulus hold the members, the
+statistic's temporaries and the suffix grid.  So a scan's arrays stay
+within about 2 MiB however many points it covers.  A predicate's batch
+form, a ``_BatchTest``, computes an integer statistic of each member mod a
+prime q, nilpotency by repeated squaring, rank by fraction-free
+elimination, and the trace predicate of
 ``reduction.trace_condition_verify``; the scan takes the largest value
 over its moduli and hands it to the predicate.  F_p scans run on the one
 modulus p.  Q scans run on the integer members mod the fewest primes of
@@ -51,9 +55,9 @@ statistic compares with zero (``_BatchTest.bound``, from the largest
 minors).  Then the integer is 0 iff it is 0 mod every prime, so the rank
 over Q is the largest rank mod a prime and a member is nilpotent over Q
 iff it is nilpotent mod every prime.  ``_exact`` states that rule,
-``_scan_numpy`` and ``_sample_numpy`` assert it, and a scan whose bound
-outruns the list runs pure.  The batched scans give the same first
-failing point and check count as the pure one, ``_scan``.
+``_scan_numpy`` asserts it, and a scan whose bound outruns the list runs
+pure.  The batched scan gives the same first failing point and check
+count as the pure one, ``_scan``.
 
 A batch of members is one (n, n, B) array, batch axis last, so each
 elementwise step runs over B contiguous values.  Its dtype holds every sum
@@ -391,8 +395,8 @@ def _scan_grid(field, base_rows, dir_rows_list, values, method, fails, witness,
     outcome.
 
     It runs on the members of ``_scan_rows``, batched by ``_scan_numpy``
-    with ``batch``, the batch form of ``fails``, when ``_batch_moduli``
-    allows, else by ``_scan`` in product order.
+    with ``batch``, the batch form of ``fails``, as prefixes times a suffix
+    grid when ``_batch_moduli`` allows, else by ``_scan`` in product order.
     """
     d = len(dir_rows_list)
     scan_base, scan_dirs, rebuild = _scan_rows(field, base_rows, dir_rows_list)
@@ -412,123 +416,84 @@ def _scan_grid(field, base_rows, dir_rows_list, values, method, fails, witness,
     )
 
 
-def _scan_numpy(base_rows, dir_rows_list, values, moduli, n, batch, bound=None):
-    """Batched ``_scan``: the same (t, member_rows, checks) triple.
+def _scan_numpy(base_rows, dir_rows_list, values, moduli, n, batch, bound=None, samples=None):
+    """Batched ``_scan`` over the grid ``values^d`` in product order, or
+    over the iterable ``samples`` when it is given: the same (t,
+    member_rows, checks) triple.  This is the one batched scan loop.
 
     The scan runs on ``moduli`` with ``batch`` as its predicate, ``bound``
-    None over F_p and over Q the bound of ``_batch_moduli``.  Chunks run in
-    product order, from ``_NUMPY_FIRST_CHUNK`` points doubling up to the
-    cap of ``_chunk_points``.  The points split into blocks of k**j
-    consecutive points that share their first d - j coordinates, j the
-    smallest with a block as large as the chunk, as long as d and the cap
-    allow.  A chunk is a slice of one block, or whole blocks when a block
-    is smaller than the chunk; its members are the member at each block's
-    prefix plus the suffix grid over the last j coordinates, mod q.  The
-    grids, at most the cap's points each, are built once per modulus and
-    freed at return; every chunk's members are written to one buffer.
+    None over F_p and over Q the bound of ``_batch_moduli``.  Its points are
+    prefixes times a suffix grid: the prefixes are an iterable of the first
+    d - j coordinates, ``product(values, repeat=d - j)`` for a grid or the
+    samples themselves, and the suffix is the grid ``values^j`` over the
+    last j coordinates, built once per modulus.  A grid takes the largest
+    j whose k**j points fit the cap of ``_chunk_points``; samples take
+    j = 0.  A chunk is whole blocks of k**j points, from
+    ``_NUMPY_FIRST_CHUNK`` points doubling up to the cap.  Its members are
+    the member at each prefix, d - j scaled additions reduced after each,
+    plus the suffix grid, mod q; at j = 0 the members are built in place in
+    the one buffer every chunk is written to.
     """
     import numpy as np
 
     dtype = _batch_dtype(moduli, batch, bound)
     cap = _chunk_points(n, dtype, moduli)
     d, k = len(dir_rows_list), len(values)
-    total = k**d
-    states = [
-        (q, np.array([v % q for v in values], dtype=dtype), _residues(base_rows, q, dtype),
-         np.array([_residues(rows, q, dtype) for rows in dir_rows_list], dtype=dtype)
-         .reshape(d, n, n),
-         [np.zeros((n, n, 1), dtype=dtype)])
-        for q in moduli
-    ]
+    if samples is None:
+        j = d
+        while k**j > cap:
+            j -= 1
+        prefixes = product(values, repeat=d - j)
+    else:
+        j, prefixes = 0, samples
+    block = k**j
+    states = []
+    for q in moduli:
+        dirs = [_residues(rows, q, dtype) for rows in dir_rows_list]
+        grid = np.zeros((n, n, 1), dtype=dtype)
+        # the last coordinate varies fastest; values is read only at j > 0,
+        # where its k <= cap points are few
+        for direction in reversed(dirs[d - j:]):
+            vals = np.array([v % q for v in values], dtype=dtype)
+            grid = _reduce(direction[:, :, None, None] * vals[:, None] + grid[:, :, None, :], q)
+            grid = grid.reshape(n, n, -1)
+        states.append((q, _residues(base_rows, q, dtype), dirs, grid))
     buffers = np.empty((2, n * n * cap), dtype=dtype)
 
-    def members(first, count, j, lo, hi):
-        """Columns lo:hi of blocks first .. first + count - 1, mod each
-        modulus in turn, each array valid until the next is made."""
-        out, scratch = buffers[:, :n * n * count * (hi - lo)].reshape(2, n, n, count, hi - lo)
-        digits = np.unravel_index(np.arange(first, first + count), (k,) * (d - j)) if j < d else ()
-        for q, vals, base, dirs, grids in states:
-            prefix = np.repeat(base[:, :, None], count, axis=2)
-            for i, digit in enumerate(digits):
-                prefix += dirs[i][:, :, None] * vals[digit]
-                _reduce(prefix, q)
-            if k**j > cap:  # only at j = 1: a block of k points has no grid
-                np.multiply(dirs[-1][:, :, None, None], vals[lo:hi], out=out)
-                out += prefix[:, :, :, None]
-            else:
-                while len(grids) <= j:  # the grid over the last i coordinates
-                    i = len(grids)
-                    grid = dirs[d - i][:, :, None, None] * vals[:, None] + grids[-1][:, :, None, :]
-                    grids.append(_reduce(grid, q).reshape(n, n, k**i))
-                np.add(prefix[:, :, :, None], grids[j][:, :, None, lo:hi], out=out)
-            yield _reduce(out, q, scratch).reshape(n, n, -1), q
+    def members(chunk):
+        """The chunk's members mod each modulus, each valid until the next."""
+        out, scratch = buffers[:, :n * n * len(chunk) * block].reshape(2, n, n, len(chunk), block)
+        # the prefix members go to whichever buffer is free until the suffix
+        # is added: the output itself at j = 0, where there is no suffix
+        prefix, work = (out[..., 0], scratch[..., 0]) if j == 0 else (scratch[..., 0], out[..., 0])
+        # coordinates fit int64: |t| <= _Q_SAMPLE_TOP over Q, t < p over F_p,
+        # whose p passed _int_dtype
+        coords = np.array(chunk, dtype=np.int64).reshape(len(chunk), d - j).T
+        for q, base, dirs, grid in states:
+            prefix[...] = base[:, :, None]
+            for direction, c in zip(dirs, (coords % q).astype(dtype)):
+                np.multiply(direction[:, :, None], c, out=work)
+                prefix += work
+                _reduce(prefix, q, work)
+            if j:
+                np.add(prefix[..., None], grid[:, :, None, :], out=out)
+                _reduce(out, q, scratch)
+            yield out.reshape(n, n, -1), q
 
+    prefixes = iter(prefixes)
     start, size = 0, min(_NUMPY_FIRST_CHUNK, cap)
-    while start < total:
-        j = min(d, 1)
-        while j < d and k**j < size and k ** (j + 1) <= cap:
-            j += 1
-        block, offset = divmod(start, k**j)
-        if offset or k**j >= size:
-            count, lo, hi = 1, offset, min(offset + size, k**j)
-        else:
-            count, lo, hi = min(size // k**j, k ** (d - j) - block), 0, k**j
-        bad = np.flatnonzero(_combined_verdicts(batch, members(block, count, j, lo, hi)))
+    while chunk := list(islice(prefixes, max(1, size // block))):
+        bad = np.flatnonzero(_combined_verdicts(batch, members(chunk)))
         if bad.size:
             first = int(bad[0])
-            t = tuple(values[i] for i in np.unravel_index(start + first, (k,) * d))
+            at, suffix = divmod(first, block)
+            t = (*chunk[at], *(values[i] for i in np.unravel_index(suffix, (k,) * j)))
             # the integer member over Q, the residues over F_p
             rows = _combine_rows(base_rows, dir_rows_list, t, moduli[0] if bound is None else None)
             return t, rows, start + first + 1
-        start += count * (hi - lo)
+        start += len(chunk) * block
         size = min(2 * size, cap)
-    return None, None, total
-
-
-def _sample_numpy(points, base_rows, dir_rows_list, moduli, n, batch, bound=None):
-    """Batched ``_scan`` of the iterable ``points``: the same (t,
-    member_rows, checks) triple.  Chunks are taken as ``_scan_numpy``'s;
-    ``moduli`` and ``bound`` are as there."""
-    import numpy as np
-
-    dtype = _batch_dtype(moduli, batch, bound)
-    cap = _chunk_points(n, dtype, moduli)
-    d = len(dir_rows_list)
-    states = [
-        (q, _residues(base_rows, q, dtype), [_residues(rows, q, dtype) for rows in dir_rows_list])
-        for q in moduli
-    ]
-    points = iter(points)
-    buffers = np.empty((2, n * n * cap), dtype=dtype)
-
-    def members(coords):
-        """The chunk's members mod each modulus, each valid until the next."""
-        out, scratch = buffers[:, :n * n * coords.shape[1]].reshape(2, n, n, -1)
-        for q, base, dirs in states:
-            residues = (coords % q).astype(dtype)
-            out[...] = base[:, :, None]
-            for i in range(d):
-                np.multiply(dirs[i][:, :, None], residues[i], out=scratch)
-                out += scratch
-                _reduce(out, q, scratch)
-            yield out, q
-
-    start, size = 0, min(_NUMPY_FIRST_CHUNK, cap)
-    while True:
-        chunk = list(islice(points, size))
-        if not chunk:
-            return None, None, start
-        # sampled coordinates fit int64: |t| <= _Q_SAMPLE_TOP over Q, t < p
-        # over F_p, whose p passed _int_dtype
-        coords = np.array(chunk, dtype=np.int64).reshape(len(chunk), d).T
-        bad = np.flatnonzero(_combined_verdicts(batch, members(coords)))
-        if bad.size:
-            first = int(bad[0])
-            t = chunk[first]
-            rows = _combine_rows(base_rows, dir_rows_list, t, moduli[0] if bound is None else None)
-            return t, rows, start + first + 1
-        start += len(chunk)
-        size = min(2 * size, cap)
+    return None, None, start
 
 
 def _reduce(a, p: int, scratch=None):
@@ -658,17 +623,17 @@ def _run_sampling(field, base_rows, dir_rows_list, fails, witness, sample_count,
     REFUTED at the first member ``fails`` flags, with ``witness(t, rows)``
     as its witness, else SAMPLED_PASS.  This is the one path from samples
     to an outcome; over Q it tests the integer members of ``_scan_rows`` at
-    integer samples.  It runs batched by ``_sample_numpy`` with ``batch``,
-    the batch form of ``fails``, when ``_batch_moduli`` allows, else by
-    ``_scan``.
+    integer samples.  It runs batched by ``_scan_numpy`` with ``batch``,
+    the batch form of ``fails``, the samples as its prefixes and no suffix
+    grid, when ``_batch_moduli`` allows, else by ``_scan``.
     """
     scan_base, scan_dirs, rebuild = _scan_rows(field, base_rows, dir_rows_list)
     points = _sample_points(field, len(dir_rows_list), sample_count, seed)
     plan = _batch_moduli(field, batch, scan_base, scan_dirs, _Q_SAMPLE_TOP, sample_count)
     if plan is not None:
         moduli, bound = plan
-        t, rows, checked = _sample_numpy(points, scan_base, scan_dirs, moduli, len(base_rows),
-                                         batch, bound)
+        t, rows, checked = _scan_numpy(scan_base, scan_dirs, (), moduli, len(base_rows), batch,
+                                       bound, samples=points)
     else:
         t, rows, checked = _scan(scan_base, scan_dirs, points, field, fails)
     if t is not None:
@@ -759,10 +724,13 @@ def verify_all_nilpotent(
     which is exact regardless of the grid argument.  When the required point
     count exceeds ``budget`` the check falls back to seeded random sampling
     (status at best SAMPLED_PASS), unless ``sample_count`` is 0, in which
-    case BudgetExceededError is raised.
+    case BudgetExceededError is raised.  ``method="random"`` samples
+    whatever the budget, so it needs ``sample_count >= 1``.
     """
     if method not in ("auto", "exhaustive", "grid", "random"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "random" and sample_count < 1:
+        raise ValueError(f"method 'random' needs sample_count >= 1, got {sample_count}")
     n = space.n
     fails = _fails_nilpotency(space.field)
     batch = _nilpotency_batch(n)

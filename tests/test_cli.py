@@ -110,6 +110,33 @@ def test_cli_verify_refuted_exit_code(tmp_path, capsys):
     assert main(["verify", "--input", str(f), "--nilpotent"]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--nilpotent", "--samples", "-1"], "must be >= 0"),
+    (["--nilpotent", "--method", "random", "--samples", "0"], "sample_count >= 1"),
+    (["--directions", "--method", "random", "--samples", "0"], "sample_count >= 1"),
+], ids=["negative samples", "random without samples", "random directions without samples"])
+def test_cli_verify_rejects_sample_counts_it_cannot_use(argv, message, tmp_path, capsys):
+    f = tmp_path / "w.json"
+    f.write_text(json.dumps(serialize.space_to_obj(witness_rank_full(4, F5))))
+    assert main(["verify", "--input", str(f), *argv]) == 2
+    assert message in capsys.readouterr().err
+    # --samples 0 keeps its meaning for --method auto: no sampling fallback
+    assert main(["verify", "--input", str(f), "--nilpotent", "--samples", "0"]) == 0
+    assert main(["verify", "--input", str(f), "--nilpotent", "--samples", "0",
+                 "--budget", "10"]) == 3
+
+
+@pytest.mark.parametrize("n", [3.9, 3.0, "3", True])
+def test_cli_verify_rejects_an_n_that_is_not_a_json_integer(n, tmp_path, capsys):
+    doc = serialize.space_to_obj(witness_rank_full(3, F5))
+    f = tmp_path / "w.json"
+    f.write_text(json.dumps(dict(doc, n=n)))
+    assert main(["verify", "--input", str(f), "--nilpotent"]) == 2
+    assert "n must be a JSON integer" in capsys.readouterr().err
+    f.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(f), "--nilpotent"]) == 0
+
+
 def test_cli_verify_trace_and_corner(tmp_path, capsys):
     space = serialize.space_to_obj(witness_rank_full(4, PrimeField(7)))
     f = tmp_path / "w.json"

@@ -230,7 +230,8 @@ def test_trace_scan_beyond_the_int64_bound_matches_the_pure_scan(monkeypatch):
     batched = []
     scan_numpy = spaces._scan_numpy
     monkeypatch.setattr(
-        spaces, "_scan_numpy", lambda *args: batched.append(args) or scan_numpy(*args)
+        spaces, "_scan_numpy",
+        lambda *args, **kwargs: batched.append(args) or scan_numpy(*args, **kwargs),
     )
     outcomes = {}
     for p in (1000003, 1239850223):

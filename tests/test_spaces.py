@@ -156,6 +156,18 @@ def test_budget_exhaustion_falls_back_to_sampling():
         verify_all_nilpotent(space, budget=10, sample_count=0)
 
 
+@pytest.mark.parametrize("sample_count", [0, -1])
+def test_random_method_needs_a_sample(sample_count):
+    # method="random" samples whatever the budget, so it has no budget to
+    # exceed: a sample count below 1 is a usage error, not a budget cut
+    space = witness_rank_full(4, F5)
+    for verify in (verify_all_nilpotent, direction_nilpotency):
+        with pytest.raises(ValueError, match="sample_count >= 1"):
+            verify(space, method="random", sample_count=sample_count)
+    # sample_count=0 still means "no sampling fallback" for method="auto"
+    assert verify_all_nilpotent(space, sample_count=0).status == "PROVED"
+
+
 def test_sampling_never_proves():
     space = witness_rank_full(4, F5)
     out = verify_all_nilpotent(space, method="random", sample_count=20)
@@ -451,10 +463,10 @@ def _pure_trace_fails(basis_rows, m_max, p):
 # F_7, n = 4, grid values 0..4, directions the six strictly upper units.  On
 # the shift base the 15625 points pass every predicate; on shift + E30 the
 # first point fails; with E30 as second direction the first failure is
-# point 3126, the first of block 1 of 5**5 points.  It starts the fourth
-# chunk both at the default budget (chunks 1..1024, ..3072, ..3125, ..9375)
-# and at a cap of 1536 points (1..625, ..1875, ..3125, ..4375); it was in
-# the third when chunks doubled up to 2**17 points.
+# point 3126, the first of block 1 of 5**5 points.  It starts the second
+# chunk at the default budget, whose chunks are whole blocks of 5**5 points
+# (1..3125, ..6250), and the fourth at a cap of 1536 points, whose blocks
+# have 5**4 (1..625, ..1875, ..3125, ..4375).
 _UPPER = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _SCAN_CASES = {  # base, directions, checks, refuted
     "proved": ("shift", _UPPER, 15625, False),
@@ -504,8 +516,8 @@ def test_batched_and_pure_scans_agree(predicate, case, monkeypatch):
 # rank scan of witness_rank_full(5, F_7).  Every member is J plus a strictly
 # upper matrix until E40 enters, and J + E40 fails every predicate.  As
 # direction 1, E40 first enters at point 2402, one past the block of 7**4
-# points the first two chunks are cut from; as direction 0 at point 16808,
-# one past a block of 7**5.
+# points that is the first chunk; as direction 0 at point 16808, one past a
+# block of 7**5.
 _FIVE_UPPER = [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4)]
 
 
@@ -536,11 +548,59 @@ def test_batched_scan_keeps_product_order_across_block_and_chunk_edges(
                  F7, pure_fails)
     assert pure[0] == tuple(int(i == slot) for i in range(6)) and pure[2] == checks
     # 1536 is no power of 7, so chunks are 2 and then 4 whole blocks of
-    # 7**3 points; at 5 one coordinate spans more than a chunk, which takes
-    # 3000-odd chunks, and seconds, to reach point 16808
+    # 7**3 points; at 5 a block is one point, and reaching point 16808
+    # would take 3000-odd chunks, and seconds
     for chunk_cap in (None, 1536) + ((5,) if slot else ()):
         _cap_chunks(monkeypatch, chunk_cap, 5)
         assert _scan_numpy(base.rows, dir_rows, values, (7,), 5, batch) == pure
+
+
+# J_4 plus t_0 E02 + t_1 E13 + t_2 E30: tr(M^4) = 4 t_2 from the 4-cycle,
+# so a member is nilpotent exactly where t_2 = 0.  The samples keep t_2 = 0
+# up to point 231, which at a cap of 100 points is in the third chunk.
+def _third_chunk_samples(field):
+    rng = random.Random(24)
+    top = 6 if isinstance(field, PrimeField) else 10**6
+    low = 0 if isinstance(field, PrimeField) else -top
+    points = [(rng.randint(low, top), rng.randint(low, top), 0) for _ in range(230)]
+    points.append((3, 1, 5) if isinstance(field, PrimeField) else (3, -4, -2))
+    points += [tuple(rng.randint(low, top) for _ in range(3)) for _ in range(69)]
+    space = _space(field, 4, shift_matrix(4, field),
+                   [unit_matrix(0, 2, 4, field), unit_matrix(1, 3, 4, field),
+                    unit_matrix(3, 0, 4, field)])
+    return space, points
+
+
+@pytest.mark.parametrize("field", [F7, RATIONALS], ids=["F_7", "Q"])
+def test_batched_sampled_scan_keeps_the_sample_order_across_chunk_edges(field, monkeypatch):
+    from nilspace import spaces
+    from nilspace.spaces import _fails_nilpotency, _nilpotency_batch, _scan, _scan_numpy, _scan_rows
+
+    space, points = _third_chunk_samples(field)
+    base, dirs, _ = _scan_rows(field, space.base.rows, [m.rows for m in space.directions])
+    batch = _nilpotency_batch(4)
+    monkeypatch.setattr(spaces, "_NUMPY_MIN_POINTS", 1)
+    moduli, bound = spaces._batch_moduli(field, batch, base, dirs, spaces._Q_SAMPLE_TOP, len(points))
+    _cap_chunks(monkeypatch, 100, 4, moduli, spaces._batch_dtype(moduli, batch, bound))
+    pure = _scan(base, dirs, points, field, _fails_nilpotency(field))
+    assert pure[0] == points[230] and pure[2] == 231
+    chunks = []
+    batched = _scan_numpy(base, dirs, (), moduli, 4, batch._replace(
+        statistic=lambda members, q: chunks.append(members.shape[-1]) or batch.statistic(members, q)
+    ), bound, samples=iter(points))
+    assert batched == pure
+    assert chunks == [100] * 3 * len(moduli)
+    # the verifier takes the same path: batched, then pure, the same outcome
+    monkeypatch.setattr(spaces, "_sample_points", lambda *args: iter(points))
+    seen = _batched_calls(monkeypatch)
+    out = verify_all_nilpotent(space, method="random", sample_count=len(points))
+    assert seen == [("samples", moduli)]
+    assert (out.status, out.checks_performed, out.witness.coefficients) == (
+        "REFUTED", 231, points[230])
+    monkeypatch.setattr(spaces, "_NUMPY_MIN_POINTS", 10**18)
+    monkeypatch.setattr(spaces, "_Q_MODULI", ())
+    assert verify_all_nilpotent(space, method="random", sample_count=len(points)) == out
+    assert len(seen) == 1
 
 
 def _next_prime(p):
@@ -661,6 +721,20 @@ def test_batched_scan_memory_stays_within_the_chunk_budget(scan, outcome):
     }[scan]
     out, peak = _traced_peak(call)
     assert (out.status, out.method, out.checks_performed) == outcome
+    assert peak < 3e6
+
+
+def test_batched_sampled_scan_memory_stays_within_the_chunk_budget(monkeypatch):
+    # 20 000 samples of the (4, 2) rational staircase's rank, in chunks of
+    # 682 points mod four primes: the members are built in place in the
+    # chunk buffer, with no separate array of prefix members
+    staircase = _space(RATIONALS, 4, shift_matrix(4, RATIONALS) - unit_matrix(2, 3, 4, RATIONALS), [
+        unit_matrix(i, j, 4, RATIONALS) for i in range(2) for j in range(i + 2, 4)
+    ])
+    seen = _batched_calls(monkeypatch)
+    out, peak = _traced_peak(lambda: verify_constant_rank(staircase, 2, sample_count=20_000, seed=1))
+    assert (out.status, out.method, out.checks_performed) == ("SAMPLED_PASS", "random", 5**3 + 20_000)
+    assert [kind for kind, _ in seen] == ["grid", "samples"]
     assert peak < 3e6
 
 
@@ -816,15 +890,17 @@ def test_rational_scans_do_no_fraction_arithmetic_per_member(monkeypatch):
 # predicate compares with zero
 
 def _batched_calls(monkeypatch):
-    """Record the moduli of every batched scan and sampling loop."""
+    """Record the kind, "grid" or "samples", and the moduli of every
+    batched scan."""
     from nilspace import spaces
 
     seen = []
-    for name in ("_scan_numpy", "_sample_numpy"):
-        def recorded(*args, _run=getattr(spaces, name), _name=name):
-            seen.append((_name, args[3]))
-            return _run(*args)
-        monkeypatch.setattr(spaces, name, recorded)
+
+    def recorded(*args, _run=spaces._scan_numpy, **kwargs):
+        seen.append(("grid" if kwargs.get("samples") is None else "samples", args[3]))
+        return _run(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "_scan_numpy", recorded)
     return seen
 
 
@@ -861,7 +937,8 @@ def test_rational_verifiers_give_identical_outcomes_batched_and_pure(monkeypatch
     ]
     seen = _batched_calls(monkeypatch)
     batched = [fn(*args, **kwargs) for fn, args, kwargs in calls]
-    assert {name for name, _ in seen} == {"_scan_numpy", "_sample_numpy"}
+    # the Q grids and the Q samples both run batched, through one loop
+    assert {kind for kind, _ in seen} == {"grid", "samples"}
     assert all(moduli == spaces._Q_MODULI[:len(moduli)] for _, moduli in seen)
     assert {len(moduli) for _, moduli in seen} >= {1, 3}  # samples reach 10^6
     seen.clear()
@@ -881,7 +958,7 @@ def test_rational_rank_is_the_largest_rank_mod_enough_primes(monkeypatch):
     import numpy as np
 
     from nilspace import spaces
-    from nilspace.spaces import _Q_MODULI, _rank_batch, _rank_mod_p_batch, _sample_numpy, _scan_numpy
+    from nilspace.spaces import _Q_MODULI, _rank_batch, _rank_mod_p_batch, _scan_numpy
 
     q1, q2 = _Q_MODULI[:2]
     member = ((1, 0), (0, q1 * q2))
@@ -893,10 +970,10 @@ def test_rational_rank_is_the_largest_rank_mod_enough_primes(monkeypatch):
     out = verify_constant_rank(space, 1)
     assert (out.status, out.method, out.checks_performed) == ("REFUTED", "grid", 1)
     assert out.witness.coefficients == (0,) and rank(out.witness.matrix) == 2
-    assert seen == [("_scan_numpy", _Q_MODULI[:5])]
+    assert seen == [("grid", _Q_MODULI[:5])]
     out = verify_constant_rank(_space(RATIONALS, 2, _q(member), []), 2, sample_count=10)
     assert (out.status, out.checks_performed) == ("SAMPLED_PASS", 10)
-    assert seen[1:] == [("_sample_numpy", _Q_MODULI[:5])]
+    assert seen[1:] == [("samples", _Q_MODULI[:5])]
     # the scans refuse moduli that do not determine the minors
     batch = _rank_batch(2, lambda r: r != 2)
     bound = batch.bound(q1 * q2 + 2)
@@ -904,7 +981,7 @@ def test_rational_rank_is_the_largest_rank_mod_enough_primes(monkeypatch):
     with pytest.raises(AssertionError, match="moduli"):
         _scan_numpy(member, [((1, 0), (0, 0))], [0, 1, 2], _Q_MODULI[:4], 2, batch, bound)
     with pytest.raises(AssertionError, match="moduli"):
-        _sample_numpy([()], member, [], _Q_MODULI[:4], 2, batch, bound)
+        _scan_numpy(member, [], (), _Q_MODULI[:4], 2, batch, bound, samples=[()])
 
 
 def test_rational_ranks_match_bareiss_on_planted_dependencies():
@@ -966,7 +1043,7 @@ def test_a_rational_bound_beyond_the_prime_list_runs_the_pure_scan(monkeypatch):
     # a small multiple of the same space runs batched to the same outcomes
     small = _space(RATIONALS, 2, _q([[0, 1], [0, 0]]), [_q([[0, 3], [0, 0]]), _q([[1, 1], [0, 0]])])
     assert verify_all_nilpotent(small).witness.coefficients == (0, 1)
-    assert [name for name, _ in seen] == ["_scan_numpy"]
+    assert [kind for kind, _ in seen] == ["grid"]
 
 
 def test_rational_moduli_are_primes_whose_dot_products_int64_holds():
