@@ -80,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check direction lower-left entries vanish (shift-matrix base)")
     p.add_argument("--trace", type=int, default=None, metavar="M_MAX",
                    help="check trace conditions on the span of base and directions")
-    p.add_argument("--method", choices=("auto", "exhaustive", "grid", "random"), default="auto")
+    p.add_argument("--method", choices=("auto", "exhaustive", "grid", "random"), default="auto",
+                   help="how --nilpotent and --directions choose their points; "
+                   "--rank, --trace and --corner choose their own")
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--samples", type=_nonnegative_int, default=DEFAULT_SAMPLES,
                    help="seeded random points a sampled check tests; 0 disables sampling")
@@ -203,6 +205,9 @@ def _cmd_verify(args) -> int:
             or args.corner or args.trace is not None):
         raise NilspaceError("nothing to verify: pass --nilpotent, --rank, "
                             "--directions, --corner and/or --trace")
+    if args.method != "auto" and not (args.nilpotent or args.directions):
+        raise NilspaceError(f"--method {args.method} applies only to --nilpotent "
+                            "and --directions")
     kw = dict(sample_count=args.samples, seed=args.seed)
     if args.nilpotent:
         checks["nilpotent"] = spaces.verify_all_nilpotent(

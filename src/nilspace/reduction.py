@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (
-    BudgetExceededError,
-    FieldTooSmallError,
-    NotNilpotentError,
-    PreconditionUnmetError,
-)
+from .errors import FieldTooSmallError, NotNilpotentError, PreconditionUnmetError
 from .fields import FieldSpec, PrimeField, RawScalar
 from .matrices import ExactMatrix, _matmul, _modulus, identity_matrix, inverse, is_nilpotent
 from .spaces import (
@@ -28,10 +23,9 @@ from .spaces import (
     DEFAULT_SAMPLES,
     VerificationOutcome,
     _BatchTest,
+    _check_points,
     _matmul_batch,
     _reduce,
-    _run_sampling,
-    _scan_grid,
     _scan_rows,
 )
 
@@ -273,17 +267,12 @@ def trace_condition_verify(
 
     batch = _trace_batch(scan_basis, m_max)
     if total > budget:
-        if sample_count <= 0:
-            raise BudgetExceededError(f"{total} grid points exceed budget {budget}")
-        return _run_sampling(
-            field, zero_rows, basis_rows, fails, check_point, sample_count, seed,
-            (f"grid of {total} points exceeded budget {budget}",), batch,
+        return _check_points(
+            field, zero_rows, basis_rows, None, fails, check_point, batch, "random",
+            sample_count, seed, (f"grid of {total} points exceeded budget {budget}",),
         )
-
-    return _scan_grid(
-        field, zero_rows, basis_rows, range(m_max + 1), "grid", fails,
-        check_point, batch,
-    )
+    return _check_points(field, zero_rows, basis_rows, range(m_max + 1), fails, check_point,
+                         batch, "grid")
 
 
 def linear_trace_constraints(p_mat: ExactMatrix, m_max: int) -> tuple[ExactMatrix, ...]:

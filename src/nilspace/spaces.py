@@ -16,36 +16,37 @@ Outcomes record the method used so a PROVED status never rests on sampling.
 
 Members are tested with the exact kernels of :mod:`nilspace.matrices`,
 ``_rank`` (capped at r + 1) and ``_is_nilpotent``, which serve F_p and Q
-alike.  There is one path from points to an outcome for each way of
-choosing them, shared with ``reduction.trace_condition_verify``:
-``_scan_grid`` scans a grid or the whole field and returns PROVED or
-REFUTED, and ``_run_sampling`` scans seeded random points.  Both run the
-one pure member loop, ``_scan``, on an iterable of points, and hand a
-failing point and member to a caller's witness builder, which re-checks
-it with the pure predicate.
+alike.  ``_check_points`` is the one path from points to an outcome,
+shared with ``reduction.trace_condition_verify``.  It scans a grid, the
+whole field or seeded random points, and its outcome is REFUTED at a
+failing point, else PROVED for a grid or exhaustive scan and SAMPLED_PASS
+for samples.  It runs the one pure member loop, ``_scan``, on an
+iterable of points, and hands a failing point and member to a caller's
+witness builder, which re-checks it with the pure predicate.
+``_check_space`` binds a space's rows and that re-check.
 
 Rational scans run on integer members: ``_scan_rows`` scales the rows
 once, by the lcm of all their denominators, and rebuilds a failing point
 and member as Fractions.  Its docstring states the scale-invariance
 contract every predicate obeys.
 
-Both paths run batched in numpy when ``_batch_moduli`` allows: over F_p for at
-least ``_NUMPY_MIN_POINTS`` points, over Q whenever the multi-modular rule
-below covers the scan.  ``_batch_moduli`` decides before any array exists,
-and numpy is imported by the batched kernels themselves, at the first
-batched scan; a process whose scans all run pure never loads it.  The one
-batched loop, ``_scan_numpy``, serves grids and samples alike: its points
-are prefixes times a suffix grid, the prefixes an iterable of the first
-d - j coordinates and the suffix the grid over the last j.  A grid fixes
-j once, the largest whose suffix grid fits a chunk; samples have j = 0.
-It runs in chunks of whole blocks of at most ``_chunk_points`` members,
-the most whose working set fits ``_CHUNK_BYTES``, 2 MiB:
-``_CHUNK_ARRAYS`` (n, n, B) arrays per modulus hold the members, the
-statistic's temporaries and the suffix grid.  So a scan's arrays stay
-within about 2 MiB however many points it covers.  A predicate's batch
-form, a ``_BatchTest``, computes an integer statistic of each member mod a
-prime q, nilpotency by repeated squaring, rank by fraction-free
-elimination, and the trace predicate of
+Grids and samples run batched in numpy when ``_batch_moduli`` allows: over
+F_p for at least ``_NUMPY_MIN_POINTS`` points, over Q whenever the
+multi-modular rule below covers the scan.  ``_batch_moduli`` decides
+before any array exists, and numpy is imported by the batched kernels
+themselves, at the first batched scan; a process whose scans all run pure
+never loads it.  The one batched loop, ``_scan_numpy``, serves grids and
+samples alike: its points are prefixes times a suffix grid, the prefixes
+an iterable of the first d - j coordinates and the suffix the grid over
+the last j.  A grid fixes j once, the largest whose suffix grid fits a
+chunk; samples have j = 0.  It runs in chunks of whole blocks of at most
+``_chunk_points`` members, the most whose working set fits
+``_CHUNK_BYTES``, 2 MiB: ``_CHUNK_ARRAYS`` (n, n, B) arrays per modulus
+hold the members, the statistic's temporaries and the suffix grid.  So a
+scan's arrays stay within about 2 MiB however many points it covers.  A
+predicate's batch form, a ``_BatchTest``, computes an integer statistic of
+each member mod a prime q, nilpotency by repeated squaring, rank by
+fraction-free elimination, and the trace predicate of
 ``reduction.trace_condition_verify``; the scan takes the largest value
 over its moduli and hands it to the predicate.  F_p scans run on the one
 modulus p.  Q scans run on the integer members mod the fewest primes of
@@ -56,8 +57,8 @@ minors).  Then the integer is 0 iff it is 0 mod every prime, so the rank
 over Q is the largest rank mod a prime and a member is nilpotent over Q
 iff it is nilpotent mod every prime.  ``_exact`` states that rule,
 ``_scan_numpy`` asserts it, and a scan whose bound outruns the list runs
-pure.  The batched scan gives the same first failing point and check
-count as the pure one, ``_scan``.
+pure.  The batched scan gives the same first failing point and check count
+as the pure one, ``_scan``.
 
 A batch of members is one (n, n, B) array, batch axis last, so each
 elementwise step runs over B contiguous values.  Its dtype holds every sum
@@ -227,9 +228,9 @@ def _scan_rows(field, base_rows, dir_rows_list):
     runs per member.  ``rebuild`` returns the point as Fractions and the
     member built from the original rows.  This is the one place rational
     scans are scaled, and it is sound under one contract: a predicate
-    handed to ``_scan_grid`` or ``_run_sampling`` gives the same verdict at
-    c M as at M for every nonzero rational c.  Nilpotency and rank are
-    unchanged by scaling, and tr((c M)^m B) = c^m tr(M^m B).
+    handed to ``_check_points`` gives the same verdict at c M as at M for
+    every nonzero rational c.  Nilpotency and rank are unchanged by
+    scaling, and tr((c M)^m B) = c^m tr(M^m B).
     """
     if isinstance(field, PrimeField):
         return base_rows, dir_rows_list, lambda t, rows: (t, rows)
@@ -386,37 +387,7 @@ def _combined_verdicts(batch, members_mod):
     return batch.fails(stat)
 
 
-def _scan_grid(field, base_rows, dir_rows_list, values, method, fails, witness,
-               batch) -> VerificationOutcome:
-    """Scan the members ``base + sum t_i dir_i`` over the grid ``values^d``,
-    ``values`` a range from 0: REFUTED at the first member ``fails`` flags,
-    with ``witness(t, rows)`` as its witness, else PROVED; both labelled
-    ``method``.  This is the one path from a grid or exhaustive scan to an
-    outcome.
-
-    It runs on the members of ``_scan_rows``, batched by ``_scan_numpy``
-    with ``batch``, the batch form of ``fails``, as prefixes times a suffix
-    grid when ``_batch_moduli`` allows, else by ``_scan`` in product order.
-    """
-    d = len(dir_rows_list)
-    scan_base, scan_dirs, rebuild = _scan_rows(field, base_rows, dir_rows_list)
-    # values[-1], not max(values): O(1) on a range of p values
-    plan = _batch_moduli(field, batch, scan_base, scan_dirs, values[-1], len(values) ** d)
-    if plan is not None:
-        moduli, bound = plan
-        t, rows, checked = _scan_numpy(scan_base, scan_dirs, values, moduli,
-                                       len(base_rows), batch, bound)
-    else:
-        t, rows, checked = _scan(scan_base, scan_dirs, product(values, repeat=d), field, fails)
-    if t is None:
-        return VerificationOutcome(status=PROVED, method=method, checks_performed=checked)
-    return VerificationOutcome(
-        status=REFUTED, method=method, checks_performed=checked,
-        witness=witness(*rebuild(t, rows)),
-    )
-
-
-def _scan_numpy(base_rows, dir_rows_list, values, moduli, n, batch, bound=None, samples=None):
+def _scan_numpy(base_rows, dir_rows_list, values, moduli, batch, bound=None, samples=None):
     """Batched ``_scan`` over the grid ``values^d`` in product order, or
     over the iterable ``samples`` when it is given: the same (t,
     member_rows, checks) triple.  This is the one batched scan loop.
@@ -436,6 +407,7 @@ def _scan_numpy(base_rows, dir_rows_list, values, moduli, n, batch, bound=None, 
     """
     import numpy as np
 
+    n = len(base_rows)
     dtype = _batch_dtype(moduli, batch, bound)
     cap = _chunk_points(n, dtype, moduli)
     d, k = len(dir_rows_list), len(values)
@@ -617,53 +589,54 @@ def _sample_points(field: FieldSpec, d: int, sample_count: int, seed: int):
         yield tuple(t)
 
 
-def _run_sampling(field, base_rows, dir_rows_list, fails, witness, sample_count,
-                  seed, notes, batch) -> VerificationOutcome:
-    """Seeded random sampling of the members ``base + sum t_i dir_i``:
-    REFUTED at the first member ``fails`` flags, with ``witness(t, rows)``
-    as its witness, else SAMPLED_PASS.  This is the one path from samples
-    to an outcome; over Q it tests the integer members of ``_scan_rows`` at
-    integer samples.  It runs batched by ``_scan_numpy`` with ``batch``,
-    the batch form of ``fails``, the samples as its prefixes and no suffix
-    grid, when ``_batch_moduli`` allows, else by ``_scan``.
+def _check_points(field, base_rows, dir_rows_list, values, fails, witness, batch, method,
+                  sample_count=None, seed=None, notes=()) -> VerificationOutcome:
+    """Scan the members ``base + sum t_i dir_i`` over the grid ``values^d``,
+    ``values`` a range from 0, or, when ``values`` is None, at
+    ``sample_count`` seeded points of ``_sample_points``.  This is the one
+    path from scanned points to an outcome: REFUTED at the first member
+    ``fails`` flags, with ``witness(t, rows)`` as its witness, else
+    SAMPLED_PASS for ``method`` "random" and PROVED for a grid or
+    exhaustive scan.  ``sample_count``, ``seed`` and ``notes`` are the
+    outcome's own, so a grid outcome keeps None, None and ().
+
+    It runs on the members of ``_scan_rows``, batched by ``_scan_numpy``
+    with ``batch``, the batch form of ``fails``, when ``_batch_moduli``
+    allows, else by ``_scan``.  A sample run with no points is refused with
+    the cause its first note states, the note's text before any ";".
     """
+    d = len(dir_rows_list)
     scan_base, scan_dirs, rebuild = _scan_rows(field, base_rows, dir_rows_list)
-    points = _sample_points(field, len(dir_rows_list), sample_count, seed)
-    plan = _batch_moduli(field, batch, scan_base, scan_dirs, _Q_SAMPLE_TOP, sample_count)
-    if plan is not None:
-        moduli, bound = plan
-        t, rows, checked = _scan_numpy(scan_base, scan_dirs, (), moduli, len(base_rows), batch,
-                                       bound, samples=points)
+    if values is None:
+        if sample_count < 1:
+            cause = notes[0].partition(";")[0] if notes else f"sample_count is {sample_count}"
+            raise BudgetExceededError(f"{cause}, and sampling is disabled")
+        samples = points = _sample_points(field, d, sample_count, seed)
+        values, top, count = (), _Q_SAMPLE_TOP, sample_count
     else:
+        # values[-1], not max(values): O(1) on a range of p values
+        samples, top, count = None, values[-1], len(values) ** d
+        points = product(values, repeat=d)
+    plan = _batch_moduli(field, batch, scan_base, scan_dirs, top, count)
+    if plan is None:
         t, rows, checked = _scan(scan_base, scan_dirs, points, field, fails)
+    else:
+        moduli, bound = plan
+        t, rows, checked = _scan_numpy(scan_base, scan_dirs, values, moduli, batch, bound,
+                                       samples=samples)
     if t is not None:
-        return VerificationOutcome(
-            status=REFUTED, method="random", checks_performed=checked,
-            witness=witness(*rebuild(t, rows)), sample_count=sample_count,
-            seed=seed, notes=tuple(notes),
-        )
-    return VerificationOutcome(
-        status=SAMPLED_PASS, method="random", checks_performed=checked,
-        sample_count=sample_count, seed=seed, notes=tuple(notes),
-    )
+        status, found = REFUTED, witness(*rebuild(t, rows))
+    else:
+        status, found = (SAMPLED_PASS if method == "random" else PROVED), None
+    return VerificationOutcome(status, method, checked, found, sample_count, seed, tuple(notes))
 
 
-def _scan_space(space, values, method, fails, batch) -> VerificationOutcome:
-    return _scan_grid(
-        space.field, space.base.rows, [m.rows for m in space.directions], values,
-        method, fails, lambda t, rows: _witness(space, t, rows, fails), batch,
-    )
-
-
-def _sample_space(space, fails, sample_count, seed, notes, batch) -> VerificationOutcome:
-    if sample_count <= 0:
-        raise BudgetExceededError(
-            "verification budget exceeded and sampling is disabled"
-        )
-    return _run_sampling(
-        space.field, space.base.rows, [m.rows for m in space.directions], fails,
-        lambda t, rows: _witness(space, t, rows, fails), sample_count, seed, notes,
-        batch,
+def _check_space(space, values, fails, batch, method, **sampling) -> VerificationOutcome:
+    """``_check_points`` on the space's rows, each witness re-checked by
+    ``_witness``."""
+    return _check_points(
+        space.field, space.base.rows, [m.rows for m in space.directions], values, fails,
+        lambda t, rows: _witness(space, t, rows, fails), batch, method, **sampling,
     )
 
 
@@ -735,7 +708,8 @@ def verify_all_nilpotent(
     fails = _fails_nilpotency(space.field)
     batch = _nilpotency_batch(n)
     if method == "random":
-        return _sample_space(space, fails, sample_count, seed, (), batch)
+        return _check_space(space, None, fails, batch, "random",
+                            sample_count=sample_count, seed=seed)
     values, used = _choose_points(space, n, method)
     total = len(values) ** space.d
     if total > budget:
@@ -743,12 +717,11 @@ def verify_all_nilpotent(
             raise BudgetExceededError(
                 f"{total} points exceed the budget of {budget}"
             )
-        return _sample_space(
-            space, fails, sample_count, seed,
-            (f"grid of {total} points exceeded budget {budget}; sampled instead",),
-            batch,
+        return _check_space(
+            space, None, fails, batch, "random", sample_count=sample_count, seed=seed,
+            notes=(f"grid of {total} points exceeded budget {budget}; sampled instead",),
         )
-    return _scan_space(space, values, used, fails, batch)
+    return _check_space(space, values, fails, batch, used)
 
 
 def verify_constant_rank(
@@ -779,9 +752,7 @@ def verify_constant_rank(
 
     exact_batch = _rank_batch(n, lambda ranks: ranks != r)
     if isinstance(field, PrimeField) and field.p ** space.d <= budget:
-        return _scan_space(
-            space, range(field.p), "exhaustive", fails_exact, exact_batch,
-        )
+        return _check_space(space, range(field.p), fails_exact, exact_batch, "exhaustive")
 
     # budget rules out exhaustion (always the case over the rationals); the
     # grid proves the upper bound when the field has n + 1 values for it
@@ -798,9 +769,8 @@ def verify_constant_rank(
         def fails_upper(rows):
             return _rank(rows, p, r) > r
 
-        upper = _scan_space(
-            space, range(n + 1), "grid", fails_upper,
-            _rank_batch(n, lambda ranks: ranks > r),
+        upper = _check_space(
+            space, range(n + 1), fails_upper, _rank_batch(n, lambda ranks: ranks > r), "grid",
         )
         if upper.refuted:
             return upper
@@ -813,7 +783,7 @@ def verify_constant_rank(
             status=PROVED, method="exhaustive", checks_performed=0,
             notes=("rank >= 0 is vacuous",),
         ))
-    if len(parts) == 2 and all(part.proved for part in parts):
+    if len(parts) == 2:
         return combine_outcomes(*parts)
 
     note = (
@@ -821,8 +791,8 @@ def verify_constant_rank(
         if not isinstance(field, PrimeField)
         else f"member count exceeds budget {budget}; sampled"
     )
-    sampled = _sample_space(space, fails_exact, sample_count, seed, (note,), exact_batch)
-    parts.append(sampled)
+    parts.append(_check_space(space, None, fails_exact, exact_batch, "random",
+                              sample_count=sample_count, seed=seed, notes=(note,)))
     return combine_outcomes(*parts)
 
 

@@ -17,6 +17,7 @@ from nilspace import (
     shift_matrix,
     verify_all_nilpotent,
     verify_constant_rank,
+    witness_conjecture,
     witness_rank_full,
     witness_rank_one,
 )
@@ -124,6 +125,39 @@ def test_cli_verify_rejects_sample_counts_it_cannot_use(argv, message, tmp_path,
     assert main(["verify", "--input", str(f), "--nilpotent", "--samples", "0"]) == 0
     assert main(["verify", "--input", str(f), "--nilpotent", "--samples", "0",
                  "--budget", "10"]) == 3
+
+
+def test_cli_verify_without_samples_names_why_it_would_sample(tmp_path, capsys):
+    # over Q the rank lower bound is sampled at any budget, so the refusal
+    # names that, not a budget; over F_7 the grid is what exceeds the budget
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps(serialize.space_to_obj(witness_conjecture(4, 2, RATIONALS))))
+    assert main(["verify", "--input", str(q), "--rank", "2", "--samples", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "rank lower bound" in err and "budget" not in err
+    f7 = tmp_path / "w.json"
+    f7.write_text(json.dumps(serialize.space_to_obj(witness_rank_full(5, PrimeField(7)))))
+    assert main(["verify", "--input", str(f7), "--nilpotent", "--budget", "10",
+                 "--samples", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "46656 points" in err and "budget 10" in err and "sampled instead" not in err
+
+
+@pytest.mark.parametrize("method", ["grid", "exhaustive", "random"])
+def test_cli_verify_rejects_a_method_no_requested_check_reads(method, tmp_path, capsys):
+    # --rank, --trace and --corner choose their own points, so a --method
+    # beside them alone would be silently dropped
+    f = tmp_path / "w.json"
+    f.write_text(json.dumps(serialize.space_to_obj(witness_rank_full(4, PrimeField(7)))))
+    sampled = 3 if method == "random" else 0
+    for checks in (["--rank", "3"], ["--trace", "3"], ["--corner"],
+                   ["--rank", "3", "--trace", "3", "--corner"]):
+        assert main(["verify", "--input", str(f), *checks, "--method", method]) == 2
+        assert f"--method {method} applies only to" in capsys.readouterr().err
+        assert main(["verify", "--input", str(f), *checks]) == 0
+        for reader in ("--nilpotent", "--directions"):
+            argv = ["verify", "--input", str(f), *checks, reader, "--method", method]
+            assert main(argv) == sampled
 
 
 @pytest.mark.parametrize("n", [3.9, 3.0, "3", True])

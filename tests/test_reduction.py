@@ -245,7 +245,7 @@ def test_trace_scan_beyond_the_int64_bound_matches_the_pure_scan(monkeypatch):
     assert outcomes[p] == trace_condition_verify([m, m], 63, field)
     with pytest.raises(AssertionError, match="int64"):
         spaces._scan_numpy(
-            ((0,) * 3,) * 3, [m.rows, m.rows], list(range(64)), (p,), 3,
+            ((0,) * 3,) * 3, [m.rows, m.rows], list(range(64)), (p,),
             _trace_batch([m.rows, m.rows], 63),
         )
 

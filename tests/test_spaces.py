@@ -24,6 +24,7 @@ from nilspace import (
     nilindex,
     rank,
     shift_matrix,
+    trace_condition_verify,
     unit_matrix,
     verify_all_nilpotent,
     verify_constant_rank,
@@ -205,6 +206,104 @@ def test_rarely_taken_verifier_branches(call, expected):
     assert out.witness is None and out.sample_count is None
 
 
+def _identity_base(field):
+    """No member is nilpotent."""
+    return _space(field, 2, identity_matrix(2, field), [unit_matrix(0, 1, 2, field)])
+
+
+def _identity_direction(field):
+    """Nilpotent base, but the direction span holds the identity."""
+    return _space(field, 2, shift_matrix(2, field), [identity_matrix(2, field)])
+
+
+def _trace_basis(space):
+    return [space.base, *space.directions]
+
+
+_SAMPLING = {"sample_count": 30, "seed": 2}
+_OUTCOME_CASES = {
+    # name: (call on a field, (status, method) over F_7, and over Q); every
+    # call passes _SAMPLING, which only a sampled outcome may keep
+    "nilpotent grid": (
+        lambda K: verify_all_nilpotent(witness_rank_full(4, K), **_SAMPLING),
+        ("PROVED", "grid"), ("PROVED", "grid")),
+    "nilpotent over budget": (
+        lambda K: verify_all_nilpotent(witness_rank_full(4, K), 10, **_SAMPLING),
+        ("SAMPLED_PASS", "random"), ("SAMPLED_PASS", "random")),
+    "nilpotent random": (
+        lambda K: verify_all_nilpotent(witness_rank_full(4, K), method="random", **_SAMPLING),
+        ("SAMPLED_PASS", "random"), ("SAMPLED_PASS", "random")),
+    "nilpotent refuted": (
+        lambda K: verify_all_nilpotent(_identity_base(K), **_SAMPLING),
+        ("REFUTED", "grid"), ("REFUTED", "grid")),
+    "nilpotent refuted by a sample": (
+        lambda K: verify_all_nilpotent(_identity_base(K), 1, **_SAMPLING),
+        ("REFUTED", "random"), ("REFUTED", "random")),
+    "rank": (
+        lambda K: verify_constant_rank(witness_rank_full(4, K), 3, **_SAMPLING),
+        ("PROVED", "exhaustive"), ("SAMPLED_PASS", "random")),
+    "rank upper bound on a grid": (
+        lambda K: verify_constant_rank(witness_rank_full(4, K), 3, 200, **_SAMPLING),
+        ("SAMPLED_PASS", "random"), ("SAMPLED_PASS", "random")),
+    "rank refuted": (
+        lambda K: verify_constant_rank(witness_rank_full(4, K), 2, **_SAMPLING),
+        ("REFUTED", "exhaustive"), ("REFUTED", "grid")),
+    "rank refuted on the upper bound grid": (
+        lambda K: verify_constant_rank(witness_rank_full(4, K), 2, 200, **_SAMPLING),
+        ("REFUTED", "grid"), ("REFUTED", "grid")),
+    "rank refuted by a sample": (
+        lambda K: verify_constant_rank(witness_rank_full(4, K), 4, 200, **_SAMPLING),
+        ("REFUTED", "random"), ("REFUTED", "random")),
+    "rank 0 on the zero space": (
+        lambda K: verify_constant_rank(_space(K, 2, ExactMatrix.zeros(2, 2, K), ()), 0,
+                                       **_SAMPLING),
+        ("PROVED", "exhaustive"), ("PROVED", "grid")),
+    "directions": (
+        lambda K: direction_nilpotency(witness_rank_full(4, K), **_SAMPLING),
+        ("PROVED", "grid"), ("PROVED", "grid")),
+    "directions over budget": (
+        lambda K: direction_nilpotency(witness_rank_full(4, K), 10, **_SAMPLING),
+        ("SAMPLED_PASS", "random"), ("SAMPLED_PASS", "random")),
+    "directions refuted": (
+        lambda K: direction_nilpotency(_identity_direction(K), **_SAMPLING),
+        ("REFUTED", "grid"), ("REFUTED", "grid")),
+    "directions refuted by a sample": (
+        lambda K: direction_nilpotency(_identity_direction(K), 1, **_SAMPLING),
+        ("REFUTED", "random"), ("REFUTED", "random")),
+    "trace": (
+        lambda K: trace_condition_verify(_trace_basis(witness_rank_full(4, K)), 3, **_SAMPLING),
+        ("PROVED", "grid"), ("PROVED", "grid")),
+    "trace over budget": (
+        lambda K: trace_condition_verify(_trace_basis(witness_rank_full(4, K)), 3, budget=20,
+                                         **_SAMPLING),
+        ("SAMPLED_PASS", "random"), ("SAMPLED_PASS", "random")),
+    "trace refuted": (
+        lambda K: trace_condition_verify([identity_matrix(2, K)], 1, **_SAMPLING),
+        ("REFUTED", "grid"), ("REFUTED", "grid")),
+    "trace refuted by a sample": (
+        lambda K: trace_condition_verify([identity_matrix(2, K)], 1, budget=1, **_SAMPLING),
+        ("REFUTED", "random"), ("REFUTED", "random")),
+}
+
+
+@pytest.mark.parametrize("field", [F7, RATIONALS], ids=["F_7", "Q"])
+@pytest.mark.parametrize("case", list(_OUTCOME_CASES))
+def test_outcome_fields_follow_the_method_on_every_oracle(case, field):
+    # one constructor builds every scanned outcome: a grid or exhaustive
+    # scan is PROVED or REFUTED and carries no sample count or seed, a
+    # random one is SAMPLED_PASS or REFUTED and carries both
+    call, *expected = _OUTCOME_CASES[case]
+    out = call(field)
+    assert (out.status, out.method) == expected[field is RATIONALS]
+    if out.method == "random":
+        assert out.status in ("SAMPLED_PASS", "REFUTED")
+        assert (out.sample_count, out.seed) == (30, 2)
+    else:
+        assert out.status in ("PROVED", "REFUTED")
+        assert (out.sample_count, out.seed) == (None, None)
+    assert (out.witness is not None) == out.refuted
+
+
 def test_direction_nilpotency_examples():
     out = direction_nilpotency(witness_rank_full(4, F5))
     assert out.status == "PROVED"
@@ -308,7 +407,7 @@ def test_batched_and_pure_nilpotency_scans_agree():
     batch = _nilpotency_batch(4)
     pure = _scan(w.base.rows, dir_rows, itertools.product(values, repeat=len(dir_rows)),
                  F7, _fails_nilpotency(F7))
-    batched = _scan_numpy(w.base.rows, dir_rows, values, (7,), 4, batch)
+    batched = _scan_numpy(w.base.rows, dir_rows, values, (7,), batch)
     assert pure == batched  # both PROVED with identical point counts
 
     bad = _space(
@@ -318,7 +417,7 @@ def test_batched_and_pure_nilpotency_scans_agree():
     dir_rows = [m.rows for m in bad.directions]
     pure = _scan(bad.base.rows, dir_rows, itertools.product(values, repeat=len(dir_rows)),
                  F7, _fails_nilpotency(F7))
-    batched = _scan_numpy(bad.base.rows, dir_rows, values, (7,), 4, batch)
+    batched = _scan_numpy(bad.base.rows, dir_rows, values, (7,), batch)
     assert pure == batched  # same first witness, same check count
     assert pure[0] is not None
 
@@ -504,7 +603,7 @@ def test_batched_and_pure_scans_agree(predicate, case, monkeypatch):
     # two whole blocks of 5**4 points
     for chunk_cap in (None, 1536):
         _cap_chunks(monkeypatch, chunk_cap, 4)
-        batched = _scan_numpy(base.rows, dir_rows, values, (7,), 4, batch)
+        batched = _scan_numpy(base.rows, dir_rows, values, (7,), batch)
         assert batched == pure
     assert pure[2] == checks
     assert (pure[0] is not None) == refuted
@@ -552,7 +651,7 @@ def test_batched_scan_keeps_product_order_across_block_and_chunk_edges(
     # would take 3000-odd chunks, and seconds
     for chunk_cap in (None, 1536) + ((5,) if slot else ()):
         _cap_chunks(monkeypatch, chunk_cap, 5)
-        assert _scan_numpy(base.rows, dir_rows, values, (7,), 5, batch) == pure
+        assert _scan_numpy(base.rows, dir_rows, values, (7,), batch) == pure
 
 
 # J_4 plus t_0 E02 + t_1 E13 + t_2 E30: tr(M^4) = 4 t_2 from the 4-cycle,
@@ -585,7 +684,7 @@ def test_batched_sampled_scan_keeps_the_sample_order_across_chunk_edges(field, m
     pure = _scan(base, dirs, points, field, _fails_nilpotency(field))
     assert pure[0] == points[230] and pure[2] == 231
     chunks = []
-    batched = _scan_numpy(base, dirs, (), moduli, 4, batch._replace(
+    batched = _scan_numpy(base, dirs, (), moduli, batch._replace(
         statistic=lambda members, q: chunks.append(members.shape[-1]) or batch.statistic(members, q)
     ), bound, samples=iter(points))
     assert batched == pure
@@ -669,7 +768,7 @@ def test_trace_scan_at_the_int16_boundary_matches_the_pure_scan(p, dtype, refute
     assert batch.terms == n * n
     pure = _scan(zero, dir_rows, itertools.product(values, repeat=len(dir_rows)),
                  field, _pure_trace_fails(basis, 2, p))
-    batched = _scan_numpy(zero, dir_rows, values, (p,), n, batch._replace(
+    batched = _scan_numpy(zero, dir_rows, values, (p,), batch._replace(
         statistic=lambda members, q: seen.append(members.dtype) or batch.statistic(members, q)))
     assert batched == pure
     assert (pure[0] is not None) == refuted and pure[2] == (4**5 + 1 if refuted else 4**6)
@@ -979,9 +1078,9 @@ def test_rational_rank_is_the_largest_rank_mod_enough_primes(monkeypatch):
     bound = batch.bound(q1 * q2 + 2)
     assert bound == 3 * (q1 * q2 + 2) ** 2
     with pytest.raises(AssertionError, match="moduli"):
-        _scan_numpy(member, [((1, 0), (0, 0))], [0, 1, 2], _Q_MODULI[:4], 2, batch, bound)
+        _scan_numpy(member, [((1, 0), (0, 0))], [0, 1, 2], _Q_MODULI[:4], batch, bound)
     with pytest.raises(AssertionError, match="moduli"):
-        _scan_numpy(member, [], (), _Q_MODULI[:4], 2, batch, bound, samples=[()])
+        _scan_numpy(member, [], (), _Q_MODULI[:4], batch, bound, samples=[()])
 
 
 def test_rational_ranks_match_bareiss_on_planted_dependencies():
