@@ -24,7 +24,7 @@ from .errors import (
     NilspaceError,
     PreconditionUnmetError,
 )
-from .fields import PrimeField, RATIONALS
+from .fields import FieldSpec, PrimeField, RATIONALS
 from .spaces import DEFAULT_BUDGET, DEFAULT_SAMPLES, PROVED, REFUTED
 
 EXIT_OK = 0
@@ -200,44 +200,46 @@ def _cmd_verify(args) -> int:
     if isinstance(doc, dict) and "space" in doc and "base" not in doc:
         doc = doc["space"]  # accept files produced by the witness subcommand
     space = serialize.space_from_obj(doc, field=args.field)
-    checks: dict[str, spaces.VerificationOutcome] = {}
-    if not (args.nilpotent or args.rank is not None or args.directions
-            or args.corner or args.trace is not None):
+    kw = dict(sample_count=args.samples, seed=args.seed)
+    requested = (
+        ("nilpotent", args.nilpotent, lambda: spaces.verify_all_nilpotent(
+            space, args.budget, method=args.method, **kw)),
+        ("constant_rank", args.rank is not None, lambda: spaces.verify_constant_rank(
+            space, args.rank, args.budget, **kw)),
+        ("directions_nilpotent", args.directions, lambda: spaces.direction_nilpotency(
+            space, args.budget, method=args.method, **kw)),
+        ("corner_entries", args.corner, lambda: spaces.corner_entry_check(space)),
+        ("trace_conditions", args.trace is not None, lambda: reduction.trace_condition_verify(
+            [space.base, *space.directions], args.trace, space.field,
+            budget=args.budget, **kw)),
+    )
+    if not any(wanted for _, wanted, _ in requested):
         raise NilspaceError("nothing to verify: pass --nilpotent, --rank, "
                             "--directions, --corner and/or --trace")
     if args.method != "auto" and not (args.nilpotent or args.directions):
         raise NilspaceError(f"--method {args.method} applies only to --nilpotent "
                             "and --directions")
-    kw = dict(sample_count=args.samples, seed=args.seed)
-    if args.nilpotent:
-        checks["nilpotent"] = spaces.verify_all_nilpotent(
-            space, args.budget, method=args.method, **kw
-        )
-    if args.rank is not None:
-        checks["constant_rank"] = spaces.verify_constant_rank(
-            space, args.rank, args.budget, **kw
-        )
-    if args.directions:
-        checks["directions_nilpotent"] = spaces.direction_nilpotency(
-            space, args.budget, method=args.method, **kw
-        )
-    if args.corner:
-        checks["corner_entries"] = spaces.corner_entry_check(space)
-    if args.trace is not None:
-        checks["trace_conditions"] = reduction.trace_condition_verify(
-            [space.base, *space.directions], args.trace, space.field,
-            budget=args.budget, **kw,
-        )
+    # a check that refuses its budget is named on stderr, and the others
+    # still run and are reported
+    checks: dict[str, spaces.VerificationOutcome] = {}
+    refused = False
+    for name, wanted, check in requested:
+        if wanted:
+            try:
+                checks[name] = check()
+            except BudgetExceededError as exc:
+                print(f"error: {name}: {exc}", file=sys.stderr)
+                refused = True
     obj = {name: serialize.outcome_to_obj(out) for name, out in checks.items()}
     lines = [f"{name}: {out.status} ({out.method}, {out.checks_performed} checks)"
              for name, out in checks.items()]
-    _emit(args, obj, "\n".join(lines))
+    _emit(args, obj, "\n".join(lines) or None)
     statuses = [out.status for out in checks.values()]
     if REFUTED in statuses:
         return EXIT_REFUTED
-    if all(s == PROVED for s in statuses):
-        return EXIT_OK
-    return EXIT_UNRESOLVED
+    if refused or any(s != PROVED for s in statuses):
+        return EXIT_UNRESOLVED
+    return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
@@ -265,25 +267,20 @@ def _cmd_witness(args) -> int:
     else:
         if args.field is None or args.n is None:
             raise NilspaceError(f"--type {kind} requires --n and --field")
+        if kind == "conjecture" and args.r is None:
+            raise NilspaceError("--type conjecture requires --r")
+        target_rank = {"rank-full": args.n - 1, "rank-one": 1}.get(kind, args.r)
+        _hypothesis_warnings(args.n, target_rank, args.field)
         if kind == "rank-full":
             space = catalog.witness_rank_full(args.n, args.field)
-            target_rank = args.n - 1
-            if catalog.hypothesis_violated(catalog.HYP_RANK_FULL, args.field, args.n):
-                _warn("the rank-(n-1) dimension value assumes |K| >= n+1")
         elif kind == "rank-one":
             space = catalog.witness_rank_one(args.n, args.field)
-            target_rank = 1
-            if catalog.hypothesis_violated(catalog.HYP_RANK_ONE, args.field, args.n):
-                _warn("the rank-1 dimension value assumes |K| >= 3")
         else:
-            if args.r is None:
-                raise NilspaceError("--type conjecture requires --r")
             maybe = catalog.witness_conjecture(args.n, args.r, args.field, args.budget)
             if maybe is None:
                 _warn("no verified witness producible for these parameters within budget")
                 return EXIT_UNRESOLVED
             space = maybe
-            target_rank = args.r
     nilp = spaces.verify_all_nilpotent(space, args.budget)
     ranks = spaces.verify_constant_rank(space, target_rank, args.budget)
     obj = {
@@ -319,7 +316,9 @@ def _cmd_normalize(args) -> int:
     return EXIT_OK
 
 
-def _search_warnings(n: int, r: int, field: PrimeField) -> None:
+def _hypothesis_warnings(n: int, r: int, field: FieldSpec) -> None:
+    """Warn when the field is below the hypothesis of the border-case value
+    at rank r: rank one, or rank n - 1."""
     if r == 1 and catalog.hypothesis_violated(catalog.HYP_RANK_ONE, field, n):
         _warn("the rank-1 maximal dimension assumes |K| >= 3; this field is smaller")
     if r == n - 1 and catalog.hypothesis_violated(catalog.HYP_RANK_FULL, field, n):
@@ -327,7 +326,7 @@ def _search_warnings(n: int, r: int, field: PrimeField) -> None:
 
 
 def _cmd_search(args) -> int:
-    _search_warnings(args.n, args.r, args.field)
+    _hypothesis_warnings(args.n, args.r, args.field)
     report = search.max_affine_dimension(
         args.n, args.r, args.field, mode=args.mode, budget=args.budget, seed=args.seed,
     )
@@ -341,7 +340,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    _search_warnings(args.n, args.r, args.field)
+    _hypothesis_warnings(args.n, args.r, args.field)
     result = search.check_conjecture(
         args.n, args.r, args.field, budget=args.budget, seed=args.seed,
     )

@@ -53,7 +53,6 @@ from .matrices import (
     _nullspace,
     _rank,
     is_nilpotent,
-    jordan_partition,
     rank,
 )
 from .partitions import Partition, dominance_leq, partitions_of
@@ -94,21 +93,44 @@ _REVERIFY_RECORD = (
 
 @dataclass(frozen=True, slots=True)
 class CandidatePool:
-    """Direction candidates whose whole line through the base passes the
-    nilpotent constant-rank test, one canonical representative per line.
-
-    ``pruned_by_rank`` counts every tested line that was rejected, whichever
-    check rejected it: the trace invariant at member 1, the quadric screen,
-    or the member test (the rank or nilpotency).
-    ``pruned_by_trace`` counts the lines outside the enumerated kernel."""
+    """The pool of one base and the counts of its build: ``lines``, one
+    canonical representative per direction line whose whole line through
+    the base passes the nilpotent constant-rank test, flattened and in
+    increasing order, and ``free``, the free columns of the kernel the build
+    enumerated (``_build_pool``).  A rejected line counts once, on the check
+    that rejected it: the trace invariant at member 1, the quadric screen or
+    the member test.  ``pruned_by_trace`` counts the lines outside the
+    kernel."""
 
     base: ExactMatrix
-    candidates: tuple[ExactMatrix, ...]
+    lines: tuple[tuple[int, ...], ...]
+    free: tuple[int, ...]
     complete: bool
-    lines_tested: int
-    pruned_by_rank: int
-    pruned_by_trace: int
     evaluations: int
+    at_invariants: int
+    at_screen: int
+    at_member_test: int
+    pruned_by_trace: int
+
+    @property
+    def candidates(self) -> tuple[ExactMatrix, ...]:
+        """The lines as matrices, built when read."""
+        field, n = self.base.field, self.base.n_rows
+        return tuple(ExactMatrix(field, _flat_to_rows(x, n)) for x in self.lines)
+
+    @property
+    def coords(self) -> list[tuple[int, ...]]:
+        """Each line's kernel coordinates, its entries at ``free``."""
+        return [tuple(x[f] for f in self.free) for x in self.lines]
+
+    @property
+    def pruned_by_rank(self) -> int:
+        """Every tested line that was rejected, whichever check rejected it."""
+        return self.at_invariants + self.at_screen + self.at_member_test
+
+    @property
+    def lines_tested(self) -> int:
+        return self.pruned_by_rank + len(self.lines)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,21 +170,24 @@ class ConjectureTest:
 # ---------------------------------------------------------------------------
 # canonical base points
 
+def _base_types(n: int, r: int) -> list[Partition]:
+    """The partitions of n with n - r nonzero parts, the Jordan types of
+    rank r (a nilpotent block matrix has rank n minus its block count), in
+    the order of ``canonical_bases``."""
+    return [part for part in partitions_of(n) if len(part.nonzero_parts()) == n - r]
+
+
 def canonical_bases(n: int, r: int, field: FieldSpec) -> list[ExactMatrix]:
-    """One block-shift matrix per partition of n with n - r nonzero parts
-    (the rank of a nilpotent block matrix is n minus its block count)."""
+    """One block-shift matrix per Jordan type of rank r, in the order of
+    ``_base_types``."""
     if not 0 <= r <= n - 1:
         raise ValueError("need 0 <= r <= n-1")
-    blocks_wanted = n - r
     out = []
     one, zero = field.one, field.zero
-    for part in partitions_of(n):
-        sizes = part.nonzero_parts()
-        if len(sizes) != blocks_wanted:
-            continue
+    for part in _base_types(n, r):
         rows = [[zero] * n for _ in range(n)]
         offset = 0
-        for size in sizes:
+        for size in part.nonzero_parts():
             for i in range(size - 1):
                 rows[offset + i][offset + i + 1] = one
             offset += size
@@ -504,7 +529,7 @@ def _line_conditions(base: ExactMatrix, r: int, p: int) -> _LineConditions:
     ]
     screen: list[_Form] = []
     exact: list[_Form] = []
-    types = [jordan_partition(c) for c in canonical_bases(n, r, base.field)]
+    types = _base_types(n, r)
     chain = all(
         dominance_leq(a, c) or dominance_leq(c, a) for a in types for c in types
     )
@@ -580,41 +605,18 @@ def build_candidate_pool(
     every line of every space.  ``pruning`` takes only "trace", the one
     pool there is.  A budget cut returns the partial pool flagged
     ``complete=False`` rather than raising, so searches can degrade to
-    lower bounds.
+    lower bounds.  The pool is the record the search itself reads.
     """
     if pruning != "trace":
         raise ValueError(f"unknown pruning {pruning!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    built = _build_pool(base, r, field, budget)
-    rejected = built.at_invariants + built.at_screen + built.at_member_test
-    return CandidatePool(
-        base=base,
-        candidates=tuple(ExactMatrix(field, _flat_to_rows(x, base.n_rows)) for x in built.lines),
-        complete=built.complete,
-        lines_tested=rejected + len(built.lines),
-        pruned_by_rank=rejected,
-        pruned_by_trace=built.pruned_by_trace,
-        evaluations=built.evaluations,
-    )
+    return _build_pool(base, r, field, budget)
 
 
-class _Pool(NamedTuple):
-    """A pool build's lines and counts, from ``_build_pool``."""
-
-    lines: list[tuple[int, ...]]  # canonical and flattened, in increasing order
-    complete: bool
-    evaluations: int
-    at_invariants: int  # lines rejected on the trace invariants at member 1
-    at_screen: int  # on the quadric screen
-    at_member_test: int  # by the member test
-    pruned_by_trace: int  # the lines outside the enumerated kernel
-    free: tuple[int, ...]  # the free columns of the kernel basis
-
-
-def _build_pool(base, r, field, limit: int) -> _Pool:
-    """The pool of ``base`` within ``limit`` member evaluations, as flat
-    tuples, with the free columns of the kernel it enumerates.
+def _build_pool(base, r, field, limit: int) -> CandidatePool:
+    """The pool of ``base`` within ``limit`` member evaluations, where the
+    search may pass a ``limit`` of 0, which tests no line.
 
     A kernel basis vector of ``_nullspace`` is 1 at its own free column, 0
     at the others and solved only at pivot columns left of it, so its free
@@ -687,11 +689,10 @@ def _build_pool(base, r, field, limit: int) -> _Pool:
         else:
             charges.used += p - 1
             kept.append(_canonical_line(flat, p))
-    kept.sort()
-    return _Pool(
-        kept, not charges.cut, charges.used, charges.at_invariants, charges.at_screen,
+    return CandidatePool(
+        base, tuple(sorted(kept)), tuple(max(k for k, y in enumerate(u) if y) for u in kernel),
+        not charges.cut, charges.used, charges.at_invariants, charges.at_screen,
         at_member_test, pruned_by_trace,
-        tuple(max(k for k, y in enumerate(u) if y) for u in kernel),
     )
 
 
@@ -850,10 +851,17 @@ def max_affine_dimension(
     reports what they used.  The k bases share it in order: base i (from 0)
     may use ceil(left / (k - i)) of the evaluations still left, so a base's
     unused share flows on to the later ones and the first cannot starve the
-    rest.  A base whose share ran out before it tested a line is left out
-    of ``base_points_tried`` and of the counters.  Both modes search the
-    line-compatibility graph of a built pool, which the budget does not
-    charge, so a partial pool still yields a sound lower bound.
+    rest.  Both modes search the line-compatibility graph of a built pool,
+    which the budget does not charge, so a partial pool still yields a sound
+    lower bound.
+
+    Each base's run is one record, logged at DEBUG by ``_BASE_RECORD``: its
+    pool's counts, its graph and search, the best dimension so far, and
+    whether it was tried.  A base whose share ran out before it tested a
+    line is not tried: it gets no graph and no search.  The report reads its
+    counts off the records: ``evaluations`` sums them all,
+    ``base_points_tried`` lists the tried ones, and ``nodes_explored`` and
+    both ``pruned_by_*`` sum over those.
     """
     if not isinstance(field, PrimeField):
         raise ValueError("the search enumerates members; the field must be finite")
@@ -865,48 +873,36 @@ def max_affine_dimension(
         raise ValueError("budget must be >= 1")
     p = field.p
     start = time.perf_counter()
-    used = 0
     bases = canonical_bases(n, r, field)
-    base_partitions = []
-
+    records: list[dict] = []
     best_dim = 0
     best_base = bases[0]
     best_dirs: tuple[tuple[int, ...], ...] = ()
-    nodes = 0
-    pruned_by_trace = 0
-    pruned_by_rank = 0
-    fully_exhausted = mode == "exhaustive"
     rng = random.Random(seed)
 
-    for i, base in enumerate(bases):
+    for i, (partition, base) in enumerate(zip(_base_types(n, r), bases)):
         # an equal share of what is left; what a base leaves flows on
-        share = -(-(budget - used) // (len(bases) - i))
+        left = budget - sum(rec["evaluations"] for rec in records)
         clock = time.perf_counter()
-        pool = _build_pool(base, r, field, share)
-        used += pool.evaluations
-        partition = jordan_partition(base)
-        rejected = pool.at_invariants + pool.at_screen + pool.at_member_test
-        cands = pool.lines
+        pool = _build_pool(base, r, field, -(-left // (len(bases) - i)))
         record = {
             "partition": partition.nonzero_parts(), "kernel_dim": len(pool.free),
-            "lines_tested": rejected + len(cands), "at_invariants": pool.at_invariants,
+            "lines_tested": pool.lines_tested, "at_invariants": pool.at_invariants,
             "at_screen": pool.at_screen, "at_member_test": pool.at_member_test,
-            "kept": len(cands), "evaluations": pool.evaluations,
+            "kept": len(pool.lines), "evaluations": pool.evaluations,
             "pool_s": time.perf_counter() - clock, "complete": pool.complete,
+            "pruned_by_trace": pool.pruned_by_trace, "pruned_by_rank": pool.pruned_by_rank,
+            # a base that never tested a line adds no counts and no search
+            "tried": pool.complete or pool.lines_tested > 0,
             "graph_s": 0.0, "pairs": 0, "edges": 0, "mode": mode, "search_s": 0.0, "nodes": 0,
             "depth": 0,
         }
-        if not pool.complete:
-            fully_exhausted = False
-        # a base that never tested a line adds no counts and no search
-        if pool.complete or record["lines_tested"]:
-            base_partitions.append(partition)
-            pruned_by_trace += pool.pruned_by_trace
-            pruned_by_rank += rejected
+        records.append(record)
+        if record["tried"]:
             clock = time.perf_counter()
-            graph = _line_graph([tuple(x[f] for f in pool.free) for x in cands], p)
+            graph = _line_graph(pool.coords, p)
             record["graph_s"] = time.perf_counter() - clock
-            record["pairs"] = len(cands) * (len(cands) - 1) // 2
+            record["pairs"] = len(pool.lines) * (len(pool.lines) - 1) // 2
             record["edges"] = sum(x.bit_count() for x in graph.neighbours) // 2
             if mode == "exhaustive":
                 got = _canonical_dfs(graph, p, best_dim)
@@ -915,15 +911,15 @@ def max_affine_dimension(
             record["search_s"] = time.perf_counter() - clock - record["graph_s"]
             record["nodes"] = got["nodes"]
             record["depth"] = got["depth"]
-            nodes += got["nodes"]
             if got["best_dim"] > best_dim:
                 best_dim = got["best_dim"]
                 best_base = base
-                best_dirs = tuple(cands[c] for c in got["best_dirs"])
+                best_dirs = tuple(pool.lines[c] for c in got["best_dirs"])
         record["best_dim"] = best_dim
         _log.debug(_BASE_RECORD, record)
 
-    status = EXHAUSTIVE if (mode == "exhaustive" and fully_exhausted) else LOWER_BOUND_ONLY
+    tried = [rec for rec in records if rec["tried"]]
+    exhausted = mode == "exhaustive" and all(rec["complete"] for rec in records)
     witness = AffineMatrixSpace(
         field, n, best_base,
         tuple(ExactMatrix(field, _flat_to_rows(flat, n)) for flat in best_dirs),
@@ -937,11 +933,14 @@ def max_affine_dimension(
     })
     wall = time.perf_counter() - start
     return SearchReport(
-        n=n, r=r, p=p, max_dim_found=best_dim, witness=witness, status=status,
-        base_points_tried=tuple(base_partitions), nodes_explored=nodes,
-        pruned_by_trace=pruned_by_trace, pruned_by_rank=pruned_by_rank,
-        evaluations=used, budget=budget, pruning="trace",
-        mode=mode, seed=seed, wall_time=wall,
+        n=n, r=r, p=p, max_dim_found=best_dim, witness=witness,
+        status=EXHAUSTIVE if exhausted else LOWER_BOUND_ONLY,
+        base_points_tried=tuple(Partition.of(rec["partition"]) for rec in tried),
+        nodes_explored=sum(rec["nodes"] for rec in tried),
+        pruned_by_trace=sum(rec["pruned_by_trace"] for rec in tried),
+        pruned_by_rank=sum(rec["pruned_by_rank"] for rec in tried),
+        evaluations=sum(rec["evaluations"] for rec in records), budget=budget,
+        pruning="trace", mode=mode, seed=seed, wall_time=wall,
     )
 
 

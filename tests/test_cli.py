@@ -141,6 +141,21 @@ def test_cli_verify_without_samples_names_why_it_would_sample(tmp_path, capsys):
                  "--samples", "0"]) == 3
     err = capsys.readouterr().err
     assert "46656 points" in err and "budget 10" in err and "sampled instead" not in err
+    # a refused check leaves the decided ones on stdout, still with exit 3
+    assert main(["verify", "--input", str(q), "--nilpotent", "--rank", "2",
+                 "--samples", "0"]) == 3
+    captured = capsys.readouterr()
+    assert list(json.loads(captured.out)) == ["nilpotent"]
+    assert json.loads(captured.out)["nilpotent"]["status"] == "PROVED"
+    assert captured.err.startswith("error: constant_rank: rank lower bound")
+    # every requested check runs, and each refusal is named
+    assert main(["verify", "--input", str(f7), "--nilpotent", "--rank", "4", "--trace", "4",
+                 "--budget", "1000", "--samples", "0"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {}
+    assert [line.split(":")[1].strip() for line in captured.err.splitlines()] == [
+        "nilpotent", "constant_rank", "trace_conditions"
+    ]
 
 
 @pytest.mark.parametrize("method", ["grid", "exhaustive", "random"])
@@ -212,6 +227,25 @@ def test_cli_search_counterexample_field(capsys):
     assert report["max_dim_found"] == 1
     assert report["status"] == "EXHAUSTIVE"
     assert "rank-1" in captured.err  # hypothesis-violation warning
+
+
+@pytest.mark.parametrize("argv, warned", [
+    (["--type", "conjecture", "--n", "3", "--r", "2", "--field", "2"], "rank-(n-1)"),
+    (["--type", "rank-full", "--n", "3", "--field", "2"], "rank-(n-1)"),
+    (["--type", "conjecture", "--n", "3", "--r", "1", "--field", "2"], "rank-1"),
+    (["--type", "rank-one", "--n", "3", "--field", "2"], "rank-1"),
+    (["--type", "conjecture", "--n", "4", "--r", "2", "--field", "2"], None),
+    (["--type", "counterexample-f2"], None),
+])
+def test_cli_witness_warns_below_the_border_hypotheses_whatever_its_type(argv, warned, capsys):
+    # at the border ranks a conjecture witness is the rank-full or rank-one
+    # one, so it warns on the same field as they do
+    assert main(["witness", *argv]) == 0
+    err = capsys.readouterr().err
+    if warned:
+        assert warned in err and "assumes" in err
+    else:
+        assert err == ""
 
 
 def test_cli_search_budget_exhaustion_exit_code(capsys):
