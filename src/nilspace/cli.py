@@ -18,12 +18,7 @@ import sys
 from pathlib import Path
 
 from . import catalog, reduction, search, serialize, spaces
-from .errors import (
-    BudgetExceededError,
-    FieldTooSmallError,
-    NilspaceError,
-    PreconditionUnmetError,
-)
+from .errors import BudgetExceededError, NilspaceError
 from .fields import FieldSpec, PrimeField, RATIONALS
 from .spaces import DEFAULT_BUDGET, DEFAULT_SAMPLES, PROVED, REFUTED
 
@@ -367,8 +362,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNRESOLVED
-    except (PreconditionUnmetError, FieldTooSmallError, NilspaceError, ValueError,
-            OSError, KeyError, TypeError) as exc:
+    except (NilspaceError, ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

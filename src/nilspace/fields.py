@@ -121,7 +121,10 @@ class PrimeField(FieldSpec):
 
     def normalize(self, x) -> int:
         """The residue of x in [0, p); a Fraction a/b maps to a * b^-1, and
-        raises ``ZeroDivisionError`` when p divides b."""
+        raises ``ZeroDivisionError`` when p divides b.  A bool is not a
+        number here and raises ``TypeError``."""
+        if isinstance(x, bool):
+            raise TypeError(f"cannot interpret {x!r} as an element of F_{self.p}")
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
@@ -165,6 +168,8 @@ class RationalField(FieldSpec):
     def normalize(self, x) -> Fraction:
         if isinstance(x, float):
             raise TypeError("floating-point values are not exact; use int, str or Fraction")
+        if isinstance(x, bool):
+            raise TypeError(f"cannot interpret {x!r} as a rational")
         return Fraction(x)
 
     def is_canonical(self, x) -> bool:

@@ -40,6 +40,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import compress
+from operator import mul
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import reduction
@@ -97,10 +98,12 @@ class CandidatePool:
     canonical representative per direction line whose whole line through
     the base passes the nilpotent constant-rank test, flattened and in
     increasing order, and ``free``, the free columns of the kernel the build
-    enumerated (``_build_pool``).  A rejected line counts once, on the check
-    that rejected it: the trace invariant at member 1, the quadric screen or
-    the member test.  ``pruned_by_trace`` counts the lines outside the
-    kernel."""
+    enumerated (``build_candidate_pool``), so a line's entries there are its
+    coordinates c over the kernel basis, on which every form of
+    ``_line_conditions`` is a Gram matrix.  A rejected line counts once, on
+    the check that rejected it: the trace invariant at member 1 (tr(X^2)),
+    the quadric screen or the member test.  ``pruned_by_trace`` counts the
+    lines outside the kernel."""
 
     base: ExactMatrix
     lines: tuple[tuple[int, ...], ...]
@@ -228,13 +231,15 @@ class _Charges:
     cut: bool = False
 
 
-_Coefficients = tuple[list[int], list[list[int]]]
+# a quadratic form as its Gram matrix G on the coordinates c over a kernel
+# basis K_1..K_d: its value at X = sum c_j K_j is sum G_ij c_i c_j
+_Gram = list[list[int]]
 
 
 def _kernel_lines(
     kernel: Sequence[tuple[int, ...]],
-    forms: Sequence[_Coefficients],
-    exact: Sequence[_Coefficients],
+    forms: Sequence[_Gram],
+    exact: Sequence[_Gram],
     p: int,
     charges: _Charges,
 ) -> Iterator[tuple[int, ...]]:
@@ -248,15 +253,15 @@ def _kernel_lines(
     vector and x0 = u_lead + sum_l c_l u_(lead+1+l) over the middle
     coefficients c; the last lead has one line, x0 = v, a run of its own.
 
-    Each form (lam, M) is phi(c) = sum_j lam_j c_j + sum_ij M_ij c_i c_j on
-    the coordinates c over ``kernel``, and on a run phi(x0 + a v) = phi(x0)
-    + a b + a^2 M_vv: a polynomial in a whose roots are the run's lines that
-    pass the form (``_root_lookup``).  A root mask has ``reach`` bits, not
-    p: the lines a <= ``charges.limit`` of a run, the only ones the budget
-    can reach.  The root masks of ``forms`` are remembered per distinct
-    polys; the forms of ``exact`` stay out of that memo's key, which each
-    would multiply up to p^2-fold, and are decided only on the runs where
-    every form of ``forms`` passes some line.
+    Each form is a Gram matrix M over ``kernel`` (``_Gram``), with no
+    linear part, and on a run phi(x0 + a v) = phi(x0) + a b + a^2 M_vv: a
+    polynomial in a whose roots are the run's lines that pass the form
+    (``_root_lookup``).  A root mask has ``reach`` bits, not p: the lines
+    a <= ``charges.limit`` of a run, the only ones the budget can reach.
+    The root masks of ``forms`` are remembered per distinct polys; the
+    forms of ``exact`` stay out of that memo's key, which each would
+    multiply up to p^2-fold, and are decided only on the runs where every
+    form of ``forms`` passes some line.
 
     Charges.  Each line that fails a form costs 1 evaluation, on
     ``charges.at_screen`` when it passes the first form (tr(X^2) in the pool
@@ -290,8 +295,8 @@ def _kernel_lines(
     values = (1 << block) - 1
     carried = (1 << len(forms) * width) - 1
     key_mask = carried | carried << block
-    sym = [[[(g[i][j] + g[j][i]) % p for j in range(d)] for i in range(d)] for _, g in every]
-    curv = [g[last][last] % p for _, g in every]
+    sym = [[[(g[i][j] + g[j][i]) % p for j in range(d)] for i in range(d)] for g in every]
+    curv = [g[last][last] % p for g in every]
     # line a of a run is reached only after the run has paid a evaluations,
     # so bits a > charges.limit are never read: masks stay small at large p
     reach = min(p, charges.limit + 1)
@@ -306,9 +311,8 @@ def _kernel_lines(
         )
 
     def start(lead):  # the state at x = u_lead
-        return pack([lam[lead] + g[lead][lead] for lam, g in every], [
-            [lam[i] + s[lead][i] + g[i][i] for (lam, g), s in zip(every, sym)]
-            for i in range(d)
+        return pack([g[lead][lead] for g in every], [
+            [s[lead][i] + g[i][i] for g, s in zip(every, sym)] for i in range(d)
         ])
 
     def masks(s, fields):  # phi(x0) in block 0, D_v = b + M_vv in block 1
@@ -440,34 +444,22 @@ def _canonical_line(flat: tuple[int, ...], p: int) -> tuple[int, ...]:
     raise ValueError("zero vector has no line")
 
 
-# A form on flattened n x n matrices x: sum c x[k] over its linear terms
-# (k, c) plus sum c x[k] x[l] over its quadratic terms (k, l, c).
-_Form = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...]]
-
-
 class _LineConditions(NamedTuple):
-    """What a line X of a pool must meet, from ``_line_conditions``."""
+    """What a line X of a pool must meet, from ``_line_conditions``: linear
+    rows, and quadratic forms as Gram matrices over the rows' kernel basis."""
 
-    rows: list[tuple[int, ...]]  # linear rows on X; the pool is their kernel
-    square: _Form  # tr(X^2), which decides member 1 (the rule in _build_pool)
-    screen: list[_Form]  # must vanish on every pool line
-    exact: list[_Form]  # the Q_uv when screen forms combine them; each must vanish
-
-
-def _on_kernel(form: _Form, kernel, p: int) -> _Coefficients:
-    """``form`` on the coordinates over ``kernel``: its linear coefficients
-    and Gram matrix, phi(sum c_j u_j) = sum lam_j c_j + sum M_ij c_i c_j."""
-    linear, quadratic = form
-    lam = [sum(c * u[k] for k, c in linear) % p for u in kernel]
-    gram = [
-        [sum(c * u[k] * v[l] for k, l, c in quadratic) % p for v in kernel]
-        for u in kernel
-    ]
-    return lam, gram
+    rows: list[tuple[int, ...]]  # linear rows on X, flattened
+    kernel: list[tuple[int, ...]]  # K_1..K_d, the basis of their kernel, flattened
+    square: _Gram  # tr(X^2), which decides member 1 (the rule in build_candidate_pool)
+    screen: list[_Gram]  # must vanish on every pool line
+    exact: list[_Gram]  # the Q_uv when screen forms combine them; each must vanish
 
 
-def _quadratic(terms: dict[tuple[int, int], int]) -> _Form:
-    return (), tuple((k, l, c) for (k, l), c in terms.items() if c)
+def _gram(lefts, rights, p: int) -> _Gram:
+    """G_ij = <lefts[i], rights[j]> mod p, the sum of the entrywise
+    products: the Gram matrix of the form <L(X), R(X)> on the kernel, given
+    L(K_i) and R(K_j) for the basis, flattened."""
+    return [[sum(map(mul, x, y)) % p for y in rights] for x in lefts]
 
 
 def _line_conditions(base: ExactMatrix, r: int, p: int) -> _LineConditions:
@@ -495,6 +487,12 @@ def _line_conditions(base: ExactMatrix, r: int, p: int) -> _LineConditions:
     all powers (Gerstenhaber-Hesselink), so the space is found in the pool
     of the base of M's type.
 
+    Forms.  Each is <L(X), R(X)> for two linear maps L and R of X, and is
+    returned as its Gram matrix G_ij = <L(K_i), R(K_j)> on the kernel basis
+    K_1..K_d of the rows (``_gram``), so its value at X = sum c_j K_j is
+    sum G_ij c_i c_j: tr(X^2) = <X, X^T>, Q_uv(X) = <u^T X, B^T X v> and
+    tr(BX^2) = <BX, X^T>.
+
     Square.  tr(B + sX) = s tr(X) and tr((B + sX)^2) = 2s tr(BX) + s^2
     tr(X^2).  On the kernel of the rows tr(X) = 0 and, for p >= 3, tr(BX) =
     0; at p = 2 there is no tr(BX) row, but there 2 tr(BX) = 0.  So member 1
@@ -519,16 +517,14 @@ def _line_conditions(base: ExactMatrix, r: int, p: int) -> _LineConditions:
     """
     n = base.n_rows
     b = base.rows
-    support = [(i, j, b[i][j]) for i in range(n) for j in range(n) if b[i][j]]
-    square = ((), tuple((i * n + k, k * n + i, 1) for i in range(n) for k in range(n)))
+    bt = tuple(zip(*b))
     # looked up on the module at call time, so a tracing wrapper put on
     # ``reduction.linear_trace_constraints`` sees the pool builder's call
     rows = [
         tuple(x for row in c.rows for x in row)
         for c in reduction.linear_trace_constraints(base, min(n - 1, p - 2))
     ]
-    screen: list[_Form] = []
-    exact: list[_Form] = []
+    pairs = []  # the (u, v) of the Q_uv screen
     types = _base_types(n, r)
     chain = all(
         dominance_leq(a, c) or dominance_leq(c, a) for a in types for c in types
@@ -552,37 +548,42 @@ def _line_conditions(base: ExactMatrix, r: int, p: int) -> _LineConditions:
                     sum(left[i][a] * right[k - 1 - i][e] for i in range(k)) % p
                     for a in range(n) for e in range(n)
                 ))
-        if k > 1 or _matmul(_matmul(b, tuple(zip(*b)), p), b, p) != b:
-            continue  # the Q_uv screen below needs the rank tangent and B B^T B = B
-        pairs = []
-        for u in coker:
-            for v in ker:
-                # Q_uv(X) = sum u_a X[a, y] B[c, y] X[c, e] v_e
-                terms: dict[tuple[int, int], int] = {}
-                for c, y, z in support:
-                    for a in range(n):
-                        for e in range(n):
-                            key = (a * n + y, c * n + e)
-                            terms[key] = (terms.get(key, 0) + u[a] * z * v[e]) % p
-                pairs.append(terms)
-        if len(pairs) == 1:
-            screen.append(_quadratic(pairs[0]))
+        # the Q_uv screen needs the rank tangent and B B^T B = B
+        if k == 1 and _matmul(_matmul(b, bt, p), b, p) == b:
+            pairs = [(u, v) for u in coker for v in ker]
+
+    kernel = _nullspace(rows, p)
+    mats = [_flat_to_rows(u, n) for u in kernel]
+    transposes = [tuple(x for col in zip(*m) for x in col) for m in mats]
+    square = _gram(kernel, transposes, p)
+    screen: list[_Gram] = []
+    exact: list[_Gram] = []
+    if pairs:
+        bt_mats = [_matmul(bt, m, p) for m in mats]
+        q = [
+            _gram(
+                [_matmul((u,), m, p)[0] for m in mats],
+                [[sum(map(mul, row, v)) % p for row in m] for m in bt_mats],
+                p,
+            )
+            for u, v in pairs
+        ]
+        if len(q) == 1:
+            screen = q
         else:
             # two fixed combinations sum (i + 1)^j Q_i, j = 0, 1: a line
             # with some Q_i != 0 passes both about once in p^2
-            for j in (0, 1):
-                combined: dict[tuple[int, int], int] = {}
-                for i, terms in enumerate(pairs):
-                    for key, c in terms.items():
-                        combined[key] = (combined.get(key, 0) + (i + 1) ** j * c) % p
-                screen.append(_quadratic(combined))
-            exact = [_quadratic(terms) for terms in pairs]
+            screen = [
+                [[sum((i + 1) ** j * x for i, x in enumerate(xs)) % p for xs in zip(*row_a)]
+                 for row_a in zip(*q)]
+                for j in (0, 1)
+            ]
+            exact = q
     if r >= 3 and p >= 5:
-        # tr(BX^2) = sum B[i, j] X[j, k] X[k, i]
-        screen.append(((), tuple(
-            (j * n + k, k * n + i, c) for i, j, c in support for k in range(n)
-        )))
-    return _LineConditions(rows, square, screen, exact)
+        screen.append(_gram(
+            [tuple(x for row in _matmul(b, m, p) for x in row) for m in mats], transposes, p,
+        ))
+    return _LineConditions(rows, kernel, square, screen, exact)
 
 
 def build_candidate_pool(
@@ -593,7 +594,9 @@ def build_candidate_pool(
     budget: int = DEFAULT_BUDGET,
 ) -> CandidatePool:
     """Enumerate one canonical representative per direction line whose whole
-    line through ``base`` is nilpotent of rank exactly r.
+    line through ``base`` is nilpotent of rank exactly r, within ``budget``
+    member evaluations; a budget of 0 tests no line.  The search builds its
+    pools here.
 
     Only the common kernel of the linear rows of ``_line_conditions`` is
     enumerated, over every F_p, since each row is emitted only on the
@@ -603,20 +606,7 @@ def build_candidate_pool(
     base's type dominates.  Every space of the search passes through a
     member of its largest type, so the pools of all the bases still hold
     every line of every space.  ``pruning`` takes only "trace", the one
-    pool there is.  A budget cut returns the partial pool flagged
-    ``complete=False`` rather than raising, so searches can degrade to
-    lower bounds.  The pool is the record the search itself reads.
-    """
-    if pruning != "trace":
-        raise ValueError(f"unknown pruning {pruning!r}")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    return _build_pool(base, r, field, budget)
-
-
-def _build_pool(base, r, field, limit: int) -> CandidatePool:
-    """The pool of ``base`` within ``limit`` member evaluations, where the
-    search may pass a ``limit`` of 0, which tests no line.
+    pool there is.
 
     A kernel basis vector of ``_nullspace`` is 1 at its own free column, 0
     at the others and solved only at pivot columns left of it, so its free
@@ -632,9 +622,14 @@ def _build_pool(base, r, field, limit: int) -> CandidatePool:
     nilpotency test here, member by member, at one evaluation per member
     tested: the first failing t, or p - 1 when the line passes.  A line the
     remaining budget cannot finish is cut and not counted; the cut spends
-    the budget to ``limit``.  The pool is complete unless a cut, here or in
-    ``_kernel_lines``, stopped the enumeration.
+    the budget to the end.  A budget cut, here or in ``_kernel_lines``,
+    returns the partial pool flagged ``complete=False`` rather than
+    raising, so searches can degrade to lower bounds.
     """
+    if pruning != "trace":
+        raise ValueError(f"unknown pruning {pruning!r}")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     if not isinstance(field, PrimeField):
         raise ValueError("candidate pools are only enumerable over finite fields")
     p = field.p
@@ -645,8 +640,7 @@ def _build_pool(base, r, field, limit: int) -> CandidatePool:
         raise ValueError("base point must be nilpotent of rank exactly r")
     n_entries = n * n
 
-    domain, square, screen, exact = _line_conditions(base, r, p)
-    kernel = _nullspace(domain, p)
+    _, kernel, square, screen, exact = _line_conditions(base, r, p)
     pruned_by_trace = _line_count(p, n_entries) - _line_count(p, len(kernel))
 
     # The enumerated vector X is a multiple a*X0 of the canonical X0 (lead
@@ -656,14 +650,9 @@ def _build_pool(base, r, field, limit: int) -> CandidatePool:
     row_slices = [slice(i, i + n) for i in range(0, n_entries, n)]
     kept: list[tuple[int, ...]] = []
     at_member_test = 0
-    charges = _Charges(limit)
-    for flat in _kernel_lines(
-        kernel,
-        [_on_kernel(f, kernel, p) for f in [square, *screen]],
-        [_on_kernel(f, kernel, p) for f in exact],
-        p, charges,
-    ):
-        room = limit - charges.used
+    charges = _Charges(budget)
+    for flat in _kernel_lines(kernel, [square, *screen], exact, p, charges):
+        room = budget - charges.used
         inv = pow(next(x for x in flat if x), -1, p)
         failed_at = 0
         for t in range(1, min(p, room + 1)):
@@ -683,7 +672,7 @@ def _build_pool(base, r, field, limit: int) -> CandidatePool:
             charges.used += failed_at
             at_member_test += 1
         elif room < p - 1:
-            charges.used = limit
+            charges.used = budget
             charges.cut = True
             break
         else:
@@ -720,9 +709,9 @@ _WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 def _line_graph(coords, p) -> _LineGraph:
     """The graph of the pool lines with coordinates ``coords``, the only
     vector arithmetic of the search: span(x, y) has the lines of y and x +
-    t*y.  The search passes kernel coordinates (see ``_build_pool``), a
-    linear bijection onto F_p^d, which maps lines and spans to lines and
-    spans, so the graph is the pool's.
+    t*y.  The search passes kernel coordinates (see
+    ``build_candidate_pool``), a linear bijection onto F_p^d, which maps
+    lines and spans to lines and spans, so the graph is the pool's.
 
     Packed vectors: the entries of a vector, w + 1 bits each
     (``_field_bits``), as one int, so one shift, mask and multiply reduce
@@ -884,7 +873,7 @@ def max_affine_dimension(
         # an equal share of what is left; what a base leaves flows on
         left = budget - sum(rec["evaluations"] for rec in records)
         clock = time.perf_counter()
-        pool = _build_pool(base, r, field, -(-left // (len(bases) - i)))
+        pool = build_candidate_pool(base, r, field, budget=-(-left // (len(bases) - i)))
         record = {
             "partition": partition.nonzero_parts(), "kernel_dim": len(pool.free),
             "lines_tested": pool.lines_tested, "at_invariants": pool.at_invariants,

@@ -2,9 +2,9 @@
 
 Conventions:
 
-* field: ``{"prime": p}`` or ``"rational"``;
+* field: ``{"prime": p}`` with p a JSON integer, or ``"rational"``;
 * matrix entries: integers for F_p residues; for the rationals, integers or
-  ``"a/b"`` strings;
+  ``"a/b"`` strings; never booleans;
 * matrix document: ``{"field": ..., "rows": [[...], ...]}``;
 * space document: ``{"field": ..., "n": n, "base": [[...]],
   "directions": [[[...]], ...]}``;
@@ -35,7 +35,10 @@ def field_from_obj(obj) -> FieldSpec:
     if obj == "rational" or obj == {"rational": True}:
         return RATIONALS
     if isinstance(obj, dict) and "prime" in obj:
-        return PrimeField(int(obj["prime"]))
+        prime = obj["prime"]
+        if type(prime) is not int:  # no float, string or bool, which int() would coerce
+            raise ValueError(f"prime must be a JSON integer, got {prime!r}")
+        return PrimeField(prime)
     raise ValueError(f"unrecognized field spec: {obj!r}")
 
 

@@ -186,6 +186,31 @@ def test_cli_verify_rejects_an_n_that_is_not_a_json_integer(n, tmp_path, capsys)
     assert main(["verify", "--input", str(f), "--nilpotent"]) == 0
 
 
+@pytest.mark.parametrize("prime", [7.9, 5.0, "5", True])
+def test_cli_verify_rejects_a_prime_that_is_not_a_json_integer(prime, tmp_path, capsys):
+    # int() would read 7.9 as F_7 and "5" or 5.0 as F_5
+    doc = serialize.space_to_obj(witness_rank_full(3, F5))
+    f = tmp_path / "w.json"
+    f.write_text(json.dumps(dict(doc, field={"prime": prime})))
+    assert main(["verify", "--input", str(f), "--nilpotent"]) == 2
+    assert "prime must be a JSON integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, code", [({"prime": 5}, 0), ("rational", 3)], ids=["F5", "Q"])
+def test_cli_verify_rejects_a_boolean_entry(field, code, tmp_path, capsys):
+    # read as 1, true made a rank-one square-zero space that verified (over
+    # Q its rank lower bound is only sampled, exit 3)
+    f = tmp_path / "w.json"
+    argv = ["verify", "--input", str(f), "--nilpotent", "--rank", "1"]
+    doc = {"field": field, "n": 2, "base": [[0, 1], [0, 0]], "directions": []}
+    f.write_text(json.dumps(doc))
+    assert main(argv) == code
+    doc["base"][0][1] = True
+    f.write_text(json.dumps(doc))
+    assert main(argv) == 2
+    assert "cannot interpret True" in capsys.readouterr().err
+
+
 def test_cli_verify_trace_and_corner(tmp_path, capsys):
     space = serialize.space_to_obj(witness_rank_full(4, PrimeField(7)))
     f = tmp_path / "w.json"

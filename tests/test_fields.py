@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from nilspace import PrimeField, RATIONALS
+from nilspace import ExactMatrix, PrimeField, RATIONALS
 
 
 def test_prime_field_rejects_composites():
@@ -54,6 +54,18 @@ def test_normalization_is_canonical():
 def test_rationals_reject_floats():
     with pytest.raises(TypeError):
         RATIONALS.normalize(0.5)
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), RATIONALS], ids=["F5", "Q"])
+def test_booleans_are_not_field_elements(field):
+    # a bool is an int in Python, so JSON true and false would read as 1
+    # and 0; in a matrix too
+    for x in (True, False):
+        with pytest.raises(TypeError, match=f"cannot interpret {x}"):
+            field.normalize(x)
+    with pytest.raises(TypeError):
+        ExactMatrix.from_rows(field, [[0, True], [0, 0]])
+    assert ExactMatrix.from_rows(field, [[0, 1], [0, 0]]).rows == ((0, 1), (0, 0))
 
 
 @given(st.sampled_from([2, 5, 7, 65537]), st.integers(-10**6, 10**6), st.integers(1, 10**6))

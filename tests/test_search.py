@@ -36,13 +36,11 @@ from nilspace.search import (
     _BASE_RECORD,
     _REVERIFY_RECORD,
     _base_types,
-    _build_pool,
     _canonical_dfs,
     _canonical_line,
     _greedy_search,
     _kernel_lines,
     _line_conditions,
-    _on_kernel,
     _adjoin,
     _bits,
     _line_graph,
@@ -351,7 +349,7 @@ def _rows(flat, n):
 
 def _trace_kernel(base, r, p):
     """The kernel a trace-pruned pool of ``base`` enumerates."""
-    return _nullspace_mod_p(_line_conditions(base, r, p).rows, p)
+    return _line_conditions(base, r, p).kernel
 
 
 def _reference_extension_lines(zs, lines, cand, pool, p):
@@ -482,6 +480,11 @@ def _iter_canonical_kernel(kernel, p):
                 break
 
 
+def _form_at(gram, c, p):
+    """The quadratic form with Gram matrix ``gram`` at the coordinates ``c``."""
+    return sum(g * x * y for row, x in zip(gram, c) for g, y in zip(row, c)) % p
+
+
 def _traces(b, m, p):
     """tr(M), tr(BM) and tr(M^2) from the rows of B and M."""
     n = len(m)
@@ -519,9 +522,10 @@ def _enumeration_cases():
 def test_kernel_lines_match_the_odometer_reference_and_carry_the_traces():
     # the yielded vectors are the odometer reference's lines on which every
     # form vanishes, in its order, since the order decides where a budget
-    # cuts.  The forms are tr(X^2) first, as in the pool builder, then
-    # tr(X), tr(BX) and a seeded random form, carried, and two seeded random
-    # forms, exact.  Each line that fails one is charged 1 evaluation before
+    # cuts.  The forms are Gram matrices on the kernel coordinates: tr(X^2)
+    # first, as in the pool builder, then tr(X) tr(BX), tr(X)^2, tr(BX)^2
+    # and a seeded random form, carried, and two seeded random forms, exact.
+    # Each line that fails one is charged 1 evaluation before
     # the next yield, on the screen when it passes tr(X^2); a budget that
     # cannot pay for the next failing line cuts there.  The caller charges
     # each yielded line 1 or p - 1 evaluations, as many as are left, and
@@ -536,27 +540,38 @@ def test_kernel_lines_match_the_odometer_reference_and_carry_the_traces():
     for p, n, base_flat, kernel in _enumeration_cases():
         d = len(kernel)
 
+        def product(left, right):
+            # the Gram matrix of the product of two linear forms, given by
+            # their values on the kernel basis
+            return [[x * y % p for y in right] for x in left]
+
         def random_form():
             # a product of two linear forms (which vanishes on about 2/p of
             # the lines, so that some lines pass every form), plus at times
-            # a quadratic or a linear part
+            # a random quadratic form
             left, right = ([rng.randrange(p) for _ in range(d)] for _ in range(2))
-            extra = rng.choice(("none", "linear", "quadratic"))
-            lam = [rng.randrange(p) if extra == "linear" else 0 for _ in range(d)]
-            return lam, [
-                [(left[i] * right[j] + (rng.randrange(p) if extra == "quadratic" else 0)) % p
-                 for j in range(d)]
-                for i in range(d)
+            noise = rng.choice((False, True))
+            return [
+                [(g + (rng.randrange(p) if noise else 0)) % p for g in row]
+                for row in product(left, right)
             ]
 
-        # tr(X^2), tr(X) and tr(BX) = sum B[i, j] X[j, i], as forms on X
-        traces = [
-            ((), tuple((i * n + k, k * n + i, 1) for i in range(n) for k in range(n))),
-            (tuple((i * (n + 1), 1) for i in range(n)), ()),
-            (tuple((j * n + i, base_flat[i * n + j]) for i in range(n) for j in range(n)), ()),
+        # tr(X^2) = <X, X^T>, and the products of tr(X) and tr(BX) = sum
+        # B[i, j] X[j, i], on the kernel basis
+        square = [
+            [sum(u[i * n + k] * v[k * n + i] for i in range(n) for k in range(n)) % p
+             for v in kernel]
+            for u in kernel
         ]
-        forms = [_on_kernel(f, kernel, p) for f in traces]
-        forms.append(random_form())
+        tr_x = [sum(u[i * (n + 1)] for i in range(n)) for u in kernel]
+        tr_bx = [
+            sum(base_flat[i * n + j] * u[j * n + i] for i in range(n) for j in range(n))
+            for u in kernel
+        ]
+        forms = [
+            square, product(tr_x, tr_bx), product(tr_x, tr_x), product(tr_bx, tr_bx),
+            random_form(),
+        ]
         exact = [random_form(), random_form()]
         # the reference in the odometer's order: per line its vector, whether
         # it passes every form and tr(X^2), and the kind of its run
@@ -569,13 +584,9 @@ def test_kernel_lines_match_the_odometer_reference_and_carry_the_traces():
                     c = (0,) * lead + (1,) + (middle + (a,) if lead < d - 1 else ())
                     x = tuple(sum(ci * u[k] for ci, u in zip(c, kernel)) % p for k in range(n * n))
                     assert x == next(want_lines)
-                    values = [
-                        (sum(l * ci for l, ci in zip(lam, c))
-                         + sum(m[i][j] * c[i] * c[j] for i in range(d) for j in range(d))) % p
-                        for lam, m in forms + exact
-                    ]
-                    tr_x, tr_bx, q = _traces(_rows(base_flat, n), _rows(x, n), p)
-                    assert values[:3] == [q, tr_x, tr_bx]
+                    values = [_form_at(g, c, p) for g in forms + exact]
+                    t, tb, q = _traces(_rows(base_flat, n), _rows(x, n), p)
+                    assert values[:4] == [q, t * tb % p, t * t % p, tb * tb % p]
                     run.append((x, not any(values), not values[0]))
                 kind = (
                     "last lead" if lead == d - 1
@@ -640,7 +651,7 @@ def test_complete_pools_reject_on_the_invariants_exactly_the_failing_lines(n, r,
         for x in _iter_canonical_kernel(kernel, p):
             tr_x, tr_bx, q = _traces(base.rows, _rows(x, n), p)
             want += bool(tr_x or (q and not tr_bx))
-        pool = _build_pool(base, r, field, 10**6)
+        pool = build_candidate_pool(base, r, field, budget=10**6)
         # each basis vector is 1 at its own free column and 0 at the others,
         # so a kernel vector's entries there are its kernel coordinates
         assert [tuple(u[f] for f in pool.free) for u in kernel] == [
@@ -829,10 +840,10 @@ def test_screened_pools_equal_the_pools_without_the_screen(n, r, p, monkeypatch)
     # rejected, and a screened line costs no more than its failing member
     field = PrimeField(p)
     bases = canonical_bases(n, r, field)
-    screened = [_build_pool(base, r, field, 10**8) for base in bases]
+    screened = [build_candidate_pool(base, r, field, budget=10**8) for base in bases]
     _unscreened(monkeypatch)
     for base, pool in zip(bases, screened):
-        plain = _build_pool(base, r, field, 10**8)
+        plain = build_candidate_pool(base, r, field, budget=10**8)
         assert pool.complete and plain.complete and plain.at_screen == 0
         assert pool.lines == plain.lines
         assert pool.at_screen + pool.at_member_test == plain.at_member_test
@@ -870,12 +881,53 @@ def test_screened_j4_pool_prefixes_equal_the_pools_without_the_screen(monkeypatc
     assert kept
 
 
-def _form_value(form, x, p):
-    """A form of ``_line_conditions`` at the flattened matrix ``x``."""
-    linear, quadratic = form
-    return (
-        sum(c * x[k] for k, c in linear) + sum(c * x[k] * x[l] for k, l, c in quadratic)
-    ) % p
+def _trace_rows(m, p):
+    return sum(m[i][i] for i in range(len(m))) % p
+
+
+_GRAM_CASES = [(4, 3, 5), (5, 3, 7), (5, 4, 7), (4, 2, 5), (5, 2, 7)]
+
+
+@pytest.mark.parametrize("n, r, p", _GRAM_CASES)
+def test_gram_forms_are_the_forms_on_the_matrices(n, r, p):
+    # at seeded kernel coordinates c, c^T G c for each Gram matrix G of
+    # _line_conditions is its form on X = sum c_j K_j, computed on the
+    # matrices: tr(X^2); the screen, the one Q_uv = u^T X B^T X v or the two
+    # combinations sum (i + 1)^j Q_i, then tr(BX^2) when r >= 3; and each
+    # Q_uv, in exact, when they combine.  The first three cases carry
+    # tr(BX^2), the last two (and (5,3,7)) combine several Q_uv
+    rng = random.Random(n * 100 + r * 10 + p)
+    for base in canonical_bases(n, r, PrimeField(p)):
+        conditions = _line_conditions(base, r, p)
+        kernel = conditions.kernel
+        grams = [conditions.square, *conditions.screen, *conditions.exact]
+        b = base.rows
+        bt = tuple(zip(*b))
+        pairs = [(u, v) for u in _nullspace_mod_p(bt, p) for v in _nullspace_mod_p(b, p)]
+        assert len(conditions.screen) == min(len(pairs), 2) + (r >= 3)
+        assert len(conditions.exact) == (len(pairs) if len(pairs) > 1 else 0)
+        nonzero = [False] * len(grams)
+        for _ in range(40):
+            c = [rng.randrange(p) for _ in kernel]
+            x = _rows(tuple(
+                sum(cj * u[k] for cj, u in zip(c, kernel)) % p for k in range(n * n)
+            ), n)
+            xx = _matmul_rows(x, x, p)
+            xbx = _matmul_rows(_matmul_rows(x, bt, p), x, p)
+            q = [
+                sum(u[i] * xbx[i][j] * v[j] for i in range(n) for j in range(n)) % p
+                for u, v in pairs
+            ]
+            screen = list(q) if len(q) == 1 else [
+                sum((i + 1) ** j * qi for i, qi in enumerate(q)) % p for j in (0, 1)
+            ]
+            if r >= 3:
+                screen.append(_trace_rows(_matmul_rows(b, xx, p), p))
+            want = [_trace_rows(xx, p), *screen, *(q if len(q) > 1 else [])]
+            got = [_form_at(g, c, p) for g in grams]
+            assert got == want
+            nonzero = [was or bool(value) for was, value in zip(nonzero, got)]
+        assert all(nonzero)
 
 
 def _s2_coefficient(b, x, p):
@@ -910,7 +962,7 @@ def test_q_forms_vanish_exactly_when_the_minors_lose_their_s2_term():
             bt = tuple(zip(*b))
             pairs = [(u, v) for u in _nullspace_mod_p(bt, p) for v in _nullspace_mod_p(b, p)]
             assert len(q_forms) == len(pairs) == (n - r) ** 2
-            kernel = _nullspace_mod_p(forms.rows, p)
+            kernel = forms.kernel
             subsets = list(itertools.combinations(range(n), r + 1))
             for _ in range(300):
                 # sparse coordinates, so that some points have every Q_uv = 0
@@ -918,7 +970,7 @@ def test_q_forms_vanish_exactly_when_the_minors_lose_their_s2_term():
                 x = tuple(sum(c * u[k] for c, u in zip(coeffs, kernel)) % p for k in range(n * n))
                 rows = _rows(x, n)
                 xbx = _matmul_rows(_matmul_rows(rows, bt, p), rows, p)
-                q = [_form_value(f, x, p) for f in q_forms]
+                q = [_form_at(g, coeffs, p) for g in q_forms]
                 assert q == [
                     sum(u[i] * xbx[i][j] * v[j] for i in range(n) for j in range(n)) % p
                     for u, v in pairs
@@ -945,7 +997,7 @@ def test_q_screen_gates():
     for n, r, ps in ((2, 1, (2, 3)), (3, 2, (3, 5)), (5, 4, (5, 7))):
         for p in ps:
             (base,) = canonical_bases(n, r, PrimeField(p))
-            rows, _, screen, exact = _line_conditions(base, r, p)
+            rows, _, _, screen, exact = _line_conditions(base, r, p)
             trace = [tuple(x for row in c.rows for x in row)
                      for c in linear_trace_constraints(base, min(n - 1, p - 2))]
             (u,) = _nullspace_mod_p(base.transpose().rows, p)
@@ -956,14 +1008,19 @@ def test_q_screen_gates():
                 assert rows == trace and len(screen) == (r >= 3)
             else:
                 assert rows[len(trace)] == tangent and len(screen) == 1 + (r >= 3)
-    # a conjugate of the shift has no Q screen (C C^T C != C), the same
-    # square form tr(X^2), and the conjugate pool
+    # a conjugate of the shift has no Q screen (C C^T C != C), the square
+    # form tr(X^2) on its own kernel, tr(K_i K_j), and the conjugate pool
     base = shift_matrix(3, F5)
     g = ExactMatrix(F5, ((1, 2, 0), (0, 1, 3), (1, 0, 1)))
     conj = g @ base @ inverse(g)
     assert conj @ conj.transpose() @ conj != conj
-    assert _line_conditions(conj, 2, 5)[1:] == (_line_conditions(base, 2, 5).square, [], [])
-    pool = _build_pool(conj, 2, F5, 10**6)
+    conditions = _line_conditions(conj, 2, 5)
+    assert conditions.screen == conditions.exact == []
+    mats = [_rows(u, 3) for u in conditions.kernel]
+    assert conditions.square == [
+        [_trace_rows(_matmul_rows(x, y, 5), 5) for y in mats] for x in mats
+    ]
+    pool = build_candidate_pool(conj, 2, F5, budget=10**6)
     assert pool.complete and pool.at_screen == 0
     image = sorted(
         _canonical_line(tuple(x for row in (g @ c @ inverse(g)).rows for x in row), 5)
@@ -1206,7 +1263,7 @@ def _differential_pools(n, r, p, budget):
     field = PrimeField(p)
     out = []
     for base in canonical_bases(n, r, field):
-        pool = _build_pool(base, r, field, budget)
+        pool = build_candidate_pool(base, r, field, budget=budget)
         out.append((pool.lines, pool.coords))
     return out
 
@@ -1314,7 +1371,7 @@ def test_line_graph_on_kernel_coordinates_matches_the_reference_on_full_vectors(
     # small enough for the reference
     field = PrimeField(7)
     (base,) = canonical_bases(5, 1, field)
-    pool = _build_pool(base, 1, field, 10**7)
+    pool = build_candidate_pool(base, 1, field, budget=10**7)
     assert pool.complete and len(pool.free) == 8
     cands = pool.lines
     coords = pool.coords
@@ -1534,6 +1591,20 @@ def test_pool_api_takes_the_report_pruning_as_a_keyword():
     assert pool == build_candidate_pool(base, 2, F5, budget=rep.evaluations)
     assert pool.complete and pool.evaluations == rep.evaluations
     assert pool.lines_tested == len(pool.candidates) + pool.pruned_by_rank
+
+
+def test_pool_budget_zero_tests_no_line():
+    # the search passes a base whose share ran out a budget of 0: the pool
+    # is cut before its first line, and a negative budget is refused
+    for n, r, p in ((3, 2, 5), (4, 2, 5), (2, 1, 2)):
+        for base in canonical_bases(n, r, PrimeField(p)):
+            pool = build_candidate_pool(base, r, PrimeField(p), budget=0)
+            assert (pool.lines, pool.complete, pool.evaluations, pool.lines_tested) == (
+                (), False, 0, 0,
+            )
+            assert pool.free == build_candidate_pool(base, r, PrimeField(p), budget=1).free
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        build_candidate_pool(shift_matrix(3, F5), 2, F5, budget=-1)
 
 
 def test_conjecture_consistent_small():
